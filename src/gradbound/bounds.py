@@ -10,16 +10,19 @@ Estimator conventions
   ``overflowed=True`` while ``log_space_value`` stays finite.  Single
   precision is the reference because that is where naive pipelines die;
   the saturation is a reported result, not an error.
-* Monte-Carlo weight draws come from the prefix-stable streams in
+* Every Monte-Carlo estimator is a reduction over two per-draw matrices
+  from :func:`draw_stats`, the one place that samples weights: the losses
+  and the squared input-gradient norms of each weight draw on a dataset.
+  Callers compute them once per family and hand them to every estimator
+  that needs them.  Draws come from the prefix-stable streams in
   :mod:`gradbound.gaussians`; given a config seed, results are bitwise
-  reproducible and per-sample work can be farmed out as long as the
-  reduction stays in index order.
+  reproducible and reductions run in draw-index order.
 * The m in a bound is the training-sample size of the certificate being
-  priced; the dataset argument serves as the proxy for the unknown data
-  distribution (callers typically pass a held-out split, and reports
-  record that choice).  ``naive_complexity`` is the exception: it uses one
-  dataset for both roles and takes m = len(data), matching how the
-  unstable direct estimate is formed in practice.
+  priced; the dataset the matrices were computed on serves as the proxy
+  for the unknown data distribution (callers typically pass a held-out
+  split, and reports record that choice).  ``naive_complexity_curve`` is
+  the exception: it uses one dataset for both roles and takes m = its
+  size, matching how the unstable direct estimate is formed in practice.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .gaussians import GaussianFamily, sample
-from .nets import ParamVector, batch_input_grads, batch_losses
+from .nets import ParamVector, batch_input_grads, batch_losses, loss_and_grad
 from .numerics import logmeanexp, trapezoid_weights
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
@@ -145,25 +148,39 @@ def log_mgf(params: ParamVector, data: LabeledDataset, kind: str, alpha: float) 
     return log_mgf_from_losses(batch_losses(params, data.inputs, data.labels, kind), alpha)
 
 
-def _loss_matrix(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                 cfg: EstimatorConfig) -> np.ndarray:
-    draws = sample(prior, cfg.seed, cfg.n_weight_samples)
-    return np.stack([batch_losses(w, data.inputs, data.labels, kind) for w in draws])
+def draw_stats(family: GaussianFamily, data: LabeledDataset, kind: str,
+               cfg: EstimatorConfig, grads: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per weight draw: losses[S, n] and, with ``grads``, sq_grad_norms[S, n].
 
-
-def naive_complexity_curve(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                           lambdas, cfg: EstimatorConfig) -> list[BoundEstimate]:
-    """Naive complexity-term estimates sharing one loss matrix across lambdas.
-
-    For each weight sample w the exponent is lam * mean-loss(w)
-    + m * log M(lam/m), the factorized form of the exponentiated
-    generalization gap with the dataset standing in for the distribution
-    (m = len(data)).  The direct-space value multiplies exp(lam * mean-loss)
-    by M(lam/m)^m literally, which is exactly the numerically fragile
-    product the log-space form avoids.
+    Samples the S = ``cfg.n_weight_samples`` draws once; row i belongs to
+    draw i, a function of (cfg.seed, i) alone, so fewer draws give a
+    prefix.  Each draw makes one pass over ``data``: a forward pass, or
+    with ``grads`` one forward+backward pass whose (n, d) input gradient is
+    reduced to squared row norms at once.  Without ``grads`` the second
+    matrix is None.
     """
-    losses = _loss_matrix(prior, data, kind, cfg)
-    m = data.m
+    losses, sq_norms = [], []
+    for w in sample(family, cfg.seed, cfg.n_weight_samples):
+        if grads:
+            row, g = loss_and_grad(w, data.inputs, data.labels, kind)
+            sq_norms.append(np.einsum("ij,ij->i", g, g))
+        else:
+            row = batch_losses(w, data.inputs, data.labels, kind)
+        losses.append(row)
+    return np.stack(losses), np.stack(sq_norms) if grads else None
+
+
+def naive_complexity_curve(losses: np.ndarray, lambdas) -> list[BoundEstimate]:
+    """Naive complexity-term estimates from a loss matrix, one per lambda.
+
+    For each weight draw (row of ``losses``) the exponent is
+    lam * mean-loss(w) + m * log M(lam/m), the factorized form of the
+    exponentiated generalization gap with the dataset standing in for the
+    distribution (m = number of columns).  The direct-space value
+    multiplies exp(lam * mean-loss) by M(lam/m)^m literally, which is
+    exactly the numerically fragile product the log-space form avoids.
+    """
+    m = losses.shape[1]
     mean_losses = losses.mean(axis=1)
     out = []
     for lam in lambdas:
@@ -182,48 +199,29 @@ def naive_complexity_curve(prior: GaussianFamily, data: LabeledDataset, kind: st
     return out
 
 
-def naive_complexity(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                     lam: float, cfg: EstimatorConfig) -> BoundEstimate:
-    return naive_complexity_curve(prior, data, kind, [lam], cfg)[0]
-
-
-def _per_sample_stats(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                      cfg: EstimatorConfig):
-    """Per weight sample: loss vector and squared input-gradient norms."""
-    draws = sample(prior, cfg.seed, cfg.n_weight_samples)
-    losses, sq_grads = [], []
-    for w in draws:
-        losses.append(batch_losses(w, data.inputs, data.labels, kind))
-        g = batch_input_grads(w, data.inputs, data.labels, kind)
-        sq_grads.append(np.einsum("ij,ij->i", g, g))
-    return np.stack(losses), np.stack(sq_grads)
-
-
-def gradnorm_integral_bound(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                            lam: float, m: int, cfg: EstimatorConfig) -> BoundEstimate:
+def gradnorm_integral_bound(losses: np.ndarray, sq_grad_norms: np.ndarray, lam: float,
+                            m: int, n_nodes: int) -> BoundEstimate:
     """Gradient-norm complexity bound with the inner alpha integral.
 
-    Per weight sample the exponent is
+    Per weight draw (row of the matrices) the exponent is
 
         2 lam * E_data[ ||grad_x loss||^2 * I ],
         I = integral over [0, lam/m] of exp(-alpha loss) / M(alpha) d alpha,
 
     with M(alpha) the empirical MGF of the loss and the integral evaluated
-    by composite trapezoid quadrature on ``cfg.alpha_quadrature_nodes``
-    uniform nodes.
+    by composite trapezoid quadrature on ``n_nodes`` uniform nodes.
     """
     if lam <= 0 or m < 1:
         raise ValueError("lambda must be positive and m >= 1")
-    losses, sq_grads = _per_sample_stats(prior, data, kind, cfg)
-    nodes = np.linspace(0.0, lam / m, cfg.alpha_quadrature_nodes)
+    nodes = np.linspace(0.0, lam / m, n_nodes)
     weights = trapezoid_weights(nodes)
     exponents = np.empty(losses.shape[0])
-    for i, (lo, gg) in enumerate(zip(losses, sq_grads)):
+    for i, (lo, gg) in enumerate(zip(losses, sq_grad_norms)):
         log_m = logmeanexp(-nodes[:, None] * lo[None, :], axis=1)
         integrand = np.exp(-nodes[:, None] * lo[None, :] - log_m[:, None])
         integral = weights @ integrand
         exponents[i] = 2.0 * lam * float(np.mean(gg * integral))
-    return _finalize(exponents, n_data=data.m)
+    return _finalize(exponents, n_data=losses.shape[1])
 
 
 def linear_gradnorm_bound(k: int, d: int, m: int, lip: float, sigma_p: float,
@@ -239,17 +237,6 @@ def linear_gradnorm_bound(k: int, d: int, m: int, lip: float, sigma_p: float,
     return k * d * math.log(m / (m - q))
 
 
-def linear_bound_lambda_limits(m: int, lip: float, sigma_p: float) -> tuple[float, float]:
-    """(lambda where the closed form equals kd*log 2, lambda at its pole).
-
-    The first is sqrt(m)/(4 L sigma_p); the pole sits at
-    sqrt(m/8)/(L sigma_p).  Both are exposed because they differ by a
-    factor sqrt(2) and callers may care about either edge.
-    """
-    return (math.sqrt(m) / (4.0 * lip * sigma_p),
-            math.sqrt(m / 8.0) / (lip * sigma_p))
-
-
 def expected_grad_norm(params: ParamVector, data: LabeledDataset, kind: str) -> float:
     """Mean over the dataset of the squared input-gradient norm."""
     if data.m < 1:
@@ -258,50 +245,37 @@ def expected_grad_norm(params: ParamVector, data: LabeledDataset, kind: str) -> 
     return float(np.mean(np.einsum("ij,ij->i", g, g)))
 
 
-def expected_grad_norm_mc(family: GaussianFamily, data: LabeledDataset, kind: str,
-                          cfg: EstimatorConfig) -> tuple[float, float]:
-    """MC mean and standard error of expected_grad_norm over weight draws."""
-    draws = sample(family, cfg.seed, cfg.n_weight_samples)
-    vals = np.array([expected_grad_norm(w, data, kind) for w in draws])
+def expected_grad_norm_mc(sq_grad_norms: np.ndarray) -> tuple[float, float]:
+    """MC mean and standard error of the per-draw mean squared input-gradient norm."""
+    vals = sq_grad_norms.mean(axis=1)
     se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     return float(vals.mean()), se
 
 
-def estimate_loss_bound(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                        cfg: EstimatorConfig) -> float:
-    """On-average loss bound: MC estimate of the prior-expected loss + slack."""
-    draws = sample(prior, cfg.seed, cfg.n_weight_samples)
-    mean_loss = float(np.mean([empirical_risk(w, data, kind) for w in draws]))
-    return mean_loss + cfg.loss_bound_slack
+def estimate_loss_bound(losses: np.ndarray, slack: float) -> float:
+    """On-average loss bound: MC estimate of the expected loss + slack."""
+    return float(np.mean(losses.mean(axis=1))) + slack
 
 
-def gradnorm_bound_curve(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                         lambdas, m: int, loss_bound: float,
-                         cfg: EstimatorConfig) -> list[BoundEstimate]:
-    """Expected-gradient-norm bounds sharing one set of weight draws.
+def gradnorm_bound_curve(sq_grad_norms: np.ndarray, lambdas, m: int,
+                         loss_bound: float) -> list[BoundEstimate]:
+    """Expected-gradient-norm bounds from one norm matrix, one per lambda.
 
-    Per weight sample the exponent is (2 lam^2 e^b / m) * E||grad_x loss||^2,
+    Per weight draw the exponent is (2 lam^2 e^b / m) * E||grad_x loss||^2,
     valid for 0 < lam <= m given the on-average loss bound b.
     """
     lambdas = [float(l) for l in lambdas]
     for lam in lambdas:
         if not 0.0 < lam <= m:
             raise ValueError(f"lambda must lie in (0, m]; got {lam} with m={m}")
-    _, sq_grads = _per_sample_stats(prior, data, kind, cfg)
-    mean_sq = sq_grads.mean(axis=1)
+    mean_sq = sq_grad_norms.mean(axis=1)
     out = []
     with np.errstate(over="ignore"):
         scale_b = math.exp(loss_bound) if loss_bound < 700 else float("inf")
         for lam in lambdas:
             exponents = (2.0 * lam**2 * scale_b / m) * mean_sq
-            out.append(_finalize(exponents, n_data=data.m))
+            out.append(_finalize(exponents, n_data=sq_grad_norms.shape[1]))
     return out
-
-
-def gradnorm_bound(prior: GaussianFamily, data: LabeledDataset, kind: str,
-                   lam: float, m: int, loss_bound: float,
-                   cfg: EstimatorConfig) -> BoundEstimate:
-    return gradnorm_bound_curve(prior, data, kind, [lam], m, loss_bound, cfg)[0]
 
 
 def assemble_risk_bound(emp_risk_q: float, complexity: float, kl: float,
@@ -347,10 +321,8 @@ def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, kind: 
     n = gaussian_data.m if n is None else int(n)
     if not 1 <= n <= gaussian_data.m:
         raise ValueError("n out of range")
-    x = gaussian_data.inputs[:n]
-    y = gaussian_data.labels[:n]
-    losses = batch_losses(params, x, y, kind)
-    g = batch_input_grads(params, x, y, kind)
+    losses, g = loss_and_grad(params, gaussian_data.inputs[:n],
+                              gaussian_data.labels[:n], kind)
     sq = np.einsum("ij,ij->i", g, g)
 
     v = np.exp(-alpha * losses)

@@ -15,8 +15,17 @@ train-report         SGD training, losses, bounds at lambda = sqrt(m), m,
 identity-checks      exact MGF factorization, cumulant reconstruction, and
                      entropy-inequality suites; exit 0 iff all pass
 
+Every experiment but identity-checks is one depth x variance loop: each
+grid point builds one weight family (the prior, or for train-report the
+posterior around the SGD-trained weights), computes its per-draw losses
+and squared input-gradient norms once with ``bounds.draw_stats``, and
+hands them to the experiment's row builder, which applies the estimator
+reductions the experiment reports.
+
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
+The output is written to a temporary file beside it and renamed into
+place, so a failed run leaves no partial file.
 Grids and sizes come from the JSON config file; the command-line flags
 --seed/--out/--format/--data-images/--data-labels/--synthetic override it
 (flags > file > defaults).  Infinities are serialized as the string "inf".
@@ -29,6 +38,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -180,141 +190,133 @@ def _bound_cells(est: bd.BoundEstimate) -> dict:
             "std_error": est.std_error, "overflowed": est.overflowed}
 
 
-def _run_naive(spec, train_set, heldout):
-    columns = ["depth", "sigma_p", "lam", "value", "log_space_value",
-               "std_error", "overflowed", "n_weight_samples", "n_data_points"]
-    rows = []
-    for depth in spec.depth_grid:
-        arch = arch_for_depth(depth, train_set.dim, train_set.class_count,
-                              spec.mlp_target_params)
-        for sigma in spec.variance_grid:
-            ests = bd.naive_complexity_curve(
-                prior_family(arch, sigma), train_set, spec.loss_kind,
-                spec.lambda_grid, spec.estimator)
-            for lam, est in zip(spec.lambda_grid, ests):
-                rows.append({"depth": depth, "sigma_p": sigma, "lam": lam,
-                             **_bound_cells(est),
-                             "n_weight_samples": est.n_weight_samples,
-                             "n_data_points": est.n_data_points})
-    return columns, rows
+def _prior(spec, arch, sigma, train_set, heldout):
+    return prior_family(arch, sigma), {"sigma_p": sigma}
 
 
-def _run_gradnorm(spec, train_set, heldout):
-    columns = ["depth", "sigma_p", "grad_norm_sq_mean", "grad_norm_sq_std_error",
-               "linear_worst_case"]
+def _trained_posterior(spec, arch, variance, train_set, heldout):
+    """Train from N(0, variance) and center the posterior on the result."""
+    sigma_p = math.sqrt(variance)
+    cfg = dataclasses.replace(spec.train, init_stddev=sigma_p)
+    weights = train(arch, train_set, spec.loss_kind, cfg)
+    train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
+    test_loss, test_acc = evaluate(weights, heldout, spec.loss_kind)
+    posterior = posterior_family(weights, spec.sigma_q)
+    kl = kl_divergence(posterior, prior_family(arch, sigma_p))
+    return posterior, {"prior_variance": variance, "sigma_p": sigma_p,
+                       "sigma_q": spec.sigma_q, "m": train_set.m,
+                       "train_loss": train_loss, "test_loss": test_loss,
+                       "train_accuracy": train_acc, "test_accuracy": test_acc,
+                       "kl": kl, "l_d_proxy": "heldout"}
+
+
+def _bound_curve(spec, m, losses, sq_norms, lambdas):
+    """The loss bound b and the gradient-norm bound curve it prices."""
+    b = bd.estimate_loss_bound(losses, spec.estimator.loss_bound_slack)
+    return b, bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
+
+
+# Row builders: (spec, m, arch, point cells, losses, sq_norms) -> rows.
+
+def _naive_rows(spec, m, arch, point, losses, sq_norms):
+    ests = bd.naive_complexity_curve(losses, spec.lambda_grid)
+    return [{**point, "lam": lam, **_bound_cells(est),
+             "n_weight_samples": est.n_weight_samples,
+             "n_data_points": est.n_data_points}
+            for lam, est in zip(spec.lambda_grid, ests)]
+
+
+def _gradnorm_rows(spec, m, arch, point, losses, sq_norms):
+    mean, se = bd.expected_grad_norm_mc(sq_norms)
     lip = lipschitz_bound(spec.loss_kind)
-    rows = []
-    for depth in spec.depth_grid:
-        arch = arch_for_depth(depth, heldout.dim, heldout.class_count,
-                              spec.mlp_target_params)
-        for sigma in spec.variance_grid:
-            mean, se = bd.expected_grad_norm_mc(
-                prior_family(arch, sigma), heldout, spec.loss_kind, spec.estimator)
-            worst = (lip**2 * sigma**2 * arch.param_count()) if depth == 1 else None
-            rows.append({"depth": depth, "sigma_p": sigma,
-                         "grad_norm_sq_mean": mean, "grad_norm_sq_std_error": se,
-                         "linear_worst_case": worst})
-    return columns, rows
+    worst = lip**2 * point["sigma_p"]**2 * arch.param_count() if arch.is_linear else None
+    return [{**point, "grad_norm_sq_mean": mean, "grad_norm_sq_std_error": se,
+             "linear_worst_case": worst}]
 
 
-def _run_loss(spec, train_set, heldout):
-    columns = ["depth", "sigma_p", "avg_prior_loss", "loss_bound"]
-    rows = []
-    for depth in spec.depth_grid:
-        arch = arch_for_depth(depth, heldout.dim, heldout.class_count,
-                              spec.mlp_target_params)
-        for sigma in spec.variance_grid:
-            b = bd.estimate_loss_bound(prior_family(arch, sigma), heldout,
-                                       spec.loss_kind, spec.estimator)
-            rows.append({"depth": depth, "sigma_p": sigma,
-                         "avg_prior_loss": b - spec.estimator.loss_bound_slack,
-                         "loss_bound": b})
-    return columns, rows
+def _loss_rows(spec, m, arch, point, losses, sq_norms):
+    slack = spec.estimator.loss_bound_slack
+    b = bd.estimate_loss_bound(losses, slack)
+    return [{**point, "avg_prior_loss": b - slack, "loss_bound": b}]
 
 
-def _run_bound_sweep(spec, train_set, heldout):
-    columns = ["depth", "sigma_p", "lam_label", "lam", "value", "log_space_value",
-               "std_error", "overflowed", "loss_bound"]
-    m = train_set.m
+def _bound_rows(spec, m, arch, point, losses, sq_norms):
     lam_points = [("sqrt_m", math.sqrt(m)), ("m", float(m))]
-    rows = []
-    for depth in spec.depth_grid:
-        arch = arch_for_depth(depth, heldout.dim, heldout.class_count,
-                              spec.mlp_target_params)
-        for sigma in spec.variance_grid:
-            prior = prior_family(arch, sigma)
-            b = bd.estimate_loss_bound(prior, heldout, spec.loss_kind, spec.estimator)
-            ests = bd.gradnorm_bound_curve(prior, heldout, spec.loss_kind,
-                                           [lam for _, lam in lam_points], m, b,
-                                           spec.estimator)
-            for (label, lam), est in zip(lam_points, ests):
-                rows.append({"depth": depth, "sigma_p": sigma, "lam_label": label,
-                             "lam": lam, **_bound_cells(est), "loss_bound": b})
-    return columns, rows
+    b, ests = _bound_curve(spec, m, losses, sq_norms, [lam for _, lam in lam_points])
+    return [{**point, "lam_label": label, "lam": lam, **_bound_cells(est),
+             "loss_bound": b}
+            for (label, lam), est in zip(lam_points, ests)]
 
 
-def _run_fit_subgamma(spec, train_set, heldout):
-    columns = ["depth", "sigma_p", "v", "c", "lambda_max", "residual",
-               "n_finite_points", "n_grid_points", "dominates"]
-    m = train_set.m
+def _fit_subgamma_rows(spec, m, arch, point, losses, sq_norms):
     lambdas = spec.lambda_grid or tuple(np.geomspace(1.0, m, 12))
-    rows = []
-    for depth in spec.depth_grid:
-        arch = arch_for_depth(depth, heldout.dim, heldout.class_count,
-                              spec.mlp_target_params)
-        for sigma in spec.variance_grid:
-            prior = prior_family(arch, sigma)
-            b = bd.estimate_loss_bound(prior, heldout, spec.loss_kind, spec.estimator)
-            ests = bd.gradnorm_bound_curve(prior, heldout, spec.loss_kind,
-                                           lambdas, m, b, spec.estimator)
-            grid = [(lam, est.log_space_value) for lam, est in zip(lambdas, ests)
-                    if not est.overflowed]
-            if not grid:
-                rows.append({"depth": depth, "sigma_p": sigma, "v": None, "c": None,
-                             "lambda_max": None, "residual": None,
-                             "n_finite_points": 0, "n_grid_points": len(lambdas),
-                             "dominates": False})
-                continue
-            fitted = subgamma_fit(grid, c_max=spec.subgamma_c_max)
-            rows.append({"depth": depth, "sigma_p": sigma, "v": fitted.v,
-                         "c": fitted.c, "lambda_max": fitted.lambda_max,
-                         "residual": fitted.residual,
-                         "n_finite_points": len(grid), "n_grid_points": len(lambdas),
-                         "dominates": subgamma_check(fitted, grid)})
-    return columns, rows
+    _, ests = _bound_curve(spec, m, losses, sq_norms, lambdas)
+    grid = [(lam, est.log_space_value) for lam, est in zip(lambdas, ests)
+            if not est.overflowed]
+    counts = {"n_finite_points": len(grid), "n_grid_points": len(lambdas)}
+    if not grid:
+        return [{**point, "v": None, "c": None, "lambda_max": None,
+                 "residual": None, **counts, "dominates": False}]
+    fitted = subgamma_fit(grid, c_max=spec.subgamma_c_max)
+    return [{**point, "v": fitted.v, "c": fitted.c, "lambda_max": fitted.lambda_max,
+             "residual": fitted.residual, **counts,
+             "dominates": subgamma_check(fitted, grid)}]
 
 
-def _run_train_report(spec, train_set, heldout):
-    columns = ["depth", "prior_variance", "sigma_p", "sigma_q", "m",
-               "train_loss", "test_loss", "train_accuracy", "test_accuracy",
-               "bound_sqrt_m", "bound_sqrt_m_log", "bound_m", "bound_m_log",
-               "kl", "loss_bound", "l_d_proxy"]
-    m = train_set.m
+def _train_report_rows(spec, m, arch, point, losses, sq_norms):
+    b, (sqrt_m, at_m) = _bound_curve(spec, m, losses, sq_norms,
+                                     [math.sqrt(m), float(m)])
+    return [{**point, "bound_sqrt_m": sqrt_m.value,
+             "bound_sqrt_m_log": sqrt_m.log_space_value,
+             "bound_m": at_m.value, "bound_m_log": at_m.log_space_value,
+             "loss_bound": b}]
+
+
+_BOUND_COLUMNS = ["value", "log_space_value", "std_error", "overflowed"]
+
+# experiment -> (columns, family per grid point, stats on the train split
+# rather than the held-out one, squared gradient norms needed, row builder)
+_SWEEPS = {
+    "naive-vs-lambda": (
+        ["depth", "sigma_p", "lam", *_BOUND_COLUMNS, "n_weight_samples", "n_data_points"],
+        _prior, True, False, _naive_rows),
+    "gradnorm-vs-variance": (
+        ["depth", "sigma_p", "grad_norm_sq_mean", "grad_norm_sq_std_error",
+         "linear_worst_case"],
+        _prior, False, True, _gradnorm_rows),
+    "loss-vs-variance": (
+        ["depth", "sigma_p", "avg_prior_loss", "loss_bound"],
+        _prior, False, False, _loss_rows),
+    "bound-vs-variance": (
+        ["depth", "sigma_p", "lam_label", "lam", *_BOUND_COLUMNS, "loss_bound"],
+        _prior, False, True, _bound_rows),
+    "fit-subgamma": (
+        ["depth", "sigma_p", "v", "c", "lambda_max", "residual",
+         "n_finite_points", "n_grid_points", "dominates"],
+        _prior, False, True, _fit_subgamma_rows),
+    "train-report": (
+        ["depth", "prior_variance", "sigma_p", "sigma_q", "m",
+         "train_loss", "test_loss", "train_accuracy", "test_accuracy",
+         "bound_sqrt_m", "bound_sqrt_m_log", "bound_m", "bound_m_log",
+         "kl", "loss_bound", "l_d_proxy"],
+        _trained_posterior, False, True, _train_report_rows),
+}
+
+
+def _sweep(spec, train_set, heldout):
+    """The depth x variance grid: one family and one draw_stats per point."""
+    columns, family_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
+    data = train_set if on_train else heldout
     rows = []
     for depth in spec.depth_grid:
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count,
                               spec.mlp_target_params)
-        for variance in spec.variance_grid:
-            sigma_p = math.sqrt(variance)
-            cfg = dataclasses.replace(spec.train, init_stddev=sigma_p)
-            weights = train(arch, train_set, spec.loss_kind, cfg)
-            train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
-            test_loss, test_acc = evaluate(weights, heldout, spec.loss_kind)
-            posterior = posterior_family(weights, spec.sigma_q)
-            b = bd.estimate_loss_bound(posterior, heldout, spec.loss_kind,
-                                       spec.estimator)
-            sqrt_m, at_m = bd.gradnorm_bound_curve(
-                posterior, heldout, spec.loss_kind, [math.sqrt(m), float(m)], m, b,
-                spec.estimator)
-            kl = kl_divergence(posterior, prior_family(arch, sigma_p))
-            rows.append({"depth": depth, "prior_variance": variance,
-                         "sigma_p": sigma_p, "sigma_q": spec.sigma_q, "m": m,
-                         "train_loss": train_loss, "test_loss": test_loss,
-                         "train_accuracy": train_acc, "test_accuracy": test_acc,
-                         "bound_sqrt_m": sqrt_m.value,
-                         "bound_sqrt_m_log": sqrt_m.log_space_value,
-                         "bound_m": at_m.value, "bound_m_log": at_m.log_space_value,
-                         "kl": kl, "loss_bound": b, "l_d_proxy": "heldout"})
+        for sigma in spec.variance_grid:
+            family, cells = family_at(spec, arch, sigma, train_set, heldout)
+            losses, sq_norms = bd.draw_stats(family, data, spec.loss_kind,
+                                             spec.estimator, grads)
+            rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells},
+                            losses, sq_norms)
     return columns, rows
 
 
@@ -358,16 +360,6 @@ def _identity_check_rows(spec):
     return columns, rows
 
 
-_RUNNERS = {
-    "naive-vs-lambda": _run_naive,
-    "gradnorm-vs-variance": _run_gradnorm,
-    "loss-vs-variance": _run_loss,
-    "bound-vs-variance": _run_bound_sweep,
-    "fit-subgamma": _run_fit_subgamma,
-    "train-report": _run_train_report,
-}
-
-
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         if math.isnan(value):
@@ -391,22 +383,29 @@ def _csv_cell(value) -> str:
 
 
 def write_output(path: str, spec: SweepSpec, columns, rows) -> None:
+    """Write beside ``path`` and rename over it: a failed write leaves no output."""
     config = dataclasses.asdict(spec)
     stamp = datetime.now(timezone.utc).isoformat()
-    if spec.format == "json":
-        doc = {"config": config, "timestamp": stamp, "columns": list(columns),
-               "rows": [{k: _json_safe(v) for k, v in row.items()} for row in rows]}
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-        return
-    with open(path, "w", newline="") as f:
-        f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        f.write("# timestamp: " + stamp + "\n")
-        writer = csv.writer(f)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in columns])
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            if spec.format == "json":
+                doc = {"config": config, "timestamp": stamp, "columns": list(columns),
+                       "rows": [{k: _json_safe(v) for k, v in row.items()}
+                                for row in rows]}
+                json.dump(doc, f, indent=2, sort_keys=True)
+                f.write("\n")
+            else:
+                f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+                f.write("# timestamp: " + stamp + "\n")
+                writer = csv.writer(f)
+                writer.writerow(columns)
+                for row in rows:
+                    writer.writerow([_csv_cell(row[c]) for c in columns])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def run(spec: SweepSpec) -> int:
@@ -418,7 +417,7 @@ def run(spec: SweepSpec) -> int:
         train_set, heldout = resolve_dataset(spec)
         if spec.experiment == "naive-vs-lambda" and not spec.lambda_grid:
             raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
-        columns, rows = _RUNNERS[spec.experiment](spec, train_set, heldout)
+        columns, rows = _sweep(spec, train_set, heldout)
         all_passed = True
 
     out = spec.out or f"{spec.experiment}.{spec.format}"

@@ -35,7 +35,6 @@ class MlpArchitecture:
     input_dim: int
     class_count: int
     hidden_widths: tuple[int, ...] = ()
-    activation: str = "relu"
     bias: bool | None = None
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class MlpArchitecture:
             raise ValueError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be positive")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
         if self.bias is None:
             object.__setattr__(self, "bias", bool(self.hidden_widths))
 
@@ -234,11 +231,18 @@ def loss(params: ParamVector, x, y: int, kind: str) -> float:
     return float(batch_losses(params, x[None, :], np.array([y]), kind)[0])
 
 
-def _backward(params: ParamVector, x_batch, y_batch, kind: str, want_params: bool):
-    """Shared backprop; returns (per-example input grads, mean param grad)."""
+def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
+                  want_params: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example losses and one gradient, from one forward+backward pass.
+
+    The gradient is the per-example input gradient, (n, d), or with
+    ``want_params`` the gradient of the mean batch loss with respect to the
+    flat weights (the input gradient is then not formed).
+    """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = unpack_layers(params)
     acts, pres, logits = _forward_cached(params, x_batch)
+    losses = logit_loss(logits, y_batch, kind)
     g = logit_gradient(logits, y_batch, kind)
 
     n = x_batch.shape[0]
@@ -249,22 +253,23 @@ def _backward(params: ParamVector, x_batch, y_batch, kind: str, want_params: boo
             dw = g.T @ acts[i] / n
             db = g.mean(axis=0) if b is not None else None
             grads[i] = (dw, db)
+            if i == 0:
+                return losses, pack_layers(params.layout, grads)
         g = g @ w
         if i > 0:
             # ReLU subgradient: derivative 0 at the kink.
             g = g * (pres[i - 1] > 0.0)
-    mean_param_grad = pack_layers(params.layout, grads) if want_params else None
-    return g, mean_param_grad
+    return losses, g
 
 
 def batch_input_grads(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
     """Per-example gradient of the loss with respect to the input, (n, d)."""
-    return _backward(params, x_batch, y_batch, kind, want_params=False)[0]
+    return loss_and_grad(params, x_batch, y_batch, kind)[1]
 
 
 def batch_param_grad(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat weights."""
-    return _backward(params, x_batch, y_batch, kind, want_params=True)[1]
+    return loss_and_grad(params, x_batch, y_batch, kind, want_params=True)[1]
 
 
 def grad_input(params: ParamVector, x, y: int, kind: str) -> np.ndarray:

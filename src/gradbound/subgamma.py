@@ -4,7 +4,7 @@ A measured curve C(lambda) is certified sub-gamma by exhibiting (v, c)
 with C(lambda) <= lambda^2 v / (2 (1 - lambda c)) on every grid point for
 0 < lambda < 1/c.  Because the definition is a one-sided inequality, the
 fit is envelope-dominating (residual exactly zero) rather than least
-squares; a least-squares variant is provided purely as a diagnostic.
+squares.
 """
 
 from __future__ import annotations
@@ -97,22 +97,3 @@ def check(fitted: SubGammaFit, grid, tol: float = 1e-12) -> bool:
     env = lams**2 * fitted.v / (2.0 * (1.0 - lams * fitted.c))
     return bool(np.all(cs <= env + tol))
 
-
-def fit_least_squares(grid, fit_hint: SubGammaFit | None = None):
-    """Diagnostic least-squares (v, c) and RMS residual; may undercut points."""
-    from scipy.optimize import curve_fit
-
-    lams, cs = _validated_grid(grid)
-    lam_max = float(lams.max())
-    start = fit_hint or fit(grid)
-
-    def f(lam, v, c):
-        return lam**2 * v / (2.0 * (1.0 - lam * c))
-
-    p0 = (max(start.v, 1e-12), min(start.c, 0.5 / lam_max))
-    popt, _ = curve_fit(f, lams, cs, p0=p0,
-                        bounds=([0.0, 0.0], [np.inf, (1.0 - 1e-9) / lam_max]),
-                        maxfev=10_000)
-    v, c = float(popt[0]), float(popt[1])
-    rms = float(np.sqrt(np.mean((f(lams, v, c) - cs) ** 2)))
-    return v, c, rms

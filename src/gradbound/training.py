@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .gaussians import RESERVED_STREAM_BASE, prior_family, sample, stream_rng
-from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, batch_param_grad
+from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_grad
 
 log = logging.getLogger(__name__)
 
@@ -65,14 +65,12 @@ def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
         epoch_loss = 0.0
         for bi, start in enumerate(range(0, data.m, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            params = ParamVector(w, arch)
-            logits = batch_forward(params, data.inputs[idx])
-            losses = logit_loss(logits, data.labels[idx], kind)
+            losses, grad = loss_and_grad(ParamVector(w, arch), data.inputs[idx],
+                                         data.labels[idx], kind, want_params=True)
             batch_loss = float(losses.mean())
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, bi)
             epoch_loss += batch_loss * idx.size
-            grad = batch_param_grad(params, data.inputs[idx], data.labels[idx], kind)
             u = cfg.momentum * u - cfg.learning_rate * grad
             w = w + u
             if not np.all(np.isfinite(w)):

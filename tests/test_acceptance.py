@@ -95,8 +95,8 @@ def test_criterion_4_naive_estimator_instability(train_set):
     details = []
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count, TARGET_PARAMS)
-        ests = bd.naive_complexity_curve(prior_family(arch, 0.1), train_set, NLL,
-                                         lambdas, cfg)
+        losses, _ = bd.draw_stats(prior_family(arch, 0.1), train_set, NLL, cfg, grads=False)
+        ests = bd.naive_complexity_curve(losses, lambdas)
         for lam, est in zip(lambdas, ests):
             if lam >= 50.0 and not est.overflowed:
                 ok = False
@@ -113,8 +113,8 @@ def test_criterion_5_depth_monotonicity(heldout):
     means = {}
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
-        means[depth], _ = bd.expected_grad_norm_mc(prior_family(arch, 0.1), heldout,
-                                                   NLL, cfg)
+        _, sq_norms = bd.draw_stats(prior_family(arch, 0.1), heldout, NLL, cfg, grads=True)
+        means[depth], _ = bd.expected_grad_norm_mc(sq_norms)
     decreasing = all(means[d] > means[d + 1] for d in (2, 3, 4))
     lin = arch_for_depth(1, heldout.dim, heldout.class_count, TARGET_PARAMS)
     worst_case = lipschitz_bound(NLL) ** 2 * 0.1**2 * lin.param_count()
@@ -136,8 +136,9 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
         values = []
         for sigma in SIGMA_GRID:
             prior = prior_family(arch, sigma)
-            b = bd.estimate_loss_bound(prior, heldout, NLL, cfg)
-            est = bd.gradnorm_bound(prior, heldout, NLL, lam, m, b, cfg)
+            losses, sq_norms = bd.draw_stats(prior, heldout, NLL, cfg, grads=True)
+            b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
+            est = bd.gradnorm_bound_curve(sq_norms, [lam], m, b)[0]
             values.append(math.inf if est.overflowed else est.log_space_value)
             if sigma >= 0.5 and not est.overflowed:
                 ok = False
@@ -151,8 +152,9 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, synth2.dim, synth2.class_count, 2_000)
         for sigma in (0.0004, 0.01, 0.05, 0.1):
-            bs.append(bd.estimate_loss_bound(prior_family(arch, sigma), synth2,
-                                             NLL, cfg))
+            losses, _ = bd.draw_stats(prior_family(arch, sigma), synth2, NLL, cfg,
+                                      grads=False)
+            bs.append(bd.estimate_loss_bound(losses, cfg.loss_bound_slack))
     if max(bs) > 2.0:
         ok = False
     report(6, ok, "bound nondecreasing in sigma_p with overflow at sigma>=0.5 "
@@ -169,8 +171,9 @@ def test_criterion_7_subgamma_certification(heldout, train_set):
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
         prior = prior_family(arch, 0.1)
-        b = bd.estimate_loss_bound(prior, heldout, NLL, cfg)
-        ests = bd.gradnorm_bound_curve(prior, heldout, NLL, lambdas, m, b, cfg)
+        losses, sq_norms = bd.draw_stats(prior, heldout, NLL, cfg, grads=True)
+        b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
+        ests = bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
         grid = [(float(l), e.log_space_value) for l, e in zip(lambdas, ests)
                 if not e.overflowed]
         fitted = fit(grid, c_max=1e-3)

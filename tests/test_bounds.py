@@ -22,6 +22,14 @@ from gradbound.numerics import logmeanexp
 CFG = bd.EstimatorConfig(n_weight_samples=8, alpha_quadrature_nodes=64, seed=11)
 
 
+def losses_of(family, data, cfg=CFG):
+    return bd.draw_stats(family, data, NLL, cfg, grads=False)[0]
+
+
+def stats_of(family, data, cfg=CFG):
+    return bd.draw_stats(family, data, NLL, cfg, grads=True)
+
+
 def small_synth(seed=5, n=32, d=4, k=2, sigma=1.0):
     means = np.zeros((k, d))
     means[np.arange(k), np.arange(k)] = 1.5
@@ -99,13 +107,38 @@ def test_log_mgf_monotone_on_model_draws():
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+# ------------------------------------------------------ per-draw kernel
+
+
+def test_draw_stats_matches_per_draw_passes():
+    data = small_synth(n=24)
+    prior = prior_family(MlpArchitecture(data.dim, data.class_count, (5,), bias=True), 0.4)
+    losses, sq_norms = stats_of(prior, data)
+    assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
+    for i, w in enumerate(sample(prior, CFG.seed, CFG.n_weight_samples)):
+        g = batch_input_grads(w, data.inputs, data.labels, NLL)
+        assert np.array_equal(losses[i], batch_losses(w, data.inputs, data.labels, NLL))
+        assert np.array_equal(sq_norms[i], np.einsum("ij,ij->i", g, g))
+    forward_only, none = bd.draw_stats(prior, data, NLL, CFG, grads=False)
+    assert none is None and np.array_equal(forward_only, losses)
+
+
+def test_draw_stats_is_prefix_stable():
+    data = small_synth(n=16)
+    prior = prior_family(MlpArchitecture(data.dim, data.class_count), 0.7)
+    three = stats_of(prior, data, bd.EstimatorConfig(n_weight_samples=3, seed=4))
+    five = stats_of(prior, data, bd.EstimatorConfig(n_weight_samples=5, seed=4))
+    for small, big in zip(three, five):
+        assert np.array_equal(small, big[:3])
+
+
 # --------------------------------------------------------- naive complexity
 
 
 def test_naive_complexity_vanishes_as_lambda_to_zero():
     data = small_synth()
     prior = prior_family(MlpArchitecture(data.dim, data.class_count), 0.3)
-    est = bd.naive_complexity(prior, data, NLL, 1e-8, CFG)
+    est = bd.naive_complexity_curve(losses_of(prior, data), [1e-8])[0]
     assert abs(est.log_space_value) < 1e-6
     assert abs(est.value) < 1e-6 and not est.overflowed
 
@@ -115,7 +148,7 @@ def test_naive_complexity_degenerate_gap_is_zero():
     # factorized exponent cancels per weight draw
     data = constant_dataset()
     prior = prior_family(MlpArchitecture(data.dim, data.class_count), 0.5)
-    est = bd.naive_complexity(prior, data, NLL, 3.0, CFG)
+    est = bd.naive_complexity_curve(losses_of(prior, data), [3.0])[0]
     assert abs(est.log_space_value) < 1e-9
     assert est.std_error < 1e-9
 
@@ -123,13 +156,13 @@ def test_naive_complexity_degenerate_gap_is_zero():
 def test_naive_complexity_overflow_policy():
     data = small_synth(sigma=2.0)
     prior = prior_family(MlpArchitecture(data.dim, data.class_count), 4.0)
-    curve = bd.naive_complexity_curve(prior, data, NLL, [0.5, 500.0], CFG)
+    curve = bd.naive_complexity_curve(losses_of(prior, data), [0.5, 500.0])
     small, big = curve
     assert not small.overflowed and math.isfinite(small.value)
     assert big.overflowed and big.value == math.inf
     assert math.isfinite(big.log_space_value)
     with pytest.raises(ValueError):
-        bd.naive_complexity(prior, data, NLL, 0.0, CFG)
+        bd.naive_complexity_curve(losses_of(prior, data), [0.0])
 
 
 def test_naive_log_space_consistency_when_finite():
@@ -138,7 +171,7 @@ def test_naive_log_space_consistency_when_finite():
     data = small_synth(n=64, sigma=2.0)
     prior = prior_family(MlpArchitecture(data.dim, data.class_count), 1.0)
     for lam in (4.0, 8.0, 16.0):
-        est = bd.naive_complexity(prior, data, NLL, lam, CFG)
+        est = bd.naive_complexity_curve(losses_of(prior, data), [lam])[0]
         assert not est.overflowed
         assert abs(est.value - est.log_space_value) <= 1e-9 * abs(est.value)
 
@@ -149,14 +182,16 @@ def test_naive_log_space_consistency_when_finite():
 def test_integral_bound_empty_interval():
     data = small_synth()
     prior = prior_family(MlpArchitecture(data.dim, data.class_count), 0.3)
-    est = bd.gradnorm_integral_bound(prior, data, NLL, 1e-9, 1, CFG)
+    est = bd.gradnorm_integral_bound(*stats_of(prior, data), 1e-9, 1,
+                                     CFG.alpha_quadrature_nodes)
     assert abs(est.log_space_value) < 1e-6
 
 
 def test_integral_bound_zero_gradient_prior():
     data = small_synth()
     prior = prior_family(MlpArchitecture(data.dim, data.class_count), 1e-30)
-    est = bd.gradnorm_integral_bound(prior, data, NLL, 8.0, data.m, CFG)
+    est = bd.gradnorm_integral_bound(*stats_of(prior, data), 8.0, data.m,
+                                     CFG.alpha_quadrature_nodes)
     assert abs(est.log_space_value) < 1e-9
 
 
@@ -182,14 +217,14 @@ def test_integral_bound_matches_dense_quadrature_oracle():
     prior = prior_family(MlpArchitecture(2, 2), 0.5)
     lam, m = 6.0, 8
     cfg = bd.EstimatorConfig(n_weight_samples=4, alpha_quadrature_nodes=64, seed=11)
-    est = bd.gradnorm_integral_bound(prior, data, NLL, lam, m, cfg)
+    losses, sq_norms = stats_of(prior, data, cfg)
+    est = bd.gradnorm_integral_bound(losses, sq_norms, lam, m, cfg.alpha_quadrature_nodes)
     oracle = dense_quadrature_oracle(prior, data, NLL, lam, m, 11, 4, 10_001)
     assert est.log_space_value == pytest.approx(oracle, rel=1e-4)
     # node-doubling convergence
     prev = est.log_space_value
     for nodes in (128, 256):
-        cfg_n = bd.EstimatorConfig(n_weight_samples=4, alpha_quadrature_nodes=nodes, seed=11)
-        cur = bd.gradnorm_integral_bound(prior, data, NLL, lam, m, cfg_n).log_space_value
+        cur = bd.gradnorm_integral_bound(losses, sq_norms, lam, m, nodes).log_space_value
         assert abs(cur - prev) <= 1e-4 * abs(prev)
         prev = cur
 
@@ -208,7 +243,9 @@ def test_linear_bound_exact_log2_point():
 def test_linear_bound_limits_and_pole():
     assert bd.linear_gradnorm_bound(2, 3, 100, 1.0, 1.0, 1e-12) < 1e-12
     assert bd.linear_gradnorm_bound(2, 3, 100, 1.0, 1.0, 10.0) == math.inf
-    lam_log2, lam_pole = bd.linear_bound_lambda_limits(100, 1.0, 1.0)
+    # m = 100, L = sigma_p = 1: log-2 point sqrt(m)/(4 L sigma_p), pole sqrt(m/8)/(L sigma_p)
+    lam_log2 = math.sqrt(100) / (4.0 * 1.0 * 1.0)
+    lam_pole = math.sqrt(100 / 8.0) / (1.0 * 1.0)
     assert lam_pole == pytest.approx(math.sqrt(2) * lam_log2)
     assert bd.linear_gradnorm_bound(2, 3, 100, 1.0, 1.0, lam_pole * 0.999) < math.inf
     assert bd.linear_gradnorm_bound(2, 3, 100, 1.0, 1.0, lam_pole) == math.inf
@@ -260,14 +297,16 @@ def test_expected_grad_norm_loop_oracle_and_linear_cap():
 def test_estimate_loss_bound_degenerate_prior(synth2):
     arch = MlpArchitecture(synth2.dim, synth2.class_count)
     prior = prior_family(arch, 1e-30)
-    b = bd.estimate_loss_bound(prior, synth2, NLL, CFG)
+    b = bd.estimate_loss_bound(losses_of(prior, synth2), CFG.loss_bound_slack)
     assert b == pytest.approx(math.log(2) + CFG.loss_bound_slack, abs=1e-9)
 
 
 def test_estimate_loss_bound_monotone_in_sigma(synth2):
     arch = MlpArchitecture(synth2.dim, synth2.class_count, (8,), bias=True)
-    lo = bd.estimate_loss_bound(prior_family(arch, 0.05), synth2, NLL, CFG)
-    hi = bd.estimate_loss_bound(prior_family(arch, 0.5), synth2, NLL, CFG)
+    lo = bd.estimate_loss_bound(losses_of(prior_family(arch, 0.05), synth2),
+                                CFG.loss_bound_slack)
+    hi = bd.estimate_loss_bound(losses_of(prior_family(arch, 0.5), synth2),
+                                CFG.loss_bound_slack)
     assert hi >= lo
 
 
@@ -277,7 +316,7 @@ def test_estimate_loss_bound_monotone_in_sigma(synth2):
 def test_gradnorm_bound_degenerate_prior(synth2):
     arch = MlpArchitecture(synth2.dim, synth2.class_count)
     prior = prior_family(arch, 1e-30)
-    est = bd.gradnorm_bound(prior, synth2, NLL, 4.0, synth2.m, 1.0, CFG)
+    est = bd.gradnorm_bound_curve(stats_of(prior, synth2)[1], [4.0], synth2.m, 1.0)[0]
     assert abs(est.log_space_value) < 1e-9
 
 
@@ -285,7 +324,7 @@ def test_gradnorm_bound_rejects_lambda_above_m(synth2):
     arch = MlpArchitecture(synth2.dim, synth2.class_count)
     prior = prior_family(arch, 0.1)
     with pytest.raises(ValueError):
-        bd.gradnorm_bound(prior, synth2, NLL, synth2.m + 1.0, synth2.m, 1.0, CFG)
+        bd.gradnorm_bound_curve(stats_of(prior, synth2)[1], [synth2.m + 1.0], synth2.m, 1.0)
 
 
 def test_integral_bound_dominated_by_expected_norm_bound(synth2):
@@ -293,11 +332,13 @@ def test_integral_bound_dominated_by_expected_norm_bound(synth2):
     cfg = bd.EstimatorConfig(n_weight_samples=16, alpha_quadrature_nodes=128, seed=3)
     arch = MlpArchitecture(synth2.dim, synth2.class_count, (6,), bias=True)
     prior = prior_family(arch, 0.1)
-    b = bd.estimate_loss_bound(prior, synth2, NLL, cfg)
+    losses, sq_norms = stats_of(prior, synth2, cfg)
+    b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
     m = synth2.m
     for lam in (1.0, 16.0, 128.0, float(m)):
-        tight = bd.gradnorm_integral_bound(prior, synth2, NLL, lam, m, cfg)
-        loose = bd.gradnorm_bound(prior, synth2, NLL, lam, m, b, cfg)
+        tight = bd.gradnorm_integral_bound(losses, sq_norms, lam, m,
+                                           cfg.alpha_quadrature_nodes)
+        loose = bd.gradnorm_bound_curve(sq_norms, [lam], m, b)[0]
         slack = 3.0 * (tight.std_error + loose.std_error)
         assert tight.log_space_value <= loose.log_space_value + slack
 

@@ -8,6 +8,8 @@ import pytest
 
 import gradbound
 from gradbound import bounds as bd
+from gradbound import cli as cli_module
+from gradbound import nets, training
 from gradbound.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -240,6 +242,104 @@ def test_golden_column_schemas(tmp_path):
         run(spec)
         _, header, _ = read_rows(tmp_path / f"{experiment}.csv")
         assert header == expected, experiment
+
+
+# ------------------------------------------------------- passes per draw
+
+
+def count_calls(monkeypatch, module, name, counts, key):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of weight samplings, forward passes and backward passes."""
+    counts = {}
+    count_calls(monkeypatch, bd, "sample", counts, "sample")
+    count_calls(monkeypatch, nets, "_forward_cached", counts, "forward")
+    count_calls(monkeypatch, bd, "loss_and_grad", counts, "backward")
+    count_calls(monkeypatch, training, "loss_and_grad", counts, "sgd_step")
+    return counts
+
+
+@pytest.mark.parametrize("experiment,grads", [
+    ("bound-vs-variance", True), ("fit-subgamma", True),
+    ("gradnorm-vs-variance", True),
+    ("naive-vs-lambda", False), ("loss-vs-variance", False),
+])
+def test_sweeps_sample_once_and_pass_once_per_draw(experiment, grads, passes, tmp_path):
+    spec = small_spec(experiment, tmp_path, lambda_grid=(1.0, 2.0))
+    assert run(spec) == 0
+    points = len(spec.depth_grid) * len(spec.variance_grid)
+    draws = points * spec.estimator.n_weight_samples
+    assert passes.get("sample") == points
+    assert passes.get("forward") == draws
+    assert passes.get("backward", 0) == (draws if grads else 0)
+
+
+def test_train_report_passes(passes, tmp_path):
+    spec = small_spec("train-report", tmp_path, depth_grid=(1, 2))
+    assert run(spec) == 0
+    points = len(spec.depth_grid) * len(spec.variance_grid)
+    draws = points * spec.estimator.n_weight_samples
+    steps = points * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
+    assert passes.get("sample") == points
+    assert passes.get("backward") == draws
+    assert passes.get("sgd_step") == steps
+    # one forward per SGD step and per posterior draw, plus two evaluations
+    assert passes.get("forward") == steps + draws + 2 * points
+
+
+def test_sgd_makes_one_forward_per_step(passes):
+    data = gradbound.synth_gaussian(2, 4, [[2.0, 0, 0, 0], [0, 2.0, 0, 0]], 1.0, 50, seed=1)
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
+    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, "nll", cfg)
+    steps = cfg.epochs * math.ceil(data.m / cfg.batch_size)
+    assert passes.get("sgd_step") == passes.get("forward") == steps
+
+
+# ----------------------------------------------------------- atomic output
+
+
+def _csv_writer_fails(f, *args, **kwargs):
+    f.write("depth,")
+    raise OSError("disk full")
+
+
+def _json_dump_fails(doc, f, *args, **kwargs):
+    f.write('{"columns": ')
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("fmt,module,name,failing", [
+    ("csv", cli_module.csv, "writer", _csv_writer_fails),
+    ("json", cli_module.json, "dump", _json_dump_fails),
+])
+def test_failed_write_leaves_no_partial_output(fmt, module, name, failing, tmp_path,
+                                               monkeypatch):
+    out = tmp_path / f"out.{fmt}"
+    spec = small_spec("loss-vs-variance", tmp_path, depth_grid=(1,),
+                      variance_grid=(0.1,), format=fmt, out=str(out))
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, failing)
+        with pytest.raises(OSError):
+            run(spec)
+    assert os.listdir(tmp_path) == []
+
+    assert run(spec) == 0
+    before = out.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, failing)
+        with pytest.raises(OSError):
+            run(spec)
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == [out.name]
 
 
 # ------------------------------------------------------------ entry point

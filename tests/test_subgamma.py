@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradbound.subgamma import SubGammaFit, check, envelope, fit, fit_least_squares
+from gradbound.subgamma import SubGammaFit, check, envelope, fit
 
 
 def test_envelope_values_and_domain():
@@ -121,12 +121,3 @@ def test_shrinking_grid_never_increases_dominating_v(seed, n_points):
     best_sub = min(dominating_v(sub, c) for c in candidates)
     assert best_sub <= best_full + 1e-15
 
-
-def test_least_squares_diagnostic():
-    v0, c0 = 1.5, 5e-3
-    lams = np.geomspace(1, 100, 20)
-    grid = [(l, envelope(v0, c0, l)) for l in lams]
-    v, c, rms = fit_least_squares(grid)
-    assert v == pytest.approx(v0, rel=1e-3)
-    assert c == pytest.approx(c0, rel=1e-2)
-    assert rms < 1e-6 * envelope(v0, c0, lams[-1])
