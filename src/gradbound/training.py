@@ -56,8 +56,10 @@ class TrainConfig:
 def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
           cfg: TrainConfig) -> ParamVector:
     """Train and return the final iterate (which reports use as-is)."""
-    init = sample(prior_family(arch, cfg.init_stddev), cfg.seed, 1)[0]
-    w = init.values.copy()
+    params = sample(prior_family(arch, cfg.init_stddev), cfg.seed, 1)[0]
+    # The loop owns this fresh draw and updates its weights in place; the
+    # one finiteness scan per step keeps them a valid ParamVector.
+    w = params.values
     u = np.zeros_like(w)
 
     for epoch in range(cfg.epochs):
@@ -65,19 +67,19 @@ def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
         epoch_loss = 0.0
         for bi, start in enumerate(range(0, data.m, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            losses, grad = loss_and_grad(ParamVector(w, arch), data.inputs[idx],
-                                         data.labels[idx], kind, want_params=True)
+            losses, grad = loss_and_grad(params, data.inputs[idx], data.labels[idx],
+                                         kind, want_params=True)
             batch_loss = float(losses.mean())
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, bi)
             epoch_loss += batch_loss * idx.size
             u = cfg.momentum * u - cfg.learning_rate * grad
-            w = w + u
+            w += u
             if not np.all(np.isfinite(w)):
                 raise TrainingDiverged(epoch, bi)
         log.info("epoch %d: train loss %.6f", epoch, epoch_loss / data.m)
 
-    return ParamVector(w, arch)
+    return params
 
 
 def evaluate(params: ParamVector, data: LabeledDataset, kind: str) -> tuple[float, float]:
