@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Usage: compare_outputs.py OLD NEW...  Compares each NEW gradbound output
+with OLD (or OLD/<name> if OLD is a directory), ignoring the timestamp: prints
+the maximum relative deviation per numeric column and every other difference
+(flags, labels, config, rows), and exits 1 beyond 1e-12 or on any other one."""
+
+import csv
+import io
+import itertools
+import json
+import math
+import os
+import sys
+
+
+def rows_of(path):
+    """The embedded config as row 0, then the output rows, as dicts."""
+    with open(path, newline="") as f:
+        text = f.read()
+    if path.endswith(".json"):
+        doc = json.loads(text)
+        return [{"config": doc["config"]}, *doc["rows"]]
+    lines = text.splitlines()
+    body = io.StringIO("\n".join(l for l in lines if not l.startswith("#")))
+    return [{"config": [l for l in lines if l.startswith("# config:")]}, *csv.DictReader(body)]
+
+
+def rel_dev(a, b):
+    """Relative deviation of two cells, or None unless both are numbers."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def compare(old, new):
+    """Print the differences of two output files; True if within 1e-12."""
+    ok, worst = True, {}
+    for i, (o, n) in enumerate(itertools.zip_longest(rows_of(old), rows_of(new), fillvalue={})):
+        for col in sorted(set(o) | set(n)):
+            dev = rel_dev(o.get(col), n.get(col))
+            if dev is not None:
+                worst[col] = max(worst.get(col, 0.0), dev)
+            elif o.get(col) != n.get(col):
+                print(f"{new}: row {i} {col}: {o.get(col)!r} -> {n.get(col)!r}")
+                ok = False
+    print(f"{new}: max rel dev " + ", ".join(f"{c} {d:.3g}" for c, d in sorted(worst.items())))
+    return ok and all(d <= 1e-12 for d in worst.values())
+
+
+if __name__ == "__main__":
+    old, *news = sys.argv[1:] or sys.exit(__doc__)
+    results = [compare(os.path.join(old, os.path.basename(n)) if os.path.isdir(old) else old, n)
+               for n in news]
+    sys.exit(0 if news and all(results) else 1)
