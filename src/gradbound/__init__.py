@@ -7,7 +7,6 @@ from .bounds import (
     draw_stats,
     empirical_risk,
     estimate_loss_bound,
-    expected_grad_norm,
     expected_grad_norm_mc,
     gradnorm_bound_curve,
     gradnorm_integral_bound,

@@ -14,9 +14,13 @@ Estimator conventions
   from :func:`draw_stats`, the one place that samples weights: the losses
   and the squared input-gradient norms of each weight draw on a dataset.
   Callers compute them once per family and hand them to every estimator
-  that needs them.  Draws come from the prefix-stable streams in
-  :mod:`gradbound.gaussians`; given a config seed, results are bitwise
-  reproducible and reductions run in draw-index order.
+  that needs them.  ``draw_stats`` takes all the families of one layout
+  at once (a depth's prior scales, say) and loops draw-outer,
+  family-inner, so each draw's standard normals are generated once and
+  shared (:func:`gradbound.gaussians.shared_draws`).  Draws come from the
+  prefix-stable streams in :mod:`gradbound.gaussians`; given a config
+  seed, results are bitwise reproducible and reductions run in
+  draw-index order.
 * The m in a bound is the training-sample size of the certificate being
   priced; the dataset the matrices were computed on serves as the proxy
   for the unknown data distribution (callers typically pass a held-out
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, sample
-from .nets import ParamVector, batch_input_grads, batch_losses, loss_and_grad
+from .gaussians import GaussianFamily, shared_draws
+from .nets import ParamVector, batch_losses, loss_and_sq_grad_norms
 from .numerics import logmeanexp, trapezoid_weights
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
@@ -148,26 +152,31 @@ def log_mgf(params: ParamVector, data: LabeledDataset, kind: str, alpha: float) 
     return log_mgf_from_losses(batch_losses(params, data.inputs, data.labels, kind), alpha)
 
 
-def draw_stats(family: GaussianFamily, data: LabeledDataset, kind: str,
-               cfg: EstimatorConfig, grads: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per weight draw: losses[S, n] and, with ``grads``, sq_grad_norms[S, n].
+def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
+               cfg: EstimatorConfig,
+               grads: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per family and weight draw: losses[S, n] and sq_grad_norms[S, n].
 
-    Samples the S = ``cfg.n_weight_samples`` draws once; row i belongs to
-    draw i, a function of (cfg.seed, i) alone, so fewer draws give a
-    prefix.  Each draw makes one pass over ``data``: a forward pass, or
-    with ``grads`` one forward+backward pass whose (n, d) input gradient is
-    reduced to squared row norms at once.  Without ``grads`` the second
-    matrix is None.
+    ``families`` share one layout.  Returns one (losses, sq_grad_norms)
+    pair per family, in order; sq_grad_norms is None without ``grads``.
+    Row i belongs to draw i, a function of (cfg.seed, i) alone, so fewer
+    draws (S = ``cfg.n_weight_samples``) give a prefix.  Draw i's normals
+    are generated once and shared by every family.  Each draw makes one
+    pass over ``data``: a forward pass, or with ``grads`` one
+    forward+backward pass that yields the squared norms without forming
+    the input gradient where the first layer narrows
+    (:func:`gradbound.nets.loss_and_sq_grad_norms`).
     """
-    losses, sq_norms = [], []
-    for w in sample(family, cfg.seed, cfg.n_weight_samples):
-        if grads:
-            row, g = loss_and_grad(w, data.inputs, data.labels, kind)
-            sq_norms.append(np.einsum("ij,ij->i", g, g))
-        else:
-            row = batch_losses(w, data.inputs, data.labels, kind)
-        losses.append(row)
-    return np.stack(losses), np.stack(sq_norms) if grads else None
+    shape = (cfg.n_weight_samples, data.m)
+    losses = [np.empty(shape) for _ in families]
+    sq_norms = [np.empty(shape) if grads else None for _ in families]
+    for i, draw in enumerate(shared_draws(families, cfg.seed, cfg.n_weight_samples)):
+        for w, lo, sq in zip(draw, losses, sq_norms):
+            if grads:
+                lo[i], sq[i] = loss_and_sq_grad_norms(w, data.inputs, data.labels, kind)
+            else:
+                lo[i] = batch_losses(w, data.inputs, data.labels, kind)
+    return list(zip(losses, sq_norms))
 
 
 def naive_complexity_curve(losses: np.ndarray, lambdas) -> list[BoundEstimate]:
@@ -235,14 +244,6 @@ def linear_gradnorm_bound(k: int, d: int, m: int, lip: float, sigma_p: float,
     if q >= m:
         return float("inf")
     return k * d * math.log(m / (m - q))
-
-
-def expected_grad_norm(params: ParamVector, data: LabeledDataset, kind: str) -> float:
-    """Mean over the dataset of the squared input-gradient norm."""
-    if data.m < 1:
-        raise ValueError("dataset is empty")
-    g = batch_input_grads(params, data.inputs, data.labels, kind)
-    return float(np.mean(np.einsum("ij,ij->i", g, g)))
 
 
 def expected_grad_norm_mc(sq_grad_norms: np.ndarray) -> tuple[float, float]:
@@ -321,9 +322,8 @@ def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, kind: 
     n = gaussian_data.m if n is None else int(n)
     if not 1 <= n <= gaussian_data.m:
         raise ValueError("n out of range")
-    losses, g = loss_and_grad(params, gaussian_data.inputs[:n],
-                              gaussian_data.labels[:n], kind)
-    sq = np.einsum("ij,ij->i", g, g)
+    losses, sq = loss_and_sq_grad_norms(params, gaussian_data.inputs[:n],
+                                        gaussian_data.labels[:n], kind)
 
     v = np.exp(-alpha * losses)
     u = -losses * v

@@ -17,10 +17,11 @@ identity-checks      exact MGF factorization, cumulant reconstruction, and
 
 Every experiment but identity-checks is one depth x variance loop: each
 grid point builds one weight family (the prior, or for train-report the
-posterior around the SGD-trained weights), computes its per-draw losses
-and squared input-gradient norms once with ``bounds.draw_stats``, and
-hands them to the experiment's row builder, which applies the estimator
-reductions the experiment reports.
+posterior around the SGD-trained weights).  One ``bounds.draw_stats`` call
+per depth computes the per-draw losses and squared input-gradient norms of
+all that depth's families, sharing each draw's standard normals between
+them, and each grid point's matrices go to the experiment's row builder,
+which applies the estimator reductions the experiment reports.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
@@ -304,17 +305,18 @@ _SWEEPS = {
 
 
 def _sweep(spec, train_set, heldout):
-    """The depth x variance grid: one family and one draw_stats per point."""
+    """The depth x variance grid: one family per point, one draw_stats per depth."""
     columns, family_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
     data = train_set if on_train else heldout
     rows = []
     for depth in spec.depth_grid:
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count,
                               spec.mlp_target_params)
-        for sigma in spec.variance_grid:
-            family, cells = family_at(spec, arch, sigma, train_set, heldout)
-            losses, sq_norms = bd.draw_stats(family, data, spec.loss_kind,
-                                             spec.estimator, grads)
+        points = [family_at(spec, arch, sigma, train_set, heldout)
+                  for sigma in spec.variance_grid]
+        stats = bd.draw_stats([family for family, _ in points], data, spec.loss_kind,
+                              spec.estimator, grads)
+        for (_, cells), (losses, sq_norms) in zip(points, stats):
             rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells},
                             losses, sq_norms)
     return columns, rows

@@ -5,11 +5,15 @@ Randomness policy
 Every draw in the package comes from the counter-based Philox generator
 keyed by a (seed, stream) pair of 64-bit integers, mapped to normals by the
 inverse Gaussian CDF applied to 52-bit uniforms.  Weight sample ``i`` of a
-family uses stream ``i``, so draw i is a pure function of (seed, i): sample
-streams are prefix-stable (the i-th draw does not depend on how many draws
-are requested) and may be generated in parallel.  Streams at and above
-``RESERVED_STREAM_BASE`` are reserved for non-sampling uses (batch
-shuffling, synthetic data) so they never collide with weight draws.
+family is ``mean + stddev * z_i`` with z_i the standard normals of stream
+``i``, so draw i is a pure function of (seed, i): sample streams are
+prefix-stable (the i-th draw does not depend on how many draws are
+requested) and may be generated in parallel.  Families with one layout
+share z_i: :func:`shared_draws` generates each stream once and maps it
+into every family, which gives each family the same bits as sampling it
+alone.  Streams at and above ``RESERVED_STREAM_BASE`` are reserved for
+non-sampling uses (batch shuffling, synthetic data) so they never collide
+with weight draws.
 """
 
 from __future__ import annotations
@@ -91,17 +95,26 @@ def posterior_family(params: ParamVector, sigma: float) -> GaussianFamily:
     return GaussianFamily(params.values, float(sigma), params.layout)
 
 
-def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:
-    """``count`` deterministic draws; draw i depends only on (seed, i)."""
+def shared_draws(families, seed: int, count: int):
+    """Yield draws 0..count-1 as lists holding draw i of each family.
+
+    The families must share one layout; stream i is generated once and
+    scaled into each of them, so only one weight vector per family is
+    alive at a time.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = family.mean.shape[0]
-    sd = family.stddev
-    out = []
+    layout = families[0].layout
+    if any(f.layout != layout for f in families):
+        raise LayoutMismatchError("families have different layouts")
     for i in range(count):
-        z = standard_normal(seed, i, n)
-        out.append(ParamVector(family.mean + sd * z, family.layout))
-    return out
+        z = standard_normal(seed, i, layout.param_count())
+        yield [ParamVector(f.mean + f.stddev * z, layout) for f in families]
+
+
+def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:
+    """``count`` deterministic draws; draw i depends only on (seed, i)."""
+    return [w for (w,) in shared_draws([family], seed, count)]
 
 
 def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:

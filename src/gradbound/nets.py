@@ -231,13 +231,13 @@ def loss(params: ParamVector, x, y: int, kind: str) -> float:
     return float(batch_losses(params, x[None, :], np.array([y]), kind)[0])
 
 
-def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
-                  want_params: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example losses and one gradient, from one forward+backward pass.
+def _backward(params: ParamVector, x_batch, y_batch, kind: str, want_params: bool):
+    """One forward+backward pass down to the first layer's pre-activation.
 
-    The gradient is the per-example input gradient, (n, d), or with
-    ``want_params`` the gradient of the mean batch loss with respect to the
-    flat weights (the input gradient is then not formed).
+    Returns (per-example losses, first-layer weight W1, the loss gradient
+    g1 at W1's output, (n, fan_out), and with ``want_params`` the (dW, db)
+    of the mean batch loss per layer, else None).  The input gradient is
+    g1 @ W1; callers form it only when they need it.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = unpack_layers(params)
@@ -246,20 +246,45 @@ def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
     g = logit_gradient(logits, y_batch, kind)
 
     n = x_batch.shape[0]
-    grads = [None] * len(layers)
+    grads = [None] * len(layers) if want_params else None
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
         if want_params:
-            dw = g.T @ acts[i] / n
-            db = g.mean(axis=0) if b is not None else None
-            grads[i] = (dw, db)
-            if i == 0:
-                return losses, pack_layers(params.layout, grads)
-        g = g @ w
-        if i > 0:
-            # ReLU subgradient: derivative 0 at the kink.
-            g = g * (pres[i - 1] > 0.0)
-    return losses, g
+            grads[i] = (g.T @ acts[i] / n, g.mean(axis=0) if b is not None else None)
+        if i == 0:
+            return losses, w, g, grads
+        # ReLU subgradient: derivative 0 at the kink.
+        g = (g @ w) * (pres[i - 1] > 0.0)
+
+
+def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
+                  want_params: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example losses and one gradient, from one forward+backward pass.
+
+    The gradient is the per-example input gradient, (n, d), or with
+    ``want_params`` the gradient of the mean batch loss with respect to the
+    flat weights (the input gradient is then not formed).
+    """
+    losses, w1, g, grads = _backward(params, x_batch, y_batch, kind, want_params)
+    if want_params:
+        return losses, pack_layers(params.layout, grads)
+    return losses, g @ w1
+
+
+def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch,
+                           kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example losses and squared input-gradient norms, from one pass.
+
+    When the first layer narrows (fan_out < fan_in), ||g1 W1||^2 is taken
+    in Gram form as rowsum((g1 @ (W1 W1^T)) * g1), so the (n, d) input
+    gradient is never formed; otherwise the gradient is formed and its
+    rows are squared and summed.  The choice depends only on the layout.
+    """
+    losses, w1, g, _ = _backward(params, x_batch, y_batch, kind, False)
+    if w1.shape[0] < w1.shape[1]:
+        return losses, np.einsum("ij,ij->i", g @ (w1 @ w1.T), g)
+    g = g @ w1
+    return losses, np.einsum("ij,ij->i", g, g)
 
 
 def batch_input_grads(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:

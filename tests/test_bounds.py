@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 
 from gradbound import bounds as bd
 from gradbound.datasets import LabeledDataset, synth_gaussian
-from gradbound.gaussians import prior_family, sample
+from gradbound.gaussians import GaussianFamily, LayoutMismatchError, prior_family, sample
 from gradbound.nets import (
     NLL,
     MlpArchitecture,
     ParamVector,
     batch_input_grads,
     batch_losses,
-    grad_input,
     lipschitz_bound,
     loss,
+    loss_and_sq_grad_norms,
 )
 from gradbound.numerics import logmeanexp
 
@@ -23,11 +23,11 @@ CFG = bd.EstimatorConfig(n_weight_samples=8, alpha_quadrature_nodes=64, seed=11)
 
 
 def losses_of(family, data, cfg=CFG):
-    return bd.draw_stats(family, data, NLL, cfg, grads=False)[0]
+    return bd.draw_stats([family], data, NLL, cfg, grads=False)[0][0]
 
 
 def stats_of(family, data, cfg=CFG):
-    return bd.draw_stats(family, data, NLL, cfg, grads=True)
+    return bd.draw_stats([family], data, NLL, cfg, grads=True)[0]
 
 
 def small_synth(seed=5, n=32, d=4, k=2, sigma=1.0):
@@ -118,9 +118,29 @@ def test_draw_stats_matches_per_draw_passes():
     for i, w in enumerate(sample(prior, CFG.seed, CFG.n_weight_samples)):
         g = batch_input_grads(w, data.inputs, data.labels, NLL)
         assert np.array_equal(losses[i], batch_losses(w, data.inputs, data.labels, NLL))
-        assert np.array_equal(sq_norms[i], np.einsum("ij,ij->i", g, g))
-    forward_only, none = bd.draw_stats(prior, data, NLL, CFG, grads=False)
+        np.testing.assert_allclose(sq_norms[i], np.einsum("ij,ij->i", g, g), rtol=1e-12)
+        kernel = loss_and_sq_grad_norms(w, data.inputs, data.labels, NLL)
+        assert np.array_equal(losses[i], kernel[0])
+        assert np.array_equal(sq_norms[i], kernel[1])
+    [(forward_only, none)] = bd.draw_stats([prior], data, NLL, CFG, grads=False)
     assert none is None and np.array_equal(forward_only, losses)
+
+
+def test_draw_stats_shares_draws_between_families():
+    data = small_synth(n=24)
+    arch = MlpArchitecture(data.dim, data.class_count, (5,), bias=True)
+    rng = np.random.default_rng(3)
+    families = [prior_family(arch, 0.4), prior_family(arch, 0.05),
+                GaussianFamily(rng.normal(size=arch.param_count()), 0.2, arch)]
+    for grads in (False, True):
+        together = bd.draw_stats(families, data, NLL, CFG, grads)
+        for family, (losses, sq_norms) in zip(families, together):
+            alone = bd.draw_stats([family], data, NLL, CFG, grads)[0]
+            assert np.array_equal(losses, alone[0])
+            assert np.array_equal(sq_norms, alone[1]) if grads else sq_norms is None
+    other = prior_family(MlpArchitecture(data.dim, data.class_count), 0.4)
+    with pytest.raises(LayoutMismatchError):
+        bd.draw_stats([families[0], other], data, NLL, CFG, grads=False)
 
 
 def test_draw_stats_is_prefix_stable():
@@ -264,31 +284,6 @@ def test_linear_bound_strictly_increasing(lam, sigma, lip, factor):
         bd.linear_gradnorm_bound(k, d, m, lip * factor, sigma, lam),
     ]:
         assert bumped > base
-
-
-# ------------------------------------------------------ expected grad norm
-
-
-def test_expected_grad_norm_zero_weights():
-    data = small_synth()
-    arch = MlpArchitecture(data.dim, data.class_count)
-    zero = ParamVector(np.zeros(arch.param_count()), arch)
-    assert bd.expected_grad_norm(zero, data, NLL) == 0.0
-
-
-def test_expected_grad_norm_loop_oracle_and_linear_cap():
-    data = small_synth(n=32)
-    arch = MlpArchitecture(data.dim, data.class_count)
-    rng = np.random.default_rng(2)
-    lip = lipschitz_bound(NLL)
-    for _ in range(10):
-        p = ParamVector(rng.normal(0, 0.5, arch.param_count()), arch)
-        per_example = [
-            float(np.sum(grad_input(p, data.inputs[i], int(data.labels[i]), NLL) ** 2))
-            for i in range(data.m)]
-        got = bd.expected_grad_norm(p, data, NLL)
-        assert got == pytest.approx(math.fsum(per_example) / data.m, rel=1e-12)
-        assert got <= lip**2 * np.sum(p.values**2) + 1e-12
 
 
 # ------------------------------------------------------- loss bound and b

@@ -9,7 +9,7 @@ import pytest
 import gradbound
 from gradbound import bounds as bd
 from gradbound import cli as cli_module
-from gradbound import nets, training
+from gradbound import gaussians, nets, training
 from gradbound.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -259,11 +259,11 @@ def count_calls(monkeypatch, module, name, counts, key):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts of weight samplings, forward passes and backward passes."""
+    """Counts of standard-normal streams, forward passes and backward passes."""
     counts = {}
-    count_calls(monkeypatch, bd, "sample", counts, "sample")
+    count_calls(monkeypatch, gaussians, "standard_normal", counts, "streams")
     count_calls(monkeypatch, nets, "_forward_cached", counts, "forward")
-    count_calls(monkeypatch, bd, "loss_and_grad", counts, "backward")
+    count_calls(monkeypatch, bd, "loss_and_sq_grad_norms", counts, "backward")
     count_calls(monkeypatch, training, "loss_and_grad", counts, "sgd_step")
     return counts
 
@@ -275,10 +275,12 @@ def passes(monkeypatch):
 ])
 def test_sweeps_sample_once_and_pass_once_per_draw(experiment, grads, passes, tmp_path):
     spec = small_spec(experiment, tmp_path, lambda_grid=(1.0, 2.0))
+    assert len(spec.variance_grid) > 1
     assert run(spec) == 0
     points = len(spec.depth_grid) * len(spec.variance_grid)
     draws = points * spec.estimator.n_weight_samples
-    assert passes.get("sample") == points
+    # one stream per (depth, draw index), shared by the depth's prior scales
+    assert passes.get("streams") == len(spec.depth_grid) * spec.estimator.n_weight_samples
     assert passes.get("forward") == draws
     assert passes.get("backward", 0) == (draws if grads else 0)
 
@@ -289,7 +291,10 @@ def test_train_report_passes(passes, tmp_path):
     points = len(spec.depth_grid) * len(spec.variance_grid)
     draws = points * spec.estimator.n_weight_samples
     steps = points * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
-    assert passes.get("sample") == points
+    # one stream per (depth, draw index), shared by the depth's posteriors,
+    # plus one initialization draw per trained grid point
+    streams = len(spec.depth_grid) * spec.estimator.n_weight_samples
+    assert passes.get("streams") == streams + points
     assert passes.get("backward") == draws
     assert passes.get("sgd_step") == steps
     # one forward per SGD step and per posterior draw, plus two evaluations

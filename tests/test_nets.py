@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gradbound.datasets import synth_gaussian
 from gradbound.nets import (
     MULTICLASS_HINGE,
     NLL,
     MlpArchitecture,
     ParamVector,
     batch_input_grads,
+    batch_losses,
     equal_param_hidden_widths,
     forward,
     grad_input,
@@ -17,6 +19,7 @@ from gradbound.nets import (
     lipschitz_bound,
     logit_gradient,
     loss,
+    loss_and_sq_grad_norms,
     unpack_layers,
 )
 
@@ -304,6 +307,63 @@ def test_linear_grad_norm_bound():
         g = batch_input_grads(p, x, y, NLL)
         cap = lip**2 * np.sum(p.values**2)
         assert np.all((g**2).sum(axis=1) <= cap + 1e-12)
+
+
+# --------------------------------------------- squared input-gradient norms
+
+# The first layer narrows (Gram form) or widens (formed gradient).
+SQ_NORM_ARCHS = {
+    "linear-narrowing": MlpArchitecture(6, 3),
+    "mlp-narrowing": MlpArchitecture(6, 3, (4, 5), bias=True),
+    "linear-widening": MlpArchitecture(2, 3),
+    "mlp-widening": MlpArchitecture(3, 2, (8, 4), bias=True),
+}
+
+
+@pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
+@pytest.mark.parametrize("name", SQ_NORM_ARCHS)
+def test_sq_grad_norms_match_formed_gradients(name, kind):
+    arch = SQ_NORM_ARCHS[name]
+    rng = np.random.default_rng(len(name) * 7 + (kind == NLL))
+    x = rng.normal(size=(50, arch.input_dim))
+    y = rng.integers(1, arch.class_count + 1, size=50)
+    for _ in range(20):
+        p = random_params(arch, rng)
+        losses, sq = loss_and_sq_grad_norms(p, x, y, kind)
+        g = batch_input_grads(p, x, y, kind)
+        assert np.array_equal(losses, batch_losses(p, x, y, kind))
+        np.testing.assert_allclose(sq, np.einsum("ij,ij->i", g, g), rtol=1e-12, atol=0)
+        zero = ParamVector(np.zeros(arch.param_count()), arch)
+        assert np.all(loss_and_sq_grad_norms(zero, x, y, kind)[1] == 0.0)
+
+
+def _gaussian_data(n=32):
+    means = np.zeros((2, 4))
+    means[[0, 1], [0, 1]] = 1.5
+    return synth_gaussian(2, 4, means, 1.0, n, seed=5)
+
+
+def test_sq_grad_norms_zero_weights():
+    data = _gaussian_data()
+    arch = MlpArchitecture(data.dim, data.class_count)
+    zero = ParamVector(np.zeros(arch.param_count()), arch)
+    _, sq = loss_and_sq_grad_norms(zero, data.inputs, data.labels, NLL)
+    assert np.mean(sq) == 0.0
+
+
+def test_sq_grad_norms_loop_oracle_and_linear_cap():
+    data = _gaussian_data()
+    arch = MlpArchitecture(data.dim, data.class_count)
+    rng = np.random.default_rng(2)
+    lip = lipschitz_bound(NLL)
+    for _ in range(10):
+        p = ParamVector(rng.normal(0, 0.5, arch.param_count()), arch)
+        per_example = [
+            float(np.sum(grad_input(p, data.inputs[i], int(data.labels[i]), NLL) ** 2))
+            for i in range(data.m)]
+        got = float(np.mean(loss_and_sq_grad_norms(p, data.inputs, data.labels, NLL)[1]))
+        assert got == pytest.approx(math.fsum(per_example) / data.m, rel=1e-12)
+        assert got <= lip**2 * np.sum(p.values**2) + 1e-12
 
 
 # ---------------------------------------------------------------- Lipschitz
