@@ -95,7 +95,7 @@ def posterior_family(params: ParamVector, sigma: float) -> GaussianFamily:
     return GaussianFamily(params.values, float(sigma), params.layout)
 
 
-def shared_draws(families, seed: int, count: int):
+def shared_draws(families: list[GaussianFamily], seed: int, count: int):
     """Yield draws 0..count-1 as lists holding draw i of each family.
 
     The families must share one layout; stream i is generated once and

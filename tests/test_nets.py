@@ -333,8 +333,8 @@ def test_sq_grad_norms_match_formed_gradients(name, kind):
         g = batch_input_grads(p, x, y, kind)
         assert np.array_equal(losses, batch_losses(p, x, y, kind))
         np.testing.assert_allclose(sq, np.einsum("ij,ij->i", g, g), rtol=1e-12, atol=0)
-        zero = ParamVector(np.zeros(arch.param_count()), arch)
-        assert np.all(loss_and_sq_grad_norms(zero, x, y, kind)[1] == 0.0)
+    zero = ParamVector(np.zeros(arch.param_count()), arch)
+    assert np.all(loss_and_sq_grad_norms(zero, x, y, kind)[1] == 0.0)
 
 
 def _gaussian_data(n=32):
