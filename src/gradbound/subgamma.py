@@ -20,6 +20,7 @@ DEFAULT_C_MIN = 1e-8
 # Multiplicative pad on the fitted v so the envelope weakly dominates the
 # binding grid point under floating-point rounding.
 _V_PAD = 1.0 + 1e-12
+_V_FLOOR = float(np.finfo(float).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,12 @@ def fit(grid, n_candidates: int = DEFAULT_C_CANDIDATES,
     _, v, c = best
 
     env = lams**2 * v / (2.0 * (1.0 - lams * c))
+    # Near the subnormal range the quotients above lose their relative
+    # precision (or flush to zero), which the pad cannot absorb: raise v
+    # until the envelope dominates as computed.
+    while np.any(cs > env):
+        v = max(2.0 * v, _V_FLOOR)
+        env = lams**2 * v / (2.0 * (1.0 - lams * c))
     residual = float(max(0.0, np.max(cs - env)))
     return SubGammaFit(v=v, c=c, lambda_max=1.0 / c, residual=residual)
 

@@ -81,6 +81,14 @@ def test_fit_c_max_cap():
     assert check(fitted, grid)
 
 
+def test_fit_dominates_subnormal_values():
+    # The dominating v underflows to zero here unless fit raises it.
+    for grid in ([(2.0, 5e-324)], [(0.1, 5e-324)], [(0.1, 1e-310), (50.0, 0.0)]):
+        fitted = fit(grid)
+        assert fitted.residual == 0.0
+        assert check(fitted, grid, tol=0.0)
+
+
 grids = st.lists(
     st.tuples(st.floats(0.1, 100.0), st.floats(0.0, 50.0)),
     min_size=1, max_size=12,
