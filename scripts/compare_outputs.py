@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Usage: compare_outputs.py OLD NEW...  Compares each NEW gradbound output
-with OLD (or OLD/<name> if OLD is a directory), ignoring the timestamp: prints
-the maximum relative deviation per numeric column and every other difference
-(flags, labels, config, rows), and exits 1 beyond 1e-12 or on any other one."""
+with OLD (or OLD/<name> if OLD is a directory), ignoring the timestamp and the
+embedded config's output path: prints the maximum relative deviation per
+numeric column and every other difference (flags, labels, config, rows, a
+missing file), and exits 1 beyond 1e-12 or on any other one."""
 
 import csv
 import io
@@ -14,15 +15,21 @@ import sys
 
 
 def rows_of(path):
-    """The embedded config as row 0, then the output rows, as dicts."""
+    """The embedded config (without its ``out`` path) as row 0, then the
+    output rows, as dicts.  Config values are wrapped in lists so that they
+    compare exactly, never as numbers within 1e-12."""
     with open(path, newline="") as f:
         text = f.read()
     if path.endswith(".json"):
         doc = json.loads(text)
-        return [{"config": doc["config"]}, *doc["rows"]]
-    lines = text.splitlines()
-    body = io.StringIO("\n".join(l for l in lines if not l.startswith("#")))
-    return [{"config": [l for l in lines if l.startswith("# config:")]}, *csv.DictReader(body)]
+        config, rows = doc["config"], doc["rows"]
+    else:
+        lines = text.splitlines()
+        [config] = [json.loads(l.removeprefix("# config:")) for l in lines
+                    if l.startswith("# config:")]
+        rows = csv.DictReader(io.StringIO("\n".join(l for l in lines if not l.startswith("#"))))
+    config.pop("out", None)
+    return [{f"config {key}": [value] for key, value in config.items()}, *rows]
 
 
 def rel_dev(a, b):
@@ -40,6 +47,10 @@ def rel_dev(a, b):
 
 def compare(old, new):
     """Print the differences of two output files; True if within 1e-12."""
+    missing = [p for p in (old, new) if not os.path.isfile(p)]
+    if missing:
+        print(f"{new}: missing {', '.join(missing)}")
+        return False
     ok, worst = True, {}
     for i, (o, n) in enumerate(itertools.zip_longest(rows_of(old), rows_of(new), fillvalue={})):
         for col in sorted(set(o) | set(n)):

@@ -17,10 +17,11 @@ Estimator conventions
   that needs them.  ``draw_stats`` takes all the families of one layout
   at once (a depth's prior scales, say) and loops draw-outer,
   family-inner, so each draw's standard normals are generated once and
-  shared (:func:`gradbound.gaussians.shared_draws`).  Draws come from the
-  prefix-stable streams in :mod:`gradbound.gaussians`; given a config
-  seed, results are bitwise reproducible and reductions run in
-  draw-index order.
+  shared (:func:`gradbound.gaussians.shared_draws`).  It takes those
+  (draw, family) pairs in fixed-size chunks whose first layers run as
+  one stacked GEMM.  Draws come from the prefix-stable streams in
+  :mod:`gradbound.gaussians`; given a config seed, results are bitwise
+  reproducible and reductions run in draw-index order.
 * The m in a bound is the training-sample size of the certificate being
   priced; the dataset the matrices were computed on serves as the proxy
   for the unknown data distribution (callers typically pass a held-out
@@ -31,6 +32,7 @@ Estimator conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,10 +40,13 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .gaussians import GaussianFamily, shared_draws
-from .nets import ParamVector, batch_losses, loss_and_sq_grad_norms
+from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
 from .numerics import logmeanexp, trapezoid_weights
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
+
+# Byte budget of one draw_stats chunk's stacked first-layer pre-activations.
+FIRST_LAYER_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -159,23 +164,36 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
 
     ``families`` share one layout.  Returns one (losses, sq_grad_norms)
     pair per family, in order; sq_grad_norms is None without ``grads``.
-    Row i belongs to draw i, a function of (cfg.seed, i) alone, so fewer
-    draws (S = ``cfg.n_weight_samples``) give a prefix.  Draw i's normals
-    are generated once and shared by every family.  Each draw makes one
-    pass over ``data``: a forward pass, or with ``grads`` one
-    forward+backward pass that yields the squared norms without forming
-    the input gradient where the first layer narrows
-    (:func:`gradbound.nets.loss_and_sq_grad_norms`).
+    Row i belongs to draw i, a function of (cfg.seed, i) alone.  Draw i's
+    normals are generated once and shared by every family.
+
+    The (draw, family) pairs, draw-outer and family-inner, are taken in
+    chunks of as many pairs as fit one (n, pairs * fan_out) float64 block
+    in ``FIRST_LAYER_BLOCK_BYTES`` (at least one).  Each chunk's first
+    layer is one GEMM (:func:`gradbound.nets.first_layer_block`), and
+    each pair continues from its columns with one pass over ``data``: a
+    forward pass, or with ``grads`` one forward+backward pass that yields
+    the squared norms without forming the input gradient where the first
+    layer narrows (:func:`gradbound.nets.loss_and_sq_grad_norms`).  Chunk
+    boundaries depend only on the pair index, so fewer draws
+    (S = ``cfg.n_weight_samples``) give a prefix of the rows.
     """
     shape = (cfg.n_weight_samples, data.m)
     losses = [np.empty(shape) for _ in families]
     sq_norms = [np.empty(shape) if grads else None for _ in families]
-    for i, draw in enumerate(shared_draws(families, cfg.seed, cfg.n_weight_samples)):
-        for w, lo, sq in zip(draw, losses, sq_norms):
+    fan_out = families[0].layout.layer_dims()[0][1]
+    per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
+    pairs = ((i, j, w)
+             for i, draw in enumerate(shared_draws(families, cfg.seed, cfg.n_weight_samples))
+             for j, w in enumerate(draw))
+    while chunk := list(itertools.islice(pairs, per_chunk)):
+        z1s = first_layer_block([w for _, _, w in chunk], data.inputs)
+        for (i, j, w), z1 in zip(chunk, z1s):
             if grads:
-                lo[i], sq[i] = loss_and_sq_grad_norms(w, data.inputs, data.labels, kind)
+                losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
+                    w, data.inputs, data.labels, kind, z1)
             else:
-                lo[i] = batch_losses(w, data.inputs, data.labels, kind)
+                losses[j][i] = batch_losses(w, data.inputs, data.labels, kind, z1)
     return list(zip(losses, sq_norms))
 
 
@@ -196,7 +214,7 @@ def naive_complexity_curve(losses: np.ndarray, lambdas) -> list[BoundEstimate]:
         lam = float(lam)
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        log_m_hat = np.array([log_mgf_from_losses(row, lam / m) for row in losses])
+        log_m_hat = logmeanexp(-(lam / m) * losses, axis=1)
         exponents = lam * mean_losses + m * log_m_hat
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             m_hat = np.mean(np.exp(-(lam / m) * losses), axis=1)

@@ -412,6 +412,10 @@ def write_output(path: str, spec: SweepSpec, columns, rows) -> None:
 
 def run(spec: SweepSpec) -> int:
     """Execute one sweep; returns the process exit status."""
+    out = spec.out or f"{spec.experiment}.{spec.format}"
+    out_dir = os.path.dirname(out) or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory does not exist: {out_dir}")
     if spec.experiment == "identity-checks":
         columns, rows = _identity_check_rows(spec)
         all_passed = all(row["passed"] for row in rows)
@@ -422,7 +426,6 @@ def run(spec: SweepSpec) -> int:
         columns, rows = _sweep(spec, train_set, heldout)
         all_passed = True
 
-    out = spec.out or f"{spec.experiment}.{spec.format}"
     write_output(out, spec, columns, rows)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

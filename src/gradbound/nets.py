@@ -7,6 +7,19 @@ architecture uses biases).  Labels are 1-based: y ranges over {1..k}.
 
 All public operations are pure functions of their arguments; arrays are
 treated as read-only.
+
+First-layer block
+-----------------
+Many weight draws of one layout on one input batch share the batch's
+first GEMM: :func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T``
+once, adds every draw's first-layer bias in place, and hands back one
+(n, fan_out) column slice per draw.  :func:`batch_losses` and
+:func:`loss_and_sq_grad_norms` take such a slice as ``z1`` and continue
+the pass from it; without ``z1`` they compute the same slice for their
+one draw, so there is one forward/backward kernel either way.  A
+column of the block can differ from the per-draw product in its last
+bits, because the BLAS may block the wider GEMM differently; on the
+desk shapes with OpenBLAS on x86-64 they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -143,24 +156,46 @@ def _check_label(arch: MlpArchitecture, y: int) -> int:
     return y
 
 
-def _forward_cached(params: ParamVector, x_batch: np.ndarray):
+def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> list[np.ndarray]:
+    """First-layer pre-activations of several draws from one GEMM.
+
+    ``params_list`` shares one layout.  Computes x @ [W1_1; W1_2; ...]^T
+    as one (n, len(params_list) * fan_out) block, adds each draw's
+    first-layer bias into its columns in place, and returns the per-draw
+    (n, fan_out) column views, in order.
+    """
+    firsts = [unpack_layers(p)[0] for p in params_list]
+    # One draw (every SGD step) multiplies its own W1 view without a copy.
+    w1 = firsts[0][0] if len(firsts) == 1 else np.concatenate([w for w, _ in firsts])
+    block = x_batch @ w1.T
+    fan_out = firsts[0][0].shape[0]
+    views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
+    for z1, (_, b) in zip(views, firsts):
+        if b is not None:
+            z1 += b
+    return views
+
+
+def _forward_cached(params: ParamVector, x_batch: np.ndarray, z1: np.ndarray | None = None):
     """Batch forward pass keeping pre-activations for backprop.
 
     Returns (activations entering each layer, pre-activations per layer,
-    logits).  ReLU is applied after every layer except the last.
+    logits).  ReLU is applied after every layer except the last.  ``z1``
+    is the first layer's pre-activation from :func:`first_layer_block`
+    (computed here when omitted); it is read, never written.
     """
     layers = unpack_layers(params)
+    if z1 is None:
+        [z1] = first_layer_block([params], x_batch)
     acts = [x_batch]
-    pres = []
-    a = x_batch
-    for i, (w, b) in enumerate(layers):
+    pres = [z1]
+    for w, b in layers[1:]:
+        a = np.maximum(pres[-1], 0.0)
+        acts.append(a)
         z = a @ w.T
         if b is not None:
-            z = z + b
+            z += b
         pres.append(z)
-        if i < len(layers) - 1:
-            a = np.maximum(z, 0.0)
-            acts.append(a)
     return acts, pres, pres[-1]
 
 
@@ -218,9 +253,11 @@ def logit_gradient(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.nda
     raise ValueError(f"unknown loss kind: {kind!r}")
 
 
-def batch_losses(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
+def batch_losses(params: ParamVector, x_batch, y_batch, kind: str,
+                 z1: np.ndarray | None = None) -> np.ndarray:
+    """Per-example losses; ``z1`` as in :func:`_forward_cached`."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    logits = batch_forward(params, x_batch)
+    logits = _forward_cached(params, x_batch, z1)[2]
     return logit_loss(logits, y_batch, kind)
 
 
@@ -231,17 +268,19 @@ def loss(params: ParamVector, x, y: int, kind: str) -> float:
     return float(batch_losses(params, x[None, :], np.array([y]), kind)[0])
 
 
-def _backward(params: ParamVector, x_batch, y_batch, kind: str, want_params: bool):
+def _backward(params: ParamVector, x_batch, y_batch, kind: str, want_params: bool,
+              z1: np.ndarray | None = None):
     """One forward+backward pass down to the first layer's pre-activation.
 
     Returns (per-example losses, first-layer weight W1, the loss gradient
     g1 at W1's output, (n, fan_out), and with ``want_params`` the (dW, db)
     of the mean batch loss per layer, else None).  The input gradient is
-    g1 @ W1; callers form it only when they need it.
+    g1 @ W1; callers form it only when they need it.  ``z1`` as in
+    :func:`_forward_cached`.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = unpack_layers(params)
-    acts, pres, logits = _forward_cached(params, x_batch)
+    acts, pres, logits = _forward_cached(params, x_batch, z1)
     losses = logit_loss(logits, y_batch, kind)
     g = logit_gradient(logits, y_batch, kind)
 
@@ -271,16 +310,17 @@ def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
     return losses, g @ w1
 
 
-def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch,
-                           kind: str) -> tuple[np.ndarray, np.ndarray]:
+def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch, kind: str,
+                           z1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-example losses and squared input-gradient norms, from one pass.
 
     When the first layer narrows (fan_out < fan_in), ||g1 W1||^2 is taken
     in Gram form as rowsum((g1 @ (W1 W1^T)) * g1), so the (n, d) input
     gradient is never formed; otherwise the gradient is formed and its
     rows are squared and summed.  The choice depends only on the layout.
+    ``z1`` as in :func:`_forward_cached`.
     """
-    losses, w1, g, _ = _backward(params, x_batch, y_batch, kind, False)
+    losses, w1, g, _ = _backward(params, x_batch, y_batch, kind, False, z1)
     if w1.shape[0] < w1.shape[1]:
         return losses, np.einsum("ij,ij->i", g @ (w1 @ w1.T), g)
     g = g @ w1

@@ -13,6 +13,7 @@ from gradbound.nets import (
     ParamVector,
     batch_input_grads,
     batch_losses,
+    first_layer_block,
     lipschitz_bound,
     loss,
     loss_and_sq_grad_norms,
@@ -147,6 +148,47 @@ def test_draw_stats_is_prefix_stable():
     five = stats_of(prior, data, bd.EstimatorConfig(n_weight_samples=5, seed=4))
     for small, big in zip(three, five):
         assert np.array_equal(small, big[:3])
+
+
+@pytest.mark.parametrize("arch", [
+    MlpArchitecture(12, 3, (5, 4), bias=True),  # narrowing first layer: Gram form
+    MlpArchitecture(4, 3, (9,), bias=True),  # widening first layer
+    MlpArchitecture(12, 3),  # linear, no bias
+], ids=["narrowing", "widening", "linear"])
+def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
+    data = small_synth(n=24, d=arch.input_dim, k=arch.class_count)
+    families = [prior_family(arch, 0.4), prior_family(arch, 0.05)]
+    for grads in (False, True):
+        runs = []
+        for budget in (1, 1 << 40):  # one pair per chunk, every pair in one
+            monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
+            runs.append(bd.draw_stats(families, data, NLL, CFG, grads))
+        for one, everything in zip(*runs):
+            np.testing.assert_allclose(one[0], everything[0], rtol=1e-12)
+            if grads:
+                np.testing.assert_allclose(one[1], everything[1], rtol=1e-12)
+
+
+def test_draw_stats_chunks_stay_within_budget(monkeypatch):
+    data = small_synth(n=24)
+    arch = MlpArchitecture(data.dim, data.class_count, (6,), bias=True)
+    families = [prior_family(arch, s) for s in (0.1, 0.3, 0.5)]
+    pair_bytes = 8 * data.m * 6
+    chunks = []
+
+    def recording(params_list, x):
+        views = first_layer_block(params_list, x)
+        chunks.append((len(params_list), views[0].base.nbytes))
+        return views
+
+    monkeypatch.setattr(bd, "first_layer_block", recording)
+    for budget, sizes in [(3 * pair_bytes + 100, [3] * 8), (pair_bytes - 1, [1] * 24)]:
+        chunks.clear()
+        monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
+        bd.draw_stats(families, data, NLL, CFG, grads=True)
+        assert [pairs for pairs, _ in chunks] == sizes
+        assert all(nbytes <= budget or pairs == 1 for pairs, nbytes in chunks)
+        assert all(nbytes == pairs * pair_bytes for pairs, nbytes in chunks)
 
 
 # --------------------------------------------------------- naive complexity

@@ -367,6 +367,20 @@ def test_main_missing_data_exit(tmp_path, capsys):
     assert err["error"] == "data"
 
 
+@pytest.mark.parametrize("experiment", ["loss-vs-variance", "identity-checks"])
+def test_missing_output_directory_fails_before_any_work(experiment, passes, tmp_path,
+                                                        capsys):
+    # the data files are missing too: the output check comes first
+    code = main([experiment, "--data-images", str(tmp_path / "x"),
+                 "--data-labels", str(tmp_path / "y"),
+                 "--out", str(tmp_path / "missing" / "o.csv")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "missing" in err["message"]
+    assert passes == {}
+    assert os.listdir(tmp_path) == []
+
+
 def test_main_happy_path_with_config_file(tmp_path):
     cfg = {"synthetic": SYNTH, "train_size": 1024, "heldout_size": 256,
            "variance_grid": [0.1], "depth_grid": [1],
