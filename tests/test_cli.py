@@ -376,7 +376,7 @@ def test_missing_output_directory_fails_before_any_work(experiment, passes, tmp_
                  "--out", str(tmp_path / "missing" / "o.csv")])
     assert code == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config" and "missing" in err["message"]
+    assert err["error"] == "config" and "output directory does not exist" in err["message"]
     assert passes == {}
     assert os.listdir(tmp_path) == []
 
