@@ -3,16 +3,13 @@
 from .bounds import (
     BoundEstimate,
     EstimatorConfig,
-    assemble_risk_bound,
     draw_stats,
-    empirical_risk,
     estimate_loss_bound,
     expected_grad_norm_mc,
     gradnorm_bound_curve,
     gradnorm_integral_bound,
     herbst_identity_check,
     linear_gradnorm_bound,
-    log_mgf,
     log_sobolev_check,
     mgf_decomposition_check,
     naive_complexity_curve,

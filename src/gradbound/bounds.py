@@ -136,25 +136,14 @@ def _finalize(exponents: np.ndarray, n_data: int,
         overflowed=overflowed)
 
 
-def empirical_risk(params: ParamVector, data: LabeledDataset, kind: str) -> float:
-    """Mean per-example loss over the dataset."""
-    if data.m < 1:
-        raise ValueError("dataset is empty")
-    return float(np.mean(batch_losses(params, data.inputs, data.labels, kind)))
-
-
 def log_mgf_from_losses(losses: np.ndarray, alpha: float) -> float:
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return logmeanexp(-alpha * np.asarray(losses, dtype=np.float64))
-
-
-def log_mgf(params: ParamVector, data: LabeledDataset, kind: str, alpha: float) -> float:
-    """log M(alpha) with M(alpha) = mean over data of exp(-alpha * loss).
+    """log M(alpha) with M(alpha) = mean of exp(-alpha * loss).
 
     Shift-stabilized; log M(0) is exactly 0.
     """
-    return log_mgf_from_losses(batch_losses(params, data.inputs, data.labels, kind), alpha)
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    return logmeanexp(-alpha * np.asarray(losses, dtype=np.float64))
 
 
 def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
@@ -181,13 +170,15 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
     shape = (cfg.n_weight_samples, data.m)
     losses = [np.empty(shape) for _ in families]
     sq_norms = [np.empty(shape) if grads else None for _ in families]
-    fan_out = families[0].layout.layer_dims()[0][1]
+    layout = families[0].layout
+    fan_out = layout.layer_dims()[0][1]
     per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
     pairs = ((i, j, w)
              for i, draw in enumerate(shared_draws(families, cfg.seed, cfg.n_weight_samples))
              for j, w in enumerate(draw))
     while chunk := list(itertools.islice(pairs, per_chunk)):
-        z1s = first_layer_block([w for _, _, w in chunk], data.inputs)
+        z1s = first_layer_block(layout, np.stack([w.values for _, _, w in chunk]),
+                                data.inputs)
         for (i, j, w), z1 in zip(chunk, z1s):
             if grads:
                 losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
@@ -295,18 +286,6 @@ def gradnorm_bound_curve(sq_grad_norms: np.ndarray, lambdas, m: int,
             exponents = (2.0 * lam**2 * scale_b / m) * mean_sq
             out.append(_finalize(exponents, n_data=sq_grad_norms.shape[1]))
     return out
-
-
-def assemble_risk_bound(emp_risk_q: float, complexity: float, kl: float,
-                        lam: float, delta: float) -> float:
-    """PAC-Bayes risk bound: emp_risk + (C + KL + log(1/delta)) / lambda."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if kl < 0:
-        raise ValueError("kl must be nonnegative")
-    return emp_risk_q + (complexity + kl + math.log(1.0 / delta)) / lam
 
 
 @dataclass(frozen=True)

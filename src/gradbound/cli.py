@@ -16,9 +16,10 @@ identity-checks      exact MGF factorization, cumulant reconstruction, and
                      entropy-inequality suites; exit 0 iff all pass
 
 Every experiment but identity-checks is one depth x variance loop: each
-grid point builds one weight family (the prior, or for train-report the
-posterior around the SGD-trained weights).  One ``bounds.draw_stats`` call
-per depth computes the per-draw losses and squared input-gradient norms of
+depth builds one weight family per grid point (the priors, or for
+train-report the posteriors around the SGD-trained weights, all of the
+depth's variances trained in lockstep by ``training.train_lockstep``).
+One ``bounds.draw_stats`` call per depth computes the per-draw losses and squared input-gradient norms of
 all that depth's families, sharing each draw's standard normals between
 them, and each grid point's matrices go to the experiment's row builder,
 which applies the estimator reductions the experiment reports.
@@ -52,7 +53,7 @@ from .gaussians import (RESERVED_STREAM_BASE, kl_divergence, posterior_family,
                         prior_family, sample, stream_rng)
 from .nets import NLL, MlpArchitecture, equal_param_hidden_widths, lipschitz_bound
 from .subgamma import fit as subgamma_fit, check as subgamma_check
-from .training import TrainConfig, TrainingDiverged, train, evaluate
+from .training import TrainConfig, TrainingDiverged, evaluate, train_lockstep
 
 EXPERIMENTS = (
     "naive-vs-lambda", "gradnorm-vs-variance", "loss-vs-variance",
@@ -191,24 +192,28 @@ def _bound_cells(est: bd.BoundEstimate) -> dict:
             "std_error": est.std_error, "overflowed": est.overflowed}
 
 
-def _prior(spec, arch, sigma, train_set, heldout):
-    return prior_family(arch, sigma), {"sigma_p": sigma}
+def _priors(spec, arch, train_set, heldout):
+    return [(prior_family(arch, sigma), {"sigma_p": sigma}) for sigma in spec.variance_grid]
 
 
-def _trained_posterior(spec, arch, variance, train_set, heldout):
-    """Train from N(0, variance) and center the posterior on the result."""
-    sigma_p = math.sqrt(variance)
-    cfg = dataclasses.replace(spec.train, init_stddev=sigma_p)
-    weights = train(arch, train_set, spec.loss_kind, cfg)
-    train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
-    test_loss, test_acc = evaluate(weights, heldout, spec.loss_kind)
-    posterior = posterior_family(weights, spec.sigma_q)
-    kl = kl_divergence(posterior, prior_family(arch, sigma_p))
-    return posterior, {"prior_variance": variance, "sigma_p": sigma_p,
-                       "sigma_q": spec.sigma_q, "m": train_set.m,
-                       "train_loss": train_loss, "test_loss": test_loss,
-                       "train_accuracy": train_acc, "test_accuracy": test_acc,
-                       "kl": kl, "l_d_proxy": "heldout"}
+def _trained_posteriors(spec, arch, train_set, heldout):
+    """Train from N(0, v) for every prior variance v, in lockstep, and
+    center each posterior on its result."""
+    sigmas = [math.sqrt(v) for v in spec.variance_grid]
+    cfgs = [dataclasses.replace(spec.train, init_stddev=s) for s in sigmas]
+    points = []
+    for variance, sigma_p, weights in zip(spec.variance_grid, sigmas,
+                                          train_lockstep(arch, train_set, spec.loss_kind, cfgs)):
+        train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
+        test_loss, test_acc = evaluate(weights, heldout, spec.loss_kind)
+        posterior = posterior_family(weights, spec.sigma_q)
+        kl = kl_divergence(posterior, prior_family(arch, sigma_p))
+        points.append((posterior, {
+            "prior_variance": variance, "sigma_p": sigma_p, "sigma_q": spec.sigma_q,
+            "m": train_set.m, "train_loss": train_loss, "test_loss": test_loss,
+            "train_accuracy": train_acc, "test_accuracy": test_acc,
+            "kl": kl, "l_d_proxy": "heldout"}))
+    return points
 
 
 def _bound_curve(spec, m, losses, sq_norms, lambdas):
@@ -275,45 +280,45 @@ def _train_report_rows(spec, m, arch, point, losses, sq_norms):
 
 _BOUND_COLUMNS = ["value", "log_space_value", "std_error", "overflowed"]
 
-# experiment -> (columns, family per grid point, stats on the train split
-# rather than the held-out one, squared gradient norms needed, row builder)
+# experiment -> (columns, a depth's (family, cells) per grid point, stats on
+# the train split rather than the held-out one, squared gradient norms
+# needed, row builder)
 _SWEEPS = {
     "naive-vs-lambda": (
         ["depth", "sigma_p", "lam", *_BOUND_COLUMNS, "n_weight_samples", "n_data_points"],
-        _prior, True, False, _naive_rows),
+        _priors, True, False, _naive_rows),
     "gradnorm-vs-variance": (
         ["depth", "sigma_p", "grad_norm_sq_mean", "grad_norm_sq_std_error",
          "linear_worst_case"],
-        _prior, False, True, _gradnorm_rows),
+        _priors, False, True, _gradnorm_rows),
     "loss-vs-variance": (
         ["depth", "sigma_p", "avg_prior_loss", "loss_bound"],
-        _prior, False, False, _loss_rows),
+        _priors, False, False, _loss_rows),
     "bound-vs-variance": (
         ["depth", "sigma_p", "lam_label", "lam", *_BOUND_COLUMNS, "loss_bound"],
-        _prior, False, True, _bound_rows),
+        _priors, False, True, _bound_rows),
     "fit-subgamma": (
         ["depth", "sigma_p", "v", "c", "lambda_max", "residual",
          "n_finite_points", "n_grid_points", "dominates"],
-        _prior, False, True, _fit_subgamma_rows),
+        _priors, False, True, _fit_subgamma_rows),
     "train-report": (
         ["depth", "prior_variance", "sigma_p", "sigma_q", "m",
          "train_loss", "test_loss", "train_accuracy", "test_accuracy",
          "bound_sqrt_m", "bound_sqrt_m_log", "bound_m", "bound_m_log",
          "kl", "loss_bound", "l_d_proxy"],
-        _trained_posterior, False, True, _train_report_rows),
+        _trained_posteriors, False, True, _train_report_rows),
 }
 
 
 def _sweep(spec, train_set, heldout):
     """The depth x variance grid: one family per point, one draw_stats per depth."""
-    columns, family_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
+    columns, families_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
     data = train_set if on_train else heldout
     rows = []
     for depth in spec.depth_grid:
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count,
                               spec.mlp_target_params)
-        points = [family_at(spec, arch, sigma, train_set, heldout)
-                  for sigma in spec.variance_grid]
+        points = families_at(spec, arch, train_set, heldout)
         stats = bd.draw_stats([family for family, _ in points], data, spec.loss_kind,
                               spec.estimator, grads)
         for (_, cells), (losses, sq_norms) in zip(points, stats):

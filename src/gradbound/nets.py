@@ -8,18 +8,24 @@ architecture uses biases).  Labels are 1-based: y ranges over {1..k}.
 All public operations are pure functions of their arguments; arrays are
 treated as read-only.
 
-First-layer block
------------------
-Many weight draws of one layout on one input batch share the batch's
-first GEMM: :func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T``
-once, adds every draw's first-layer bias in place, and hands back one
-(n, fan_out) column slice per draw.  :func:`batch_losses` and
-:func:`loss_and_sq_grad_norms` take such a slice as ``z1`` and continue
-the pass from it; without ``z1`` they compute the same slice for their
-one draw, so there is one forward/backward kernel either way.  A
-column of the block can differ from the per-draw product in its last
-bits, because the BLAS may block the wider GEMM differently; on the
-desk shapes with OpenBLAS on x86-64 they agree bit for bit.
+Weight stacks
+-------------
+The forward/backward kernel (``_forward_cached``, ``_backward``) takes
+flat weights of shape (P,) or a stack (F, P) of one layout, and every
+array past the input then carries the stack's leading axis.  The first
+layer of a stack is one GEMM: :func:`first_layer_block` computes
+``x @ [W1_1; W1_2; ...]^T`` once and adds every vector's first-layer
+bias in place; deeper layers run as batched matmuls over (F, n, h), and
+the first-layer weight gradient is one ``[g1_1 ... g1_F]^T @ x`` GEMM.
+SGD passes a stack (:func:`loss_and_param_grads`); the ParamVector
+functions pass one vector.  :func:`batch_losses` and
+:func:`loss_and_sq_grad_norms` also take a draw's (n, fan_out) slice of
+a block as ``z1`` and continue the pass from it, so a chunk of weight
+draws shares one first-layer GEMM while each draw keeps its own pass.
+A stack's row can differ from
+the one-vector pass in its last bits, because the BLAS may block the
+wider first-layer GEMM differently; on the desk shapes with OpenBLAS on
+x86-64 they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -94,29 +100,30 @@ class ParamVector:
             raise ValueError("parameter vector contains non-finite entries")
 
 
-def unpack_layers(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Views (W, b) per layer; W has shape (fan_out, fan_in)."""
-    arch = params.layout
+def _layers(layout: MlpArchitecture, weights: np.ndarray):
+    """Views (W, b) per layer of flat weights of shape (..., P).
+
+    W is (..., fan_out, fan_in) and b is (..., fan_out), or None without
+    biases: one vector gives the plain matrices, an (F, P) stack gives F
+    of each along a leading axis.
+    """
+    lead = weights.shape[:-1]
     out = []
     offset = 0
-    for fan_in, fan_out in arch.layer_dims():
-        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in)
+    for fan_in, fan_out in layout.layer_dims():
+        w = weights[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_out, fan_in)
         offset += fan_in * fan_out
         b = None
-        if arch.bias:
-            b = params.values[offset : offset + fan_out]
+        if layout.bias:
+            b = weights[..., offset : offset + fan_out]
             offset += fan_out
         out.append((w, b))
     return out
 
 
-def pack_layers(arch: MlpArchitecture, layers) -> np.ndarray:
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float64).ravel())
-        if arch.bias:
-            parts.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(parts)
+def unpack_layers(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Views (W, b) per layer; W has shape (fan_out, fan_in)."""
+    return _layers(params.layout, params.values)
 
 
 def equal_param_hidden_widths(depth: int, input_dim: int, class_count: int,
@@ -156,52 +163,55 @@ def _check_label(arch: MlpArchitecture, y: int) -> int:
     return y
 
 
-def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> list[np.ndarray]:
-    """First-layer pre-activations of several draws from one GEMM.
+def first_layer_block(layout: MlpArchitecture, weights: np.ndarray,
+                      x_batch: np.ndarray) -> np.ndarray:
+    """First-layer pre-activations of a stack of weight vectors from one GEMM.
 
-    ``params_list`` shares one layout.  Computes x @ [W1_1; W1_2; ...]^T
-    as one (n, len(params_list) * fan_out) block, adds each draw's
-    first-layer bias into its columns in place, and returns the per-draw
-    (n, fan_out) column views, in order.
+    ``weights`` is one flat vector (P,) or a stack (F, P) of ``layout``.
+    Computes x @ [W1_1; W1_2; ...]^T as one (n, F * fan_out) block, adds
+    each vector's first-layer bias into its columns in place, and returns
+    the block as an (F, n, fan_out) view, or (n, fan_out) for one vector.
     """
-    firsts = [unpack_layers(p)[0] for p in params_list]
-    # One draw (every SGD step) multiplies its own W1 view without a copy.
-    w1 = firsts[0][0] if len(firsts) == 1 else np.concatenate([w for w, _ in firsts])
-    block = x_batch @ w1.T
-    fan_out = firsts[0][0].shape[0]
-    views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
-    for z1, (_, b) in zip(views, firsts):
-        if b is not None:
-            z1 += b
-    return views
+    w1, b1 = _layers(layout, weights)[0]
+    fan_out, fan_in = w1.shape[-2:]
+    # One vector multiplies its own W1 view; a stack is copied into one matrix.
+    block = x_batch @ w1.reshape(-1, fan_in).T
+    z1 = block.reshape(block.shape[0], *w1.shape[:-2], fan_out)
+    if b1 is not None:
+        z1 += b1
+    return np.moveaxis(z1, 0, -2)
 
 
-def _forward_cached(params: ParamVector, x_batch: np.ndarray, z1: np.ndarray | None = None):
-    """Batch forward pass keeping pre-activations for backprop.
+def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.ndarray,
+                    z1: np.ndarray | None = None):
+    """Batch forward pass of flat weights (P,) or a stack (F, P), keeping
+    pre-activations for backprop.
 
     Returns (activations entering each layer, pre-activations per layer,
-    logits).  ReLU is applied after every layer except the last.  ``z1``
-    is the first layer's pre-activation from :func:`first_layer_block`
-    (computed here when omitted); it is read, never written.
+    logits); past the input, each carries the stack's leading axis.  ReLU
+    is applied after every layer except the last, and a stack's deeper
+    layers run as one batched matmul over (F, n, h).  ``z1`` is the first
+    layer's pre-activation from :func:`first_layer_block` (computed here
+    when omitted); it is read, never written.
     """
-    layers = unpack_layers(params)
+    layers = _layers(layout, weights)
     if z1 is None:
-        [z1] = first_layer_block([params], x_batch)
+        z1 = first_layer_block(layout, weights, x_batch)
     acts = [x_batch]
     pres = [z1]
     for w, b in layers[1:]:
         a = np.maximum(pres[-1], 0.0)
         acts.append(a)
-        z = a @ w.T
+        z = a @ np.swapaxes(w, -1, -2)
         if b is not None:
-            z += b
+            z += b[..., None, :]
         pres.append(z)
     return acts, pres, pres[-1]
 
 
 def batch_forward(params: ParamVector, x_batch: np.ndarray) -> np.ndarray:
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    return _forward_cached(params, x_batch)[2]
+    return _forward_cached(params.layout, params.values, x_batch)[2]
 
 
 def forward(params: ParamVector, x) -> np.ndarray:
@@ -211,44 +221,44 @@ def forward(params: ParamVector, x) -> np.ndarray:
 
 
 def logit_loss(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.ndarray:
-    """Per-example loss from logits; y_batch holds 1-based labels."""
+    """Per-example loss from logits (..., n, k); y_batch holds n 1-based labels."""
     y0 = np.asarray(y_batch, dtype=np.int64) - 1
-    rows = np.arange(logits.shape[0])
+    rows = np.arange(logits.shape[-2])
     if kind == NLL:
         # (max - t_y) + log sum exp(t - max): the shift cancels before any
         # large intermediate forms, so adding a constant to all logits
         # leaves the result unchanged to the last bit.
-        tmax = logits.max(axis=1)
-        spread = np.exp(logits - tmax[:, None]).sum(axis=1)
-        return (tmax - logits[rows, y0]) + np.log(spread)
+        tmax = logits.max(axis=-1)
+        spread = np.exp(logits - tmax[..., None]).sum(axis=-1)
+        return (tmax - logits[..., rows, y0]) + np.log(spread)
     if kind == MULTICLASS_HINGE:
-        margins = logits - logits[rows, y0][:, None] + 1.0
-        margins[rows, y0] = 0.0
-        return margins.max(axis=1)
+        margins = logits - logits[..., rows, y0][..., None] + 1.0
+        margins[..., rows, y0] = 0.0
+        return margins.max(axis=-1)
     raise ValueError(f"unknown loss kind: {kind!r}")
 
 
 def logit_gradient(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.ndarray:
-    """Gradient of the loss with respect to the logits, per example.
+    """Gradient of the loss with respect to the logits (..., n, k), per example.
 
     For NLL this is softmax(t) - e_y.  For the hinge loss it is
     e_{y*} - e_y for the attaining class y* (ties resolved to the smallest
     index, matching np.argmax), or zero when the margin term y* = y wins.
     """
     y0 = np.asarray(y_batch, dtype=np.int64) - 1
-    rows = np.arange(logits.shape[0])
+    rows = np.arange(logits.shape[-2])
     if kind == NLL:
-        g = softmax(logits, axis=1)
-        g[rows, y0] -= 1.0
+        g = softmax(logits, axis=-1)
+        g[..., rows, y0] -= 1.0
         return g
     if kind == MULTICLASS_HINGE:
-        margins = logits - logits[rows, y0][:, None] + 1.0
-        margins[rows, y0] = 0.0
-        ystar = margins.argmax(axis=1)
+        margins = logits - logits[..., rows, y0][..., None] + 1.0
+        margins[..., rows, y0] = 0.0
+        ystar = margins.argmax(axis=-1)
         g = np.zeros_like(logits)
-        hit = ystar != y0
-        g[rows[hit], ystar[hit]] = 1.0
-        g[rows[hit], y0[hit]] = -1.0
+        hit = np.nonzero(ystar != y0)
+        g[(*hit, ystar[hit])] = 1.0
+        g[(*hit, y0[hit[-1]])] = -1.0
         return g
     raise ValueError(f"unknown loss kind: {kind!r}")
 
@@ -257,7 +267,7 @@ def batch_losses(params: ParamVector, x_batch, y_batch, kind: str,
                  z1: np.ndarray | None = None) -> np.ndarray:
     """Per-example losses; ``z1`` as in :func:`_forward_cached`."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    logits = _forward_cached(params, x_batch, z1)[2]
+    logits = _forward_cached(params.layout, params.values, x_batch, z1)[2]
     return logit_loss(logits, y_batch, kind)
 
 
@@ -268,28 +278,41 @@ def loss(params: ParamVector, x, y: int, kind: str) -> float:
     return float(batch_losses(params, x[None, :], np.array([y]), kind)[0])
 
 
-def _backward(params: ParamVector, x_batch, y_batch, kind: str, want_params: bool,
-              z1: np.ndarray | None = None):
+def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, kind: str,
+              want_params: bool, z1: np.ndarray | None = None):
     """One forward+backward pass down to the first layer's pre-activation.
 
-    Returns (per-example losses, first-layer weight W1, the loss gradient
-    g1 at W1's output, (n, fan_out), and with ``want_params`` the (dW, db)
-    of the mean batch loss per layer, else None).  The input gradient is
-    g1 @ W1; callers form it only when they need it.  ``z1`` as in
-    :func:`_forward_cached`.
+    ``weights`` is one flat vector (P,) or a stack (F, P).  Returns
+    (per-example losses, first-layer weights W1, the loss gradient g1 at
+    W1's output, (n, fan_out), and with ``want_params`` the flat gradient
+    of the mean batch loss, (P,), else None); each but the gradient's
+    last axis carries the stack's leading axis.  The input gradient is
+    g1 @ W1; callers form it only when they need it.  A stack's
+    first-layer weight gradient is one [g1_1 ... g1_F]^T @ x GEMM.  ``z1``
+    as in :func:`_forward_cached`.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    layers = unpack_layers(params)
-    acts, pres, logits = _forward_cached(params, x_batch, z1)
+    layers = _layers(layout, weights)
+    acts, pres, logits = _forward_cached(layout, weights, x_batch, z1)
     losses = logit_loss(logits, y_batch, kind)
     g = logit_gradient(logits, y_batch, kind)
 
     n = x_batch.shape[0]
-    grads = [None] * len(layers) if want_params else None
+    grads = np.empty_like(weights) if want_params else None
+    grad_layers = _layers(layout, grads) if want_params else None
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
         if want_params:
-            grads[i] = (g.T @ acts[i] / n, g.mean(axis=0) if b is not None else None)
+            gw, gb = grad_layers[i]
+            if i == 0:
+                # (n, F * fan_out) with member f's columns at f*fan_out..;
+                # a view of g1 for one vector.
+                g_cols = np.moveaxis(g, -2, 0).reshape(n, -1)
+                gw[...] = (g_cols.T @ x_batch / n).reshape(gw.shape)
+            else:
+                gw[...] = np.swapaxes(g, -1, -2) @ acts[i] / n
+            if gb is not None:
+                gb[...] = g.mean(axis=-2)
         if i == 0:
             return losses, w, g, grads
         # ReLU subgradient: derivative 0 at the kink.
@@ -304,10 +327,23 @@ def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
     ``want_params`` the gradient of the mean batch loss with respect to the
     flat weights (the input gradient is then not formed).
     """
-    losses, w1, g, grads = _backward(params, x_batch, y_batch, kind, want_params)
+    losses, w1, g, grads = _backward(params.layout, params.values, x_batch, y_batch,
+                                     kind, want_params)
     if want_params:
-        return losses, pack_layers(params.layout, grads)
+        return losses, grads
     return losses, g @ w1
+
+
+def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
+                         kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (F, n) and mean-batch-loss gradients (F, P) of a weight stack.
+
+    ``weights`` is an (F, P) stack of flat vectors of ``layout``; one
+    stacked forward+backward pass serves them all.  Row f is what
+    :func:`loss_and_grad` with ``want_params`` gives for ``weights[f]``.
+    """
+    losses, _, _, grads = _backward(layout, weights, x_batch, y_batch, kind, True)
+    return losses, grads
 
 
 def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch, kind: str,
@@ -320,7 +356,8 @@ def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch, kind: str,
     rows are squared and summed.  The choice depends only on the layout.
     ``z1`` as in :func:`_forward_cached`.
     """
-    losses, w1, g, _ = _backward(params, x_batch, y_batch, kind, False, z1)
+    losses, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, kind,
+                                 False, z1)
     if w1.shape[0] < w1.shape[1]:
         return losses, np.einsum("ij,ij->i", g @ (w1 @ w1.T), g)
     g = g @ w1

@@ -5,19 +5,34 @@ from a seed-deterministic shuffle per epoch using a reserved Philox
 stream, the last partial batch is used rather than dropped, and weights
 are initialized from N(0, init_stddev^2) via the same deterministic
 sampler used for priors: given a config, training is bitwise reproducible.
+
+Lockstep training
+-----------------
+Configs that differ only in ``init_stddev`` (a depth's prior-variance
+grid, say) see the same batches in the same order, and their initial
+weights are one stream of standard normals scaled by each
+``init_stddev``.  :func:`train_lockstep` therefore trains them together:
+their weights and momenta are the rows of (F, P) arrays, and each step is
+one stacked forward+backward pass
+(:func:`gradbound.nets.loss_and_param_grads`) on one gathered batch,
+followed by the same elementwise update and per-row finiteness checks.
+Each row gets the bits that training its config alone gives wherever the
+BLAS gives each column of the stacked first-layer GEMM the bits of the
+per-config product, as OpenBLAS does on x86-64 for the desk layouts;
+:func:`train` is lockstep training of one config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import RESERVED_STREAM_BASE, prior_family, sample, stream_rng
-from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_grad
+from .gaussians import RESERVED_STREAM_BASE, prior_family, shared_draws, stream_rng
+from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_param_grads
 
 log = logging.getLogger(__name__)
 
@@ -56,30 +71,58 @@ class TrainConfig:
 def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
           cfg: TrainConfig) -> ParamVector:
     """Train and return the final iterate (which reports use as-is)."""
-    params = sample(prior_family(arch, cfg.init_stddev), cfg.seed, 1)[0]
-    # The loop owns this fresh draw and updates its weights in place; the
-    # one finiteness scan per step keeps them a valid ParamVector.
-    w = params.values
+    return train_lockstep(arch, data, kind, [cfg])[0]
+
+
+def train_lockstep(arch: MlpArchitecture, data: LabeledDataset, kind: str,
+                   cfgs: list[TrainConfig]) -> list[ParamVector]:
+    """Train configs that differ only in ``init_stddev`` together.
+
+    Returns one final iterate per config, in order.  Raises ValueError if
+    the configs differ in anything else, and the TrainingDiverged that
+    training them one after another would raise: that of the first
+    config, in order, that diverges, at its own step.
+    """
+    cfg = cfgs[0]
+    if any(dataclasses.replace(c, init_stddev=cfg.init_stddev) != cfg for c in cfgs):
+        raise ValueError("lockstep training needs configs that differ only in init_stddev")
+    inits = next(shared_draws([prior_family(arch, c.init_stddev) for c in cfgs],
+                              cfg.seed, 1))
+    # The loop owns these rows and updates them in place; the one
+    # finiteness scan per step keeps every row a valid weight vector.
+    w = np.stack([p.values for p in inits])
     u = np.zeros_like(w)
+    diverged = None
 
     for epoch in range(cfg.epochs):
         perm = stream_rng(cfg.seed, _SHUFFLE_STREAM + epoch).permutation(data.m)
-        epoch_loss = 0.0
+        epoch_loss = np.zeros(len(w))
         for bi, start in enumerate(range(0, data.m, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            losses, grad = loss_and_grad(params, data.inputs[idx], data.labels[idx],
-                                         kind, want_params=True)
-            batch_loss = float(losses.mean())
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(epoch, bi)
-            epoch_loss += batch_loss * idx.size
+            losses, grad = loss_and_param_grads(arch, w, data.inputs[idx],
+                                                data.labels[idx], kind)
+            batch_loss = losses.mean(axis=1)
             u = cfg.momentum * u - cfg.learning_rate * grad
             w += u
-            if not np.all(np.isfinite(w)):
-                raise TrainingDiverged(epoch, bi)
-        log.info("epoch %d: train loss %.6f", epoch, epoch_loss / data.m)
+            bad = ~(np.isfinite(batch_loss) & np.isfinite(w).all(axis=1))
+            if bad.any():
+                # Rows after the first diverging one can no longer decide
+                # which divergence is raised; earlier rows still can.
+                first = int(bad.argmax())
+                diverged = TrainingDiverged(epoch, bi)
+                if first == 0:
+                    raise diverged
+                w, u = w[:first], u[:first]
+                batch_loss = batch_loss[:first]
+                epoch_loss = epoch_loss[:first]
+            epoch_loss += batch_loss * idx.size
+        for c, total in zip(cfgs, epoch_loss):
+            log.info("epoch %d (init_stddev %g): train loss %.6f", epoch, c.init_stddev,
+                     total / data.m)
 
-    return params
+    if diverged is not None:
+        raise diverged
+    return [ParamVector(row, arch) for row in w]
 
 
 def evaluate(params: ParamVector, data: LabeledDataset, kind: str) -> tuple[float, float]:

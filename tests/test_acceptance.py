@@ -229,7 +229,7 @@ def test_criterion_9_numerical_foundations():
                 x = rng.normal(size=6)
                 y = int(rng.integers(1, 4))
                 from gradbound.nets import _forward_cached
-                pres = _forward_cached(p, x[None, :])[1][:-1]
+                pres = _forward_cached(p.layout, p.values, x[None, :])[1][:-1]
                 if not pres or min(np.abs(z).min() for z in pres) > 1e-3:
                     break
             gx = grad_input(p, x, y, NLL)

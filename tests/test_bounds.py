@@ -43,29 +43,6 @@ def constant_dataset(k=3, d=4, n=16):
     return LabeledDataset(inputs, np.ones(n, dtype=np.int64), k)
 
 
-# ----------------------------------------------------------- empirical risk
-
-
-def test_empirical_risk_uniform_model(synth2):
-    arch = MlpArchitecture(synth2.dim, synth2.class_count)
-    zero = ParamVector(np.zeros(arch.param_count()), arch)
-    assert bd.empirical_risk(zero, synth2, NLL) == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_empirical_risk_single_example_and_oracle():
-    single = LabeledDataset(np.array([[0.2, -0.4, 1.0, 0.3]]), np.array([2]), 2)
-    arch = MlpArchitecture(single.dim, single.class_count)
-    rng = np.random.default_rng(0)
-    p = ParamVector(rng.normal(0, 1, arch.param_count()), arch)
-    only = loss(p, single.inputs[0], int(single.labels[0]), NLL)
-    assert bd.empirical_risk(p, single, NLL) == pytest.approx(only, rel=1e-15)
-
-    data = small_synth(n=64)
-    total = math.fsum(loss(p, data.inputs[i], int(data.labels[i]), NLL)
-                      for i in range(data.m))
-    assert bd.empirical_risk(p, data, NLL) == pytest.approx(total / data.m, rel=1e-12)
-
-
 # ------------------------------------------------------------------ log MGF
 
 
@@ -73,7 +50,8 @@ def test_log_mgf_at_zero_is_exactly_zero():
     data = small_synth()
     arch = MlpArchitecture(data.dim, data.class_count)
     p = ParamVector(np.ones(arch.param_count()), arch)
-    assert bd.log_mgf(p, data, NLL, 0.0) == 0.0
+    losses = batch_losses(p, data.inputs, data.labels, NLL)
+    assert bd.log_mgf_from_losses(losses, 0.0) == 0.0
 
 
 def test_log_mgf_constant_loss():
@@ -104,7 +82,8 @@ def test_log_mgf_monotone_on_model_draws():
     arch = MlpArchitecture(data.dim, data.class_count, (6,), bias=True)
     alphas = np.linspace(0.0, 1.0, 9)
     for w in sample(prior_family(arch, 0.3), 31, 8):
-        vals = [bd.log_mgf(w, data, NLL, a) for a in alphas]
+        losses = batch_losses(w, data.inputs, data.labels, NLL)
+        vals = [bd.log_mgf_from_losses(losses, a) for a in alphas]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -176,10 +155,10 @@ def test_draw_stats_chunks_stay_within_budget(monkeypatch):
     pair_bytes = 8 * data.m * 6
     chunks = []
 
-    def recording(params_list, x):
-        views = first_layer_block(params_list, x)
-        chunks.append((len(params_list), views[0].base.nbytes))
-        return views
+    def recording(layout, weights, x):
+        z1s = first_layer_block(layout, weights, x)
+        chunks.append((len(weights), z1s.base.nbytes))
+        return z1s
 
     monkeypatch.setattr(bd, "first_layer_block", recording)
     for budget, sizes in [(3 * pair_bytes + 100, [3] * 8), (pair_bytes - 1, [1] * 24)]:
@@ -375,35 +354,6 @@ def test_integral_bound_dominated_by_expected_norm_bound(synth2):
         loose = bd.gradnorm_bound_curve(sq_norms, [lam], m, b)[0]
         slack = 3.0 * (tight.std_error + loose.std_error)
         assert tight.log_space_value <= loose.log_space_value + slack
-
-
-# ------------------------------------------------------------ assembly
-
-
-def test_assemble_trivial_and_infinite():
-    assert bd.assemble_risk_bound(0.42, 0.0, 0.0, 5.0, 1.0) == pytest.approx(0.42)
-    assert bd.assemble_risk_bound(0.1, math.inf, 3.0, 5.0, 0.5) == math.inf
-
-
-def test_assemble_published_scale_numbers():
-    # one-layer row: emp 0.253, C 0.141, KL 1478, delta 0.05, lam sqrt(60000)
-    lam = math.sqrt(60_000)
-    got = bd.assemble_risk_bound(0.253, 0.141, 1478.0, lam, 0.05)
-    expected = 0.253 + (0.141 + 1478.0 + math.log(20.0)) / lam
-    assert got == pytest.approx(expected, rel=1e-15)
-    assert got == pytest.approx(6.30, abs=5e-3)
-
-
-@given(st.floats(0, 5), st.floats(0, 100), st.floats(0.001, 1), st.floats(0.5, 50),
-       st.floats(1.01, 2.0))
-def test_assemble_monotonicity(c, kl, delta, lam, factor):
-    base = bd.assemble_risk_bound(0.3, c, kl, lam, delta)
-    assert bd.assemble_risk_bound(0.3, c * factor + 0.1, kl, lam, delta) >= base
-    assert bd.assemble_risk_bound(0.3, c, kl * factor + 0.1, lam, delta) >= base
-    assert bd.assemble_risk_bound(0.3, c, kl, lam, delta / factor) >= base
-    # positive penalty: strictly decreasing in lambda
-    assert bd.assemble_risk_bound(0.3, c + 1.0, kl, lam * factor, delta) < \
-        bd.assemble_risk_bound(0.3, c + 1.0, kl, lam, delta)
 
 
 def test_bound_estimate_invariant_enforced():

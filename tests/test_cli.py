@@ -264,7 +264,7 @@ def passes(monkeypatch):
     count_calls(monkeypatch, gaussians, "standard_normal", counts, "streams")
     count_calls(monkeypatch, nets, "_forward_cached", counts, "forward")
     count_calls(monkeypatch, bd, "loss_and_sq_grad_norms", counts, "backward")
-    count_calls(monkeypatch, training, "loss_and_grad", counts, "sgd_step")
+    count_calls(monkeypatch, training, "loss_and_param_grads", counts, "sgd_step")
     return counts
 
 
@@ -288,16 +288,19 @@ def test_sweeps_sample_once_and_pass_once_per_draw(experiment, grads, passes, tm
 def test_train_report_passes(passes, tmp_path):
     spec = small_spec("train-report", tmp_path, depth_grid=(1, 2))
     assert run(spec) == 0
-    points = len(spec.depth_grid) * len(spec.variance_grid)
+    depths = len(spec.depth_grid)
+    points = depths * len(spec.variance_grid)
     draws = points * spec.estimator.n_weight_samples
-    steps = points * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
+    # one stacked SGD pass per (depth, step), shared by the depth's variances
+    steps = depths * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
     # one stream per (depth, draw index), shared by the depth's posteriors,
-    # plus one initialization draw per trained grid point
-    streams = len(spec.depth_grid) * spec.estimator.n_weight_samples
-    assert passes.get("streams") == streams + points
+    # plus one initialization stream per depth, shared by its variances
+    streams = depths * spec.estimator.n_weight_samples
+    assert passes.get("streams") == streams + depths
     assert passes.get("backward") == draws
     assert passes.get("sgd_step") == steps
-    # one forward per SGD step and per posterior draw, plus two evaluations
+    # one forward per stacked SGD step and per posterior draw, plus two
+    # evaluations per grid point
     assert passes.get("forward") == steps + draws + 2 * points
 
 

@@ -8,7 +8,8 @@ on the BLAS build: the files were written with numpy 2.4 and OpenBLAS on
 x86-64.
 
 A change that is meant to move output bits must say why and regenerate
-the files with ``PYTHONPATH=src python tests/test_golden.py``.
+the files that moved with ``PYTHONPATH=src python tests/test_golden.py
+NAME...`` (no names: all of them), so the others keep their timestamps.
 """
 
 import json
@@ -76,14 +77,17 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
         assert g == w, f"{name} line {i}"
 
 
-def _regenerate() -> None:
+def _regenerate(names: list[str]) -> None:
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown golden files: {', '.join(unknown)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     os.chdir(GOLDEN_DIR)
-    for name in sorted(CASES):
+    for name in names or sorted(CASES):
         if _run_case(name) != 0:
             sys.exit(f"{name}: nonzero exit")
     os.remove("config.json")
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])

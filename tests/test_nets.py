@@ -19,6 +19,8 @@ from gradbound.nets import (
     lipschitz_bound,
     logit_gradient,
     loss,
+    loss_and_grad,
+    loss_and_param_grads,
     loss_and_sq_grad_norms,
     unpack_layers,
 )
@@ -186,7 +188,7 @@ def test_loss_nonnegative(logit_list, y, kind):
 def _hidden_preactivations(params, x):
     from gradbound.nets import _forward_cached
 
-    _, pres, _ = _forward_cached(params, x[None, :])
+    _, pres, _ = _forward_cached(params.layout, params.values, x[None, :])
     return [z[0] for z in pres[:-1]]
 
 
@@ -335,6 +337,32 @@ def test_sq_grad_norms_match_formed_gradients(name, kind):
         np.testing.assert_allclose(sq, np.einsum("ij,ij->i", g, g), rtol=1e-12, atol=0)
     zero = ParamVector(np.zeros(arch.param_count()), arch)
     assert np.all(loss_and_sq_grad_norms(zero, x, y, kind)[1] == 0.0)
+
+
+@pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
+@pytest.mark.parametrize("name", SQ_NORM_ARCHS)
+def test_stacked_pass_matches_one_vector_passes(name, kind):
+    from gradbound.nets import _backward
+
+    arch = SQ_NORM_ARCHS[name]
+    rng = np.random.default_rng(len(name) * 5 + (kind == NLL))
+    x = rng.normal(size=(40, arch.input_dim))
+    y = rng.integers(1, arch.class_count + 1, size=40)
+    stack = np.stack([random_params(arch, rng, s).values for s in (0.1, 0.5, 2.0)])
+    losses, grads = loss_and_param_grads(arch, stack, x, y, kind)
+    stacked = _backward(arch, stack, x, y, kind, True)
+    assert losses.shape == (3, 40) and grads.shape == stack.shape
+    for f, values in enumerate(stack):
+        p = ParamVector(values, arch)
+        one_loss, one_grad = loss_and_grad(p, x, y, kind, want_params=True)
+        assert np.array_equal(losses[f], one_loss)
+        assert np.array_equal(grads[f], one_grad)
+        # losses, W1, g1 and the parameter gradient: the squared
+        # input-gradient norms are a function of W1 and g1 alone
+        for got, want in zip(stacked, _backward(arch, values, x, y, kind, True)):
+            assert np.array_equal(got[f], want)
+        w1, g1 = stacked[1][f], stacked[2][f]
+        assert np.array_equal(g1 @ w1, batch_input_grads(p, x, y, kind))
 
 
 def _gaussian_data(n=32):

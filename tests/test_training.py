@@ -1,12 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gradbound.datasets import synth_gaussian
+from gradbound.datasets import LabeledDataset, synth_gaussian
 from gradbound.gaussians import prior_family, sample
-from gradbound.nets import NLL, MlpArchitecture, ParamVector, batch_param_grad, loss
-from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train
+from gradbound.nets import (
+    MULTICLASS_HINGE,
+    NLL,
+    MlpArchitecture,
+    ParamVector,
+    batch_param_grad,
+    loss,
+)
+from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train, train_lockstep
 
 
 def separable_data(n=256, seed=12):
@@ -69,6 +77,64 @@ def test_divergence_raises_with_location():
     assert exc.value.batch >= 0
 
 
+LAYOUTS = {
+    "linear": MlpArchitecture(4, 2),
+    "narrowing": MlpArchitecture(4, 2, (3,), bias=True),
+    "widening": MlpArchitecture(4, 2, (12, 7), bias=True),
+}
+
+
+@pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_lockstep_matches_training_each_config_alone(layout, kind):
+    data = separable_data(n=40)
+    arch = LAYOUTS[layout]
+    base = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
+    cfgs = [dataclasses.replace(base, init_stddev=s) for s in (0.05, 0.3, 1.0)]
+    together = train_lockstep(arch, data, kind, cfgs)
+    assert len(together) == len(cfgs)
+    for cfg, got in zip(cfgs, together):
+        alone = train(arch, data, kind, cfg)
+        assert np.array_equal(got.values, alone.values)
+    assert not np.array_equal(together[0].values, together[1].values)
+
+
+def test_lockstep_rejects_configs_differing_beyond_init_stddev():
+    data = separable_data(n=16)
+    cfg = TrainConfig(epochs=1, batch_size=8)
+    with pytest.raises(ValueError):
+        train_lockstep(MlpArchitecture(4, 2), data, NLL,
+                       [cfg, dataclasses.replace(cfg, learning_rate=0.02)])
+
+
+# init_stddev -> where training that config alone diverges (None: it does
+# not), with learning rate 1e200 on a one-hidden-layer net.
+_DIVERGES = {1e100: None, 0.1: (0, 1), 1e300: (0, 0)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stddevs,expected", [
+    ((1e100, 1e300), (0, 0)),  # the second config diverges at batch 0
+    ((1e300, 1e100), (0, 0)),  # the first does
+    ((0.1, 1e300), (0, 1)),    # the second diverges sooner, the first wins
+])
+def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
+    data = separable_data(n=32)
+    arch = MlpArchitecture(4, 2, (5,), bias=True)
+    base = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
+    cfgs = [dataclasses.replace(base, init_stddev=s) for s in stddevs]
+    for cfg in cfgs:  # one after another, as before lockstep training
+        try:
+            train(arch, data, NLL, cfg)
+            where = None
+        except TrainingDiverged as exc:
+            where = (exc.epoch, exc.batch)
+        assert where == _DIVERGES[cfg.init_stddev]
+    with pytest.raises(TrainingDiverged) as exc:
+        train_lockstep(arch, data, NLL, cfgs)
+    assert (exc.value.epoch, exc.value.batch) == expected
+
+
 def test_evaluate_zero_weights_balanced_data():
     data = separable_data(n=100)  # 100 per class, balanced
     arch = MlpArchitecture(4, 2)
@@ -86,6 +152,20 @@ def test_evaluate_perfect_margin_fixture():
     p = ParamVector(w.ravel(), arch)
     _, acc = evaluate(p, data, NLL)
     assert acc == 1.0
+
+
+def test_evaluate_single_example_and_oracle():
+    single = LabeledDataset(np.array([[0.2, -0.4, 1.0, 0.3]]), np.array([2]), 2)
+    arch = MlpArchitecture(single.dim, single.class_count)
+    rng = np.random.default_rng(0)
+    p = ParamVector(rng.normal(0, 1, arch.param_count()), arch)
+    only = loss(p, single.inputs[0], int(single.labels[0]), NLL)
+    assert evaluate(p, single, NLL)[0] == pytest.approx(only, rel=1e-15)
+
+    data = separable_data(n=32)
+    total = math.fsum(loss(p, data.inputs[i], int(data.labels[i]), NLL)
+                      for i in range(data.m))
+    assert evaluate(p, data, NLL)[0] == pytest.approx(total / data.m, rel=1e-12)
 
 
 def test_evaluate_matches_loop_oracle():
