@@ -17,12 +17,13 @@ identity-checks      exact MGF factorization, cumulant reconstruction, and
 
 Every experiment but identity-checks is one depth x variance loop: each
 depth builds one weight family per grid point (the priors, or for
-train-report the posteriors around the SGD-trained weights, all of the
-depth's variances trained in lockstep by ``training.train_lockstep``).
-One ``bounds.draw_stats`` call per depth computes the per-draw losses and squared input-gradient norms of
-all that depth's families, sharing each draw's standard normals between
-them, and each grid point's matrices go to the experiment's row builder,
-which applies the estimator reductions the experiment reports.
+train-report the posteriors around the SGD-trained weights, the depth's
+variances trained in lockstep by ``training.train_lockstep``).  One
+``bounds.draw_stats`` call per depth computes the per-draw losses and
+squared input-gradient norms of all that depth's families, sharing each
+draw's standard normals between them, and each grid point's matrices go
+to the experiment's row builder, which applies the estimator reductions
+the experiment reports.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
@@ -201,9 +202,9 @@ def _trained_posteriors(spec, arch, train_set, heldout):
     center each posterior on its result."""
     sigmas = [math.sqrt(v) for v in spec.variance_grid]
     cfgs = [dataclasses.replace(spec.train, init_stddev=s) for s in sigmas]
+    trained = train_lockstep(arch, train_set, spec.loss_kind, cfgs)
     points = []
-    for variance, sigma_p, weights in zip(spec.variance_grid, sigmas,
-                                          train_lockstep(arch, train_set, spec.loss_kind, cfgs)):
+    for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
         train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
         test_loss, test_acc = evaluate(weights, heldout, spec.loss_kind)
         posterior = posterior_family(weights, spec.sigma_q)

@@ -22,10 +22,9 @@ functions pass one vector.  :func:`batch_losses` and
 :func:`loss_and_sq_grad_norms` also take a draw's (n, fan_out) slice of
 a block as ``z1`` and continue the pass from it, so a chunk of weight
 draws shares one first-layer GEMM while each draw keeps its own pass.
-A stack's row can differ from
-the one-vector pass in its last bits, because the BLAS may block the
-wider first-layer GEMM differently; on the desk shapes with OpenBLAS on
-x86-64 they agree bit for bit.
+A stack's row can differ from the one-vector pass in its last bits,
+because the BLAS may block the wider first-layer GEMM differently; on
+the desk shapes with OpenBLAS on x86-64 they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -283,13 +282,12 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
     """One forward+backward pass down to the first layer's pre-activation.
 
     ``weights`` is one flat vector (P,) or a stack (F, P).  Returns
-    (per-example losses, first-layer weights W1, the loss gradient g1 at
-    W1's output, (n, fan_out), and with ``want_params`` the flat gradient
-    of the mean batch loss, (P,), else None); each but the gradient's
-    last axis carries the stack's leading axis.  The input gradient is
-    g1 @ W1; callers form it only when they need it.  A stack's
-    first-layer weight gradient is one [g1_1 ... g1_F]^T @ x GEMM.  ``z1``
-    as in :func:`_forward_cached`.
+    (per-example losses (n,), first-layer weights W1 (fan_out, d), the
+    loss gradient g1 at W1's output (n, fan_out), and with ``want_params``
+    the flat gradient of the mean batch loss (P,), else None); a stack
+    adds its leading axis F to each.  The input gradient is g1 @ W1;
+    callers form it only when they need it.  ``z1`` as in
+    :func:`_forward_cached`.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = _layers(layout, weights)
@@ -305,8 +303,9 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
         if want_params:
             gw, gb = grad_layers[i]
             if i == 0:
-                # (n, F * fan_out) with member f's columns at f*fan_out..;
-                # a view of g1 for one vector.
+                # [g1_1 ... g1_F] as (n, F * fan_out), so the stack's
+                # first-layer weight gradients are one GEMM (g1 itself
+                # for one vector).
                 g_cols = np.moveaxis(g, -2, 0).reshape(n, -1)
                 gw[...] = (g_cols.T @ x_batch / n).reshape(gw.shape)
             else:

@@ -88,8 +88,8 @@ def train_lockstep(arch: MlpArchitecture, data: LabeledDataset, kind: str,
         raise ValueError("lockstep training needs configs that differ only in init_stddev")
     inits = next(shared_draws([prior_family(arch, c.init_stddev) for c in cfgs],
                               cfg.seed, 1))
-    # The loop owns these rows and updates them in place; the one
-    # finiteness scan per step keeps every row a valid weight vector.
+    # The loop owns these rows and updates weights and momenta in place;
+    # the one finiteness scan per step keeps every row a valid weight vector.
     w = np.stack([p.values for p in inits])
     u = np.zeros_like(w)
     diverged = None
@@ -102,7 +102,8 @@ def train_lockstep(arch: MlpArchitecture, data: LabeledDataset, kind: str,
             losses, grad = loss_and_param_grads(arch, w, data.inputs[idx],
                                                 data.labels[idx], kind)
             batch_loss = losses.mean(axis=1)
-            u = cfg.momentum * u - cfg.learning_rate * grad
+            u *= cfg.momentum
+            u -= cfg.learning_rate * grad
             w += u
             bad = ~(np.isfinite(batch_loss) & np.isfinite(w).all(axis=1))
             if bad.any():

@@ -15,7 +15,6 @@ from gradbound.nets import (
     batch_losses,
     first_layer_block,
     lipschitz_bound,
-    loss,
     loss_and_sq_grad_norms,
 )
 from gradbound.numerics import logmeanexp
