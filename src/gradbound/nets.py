@@ -12,19 +12,25 @@ Weight stacks
 -------------
 The forward/backward kernel (``_forward_cached``, ``_backward``) takes
 flat weights of shape (P,) or a stack (F, P) of one layout, and every
-array past the input then carries the stack's leading axis.  The first
-layer of a stack is one GEMM: :func:`first_layer_block` computes
-``x @ [W1_1; W1_2; ...]^T`` once and adds every vector's first-layer
-bias in place; deeper layers run as batched matmuls over (F, n, h), and
-the first-layer weight gradient is one ``[g1_1 ... g1_F]^T @ x`` GEMM.
-SGD passes a stack (:func:`loss_and_param_grads`); the ParamVector
-functions pass one vector.  :func:`batch_losses` and
-:func:`loss_and_sq_grad_norms` also take a draw's (n, fan_out) slice of
-a block as ``z1`` and continue the pass from it, so a chunk of weight
-draws shares one first-layer GEMM while each draw keeps its own pass.
-A stack's row can differ from the one-vector pass in its last bits,
-because the BLAS may block the wider first-layer GEMM differently; on
-the desk shapes with OpenBLAS on x86-64 they agree bit for bit.
+array past the input then carries the stack's leading axis.  A stack's
+layers run as batched matmuls over (F, n, h), one BLAS product per row
+with the shapes of the one-vector pass, and its first-layer weight
+gradient is one ``[g1_1 ... g1_F]^T @ x`` GEMM; with OpenBLAS on x86-64
+each row gets the bits of its one-vector pass.  SGD passes a stack
+(:func:`loss_and_param_grads`); the ParamVector functions pass one
+vector.
+
+First-layer block
+-----------------
+Many weight draws of one layout on one input batch can share the
+batch's first GEMM: :func:`first_layer_block` computes
+``x @ [W1_1; W1_2; ...]^T`` once for a stack, adds every draw's
+first-layer bias in place, and hands back one (n, fan_out) slice per
+draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take
+such a slice as ``z1`` and continue the pass from it.  A column of the
+block can differ from the per-draw product in its last bits, because the
+BLAS may block the wider GEMM differently; on the desk shapes with
+OpenBLAS on x86-64 they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -166,19 +172,18 @@ def first_layer_block(layout: MlpArchitecture, weights: np.ndarray,
                       x_batch: np.ndarray) -> np.ndarray:
     """First-layer pre-activations of a stack of weight vectors from one GEMM.
 
-    ``weights`` is one flat vector (P,) or a stack (F, P) of ``layout``.
-    Computes x @ [W1_1; W1_2; ...]^T as one (n, F * fan_out) block, adds
-    each vector's first-layer bias into its columns in place, and returns
-    the block as an (F, n, fan_out) view, or (n, fan_out) for one vector.
+    ``weights`` is a stack (F, P) of flat vectors of ``layout``.  Computes
+    x @ [W1_1; W1_2; ...]^T as one (n, F * fan_out) block, adds each
+    vector's first-layer bias into its columns in place, and returns the
+    block as an (F, n, fan_out) view.
     """
     w1, b1 = _layers(layout, weights)[0]
-    fan_out, fan_in = w1.shape[-2:]
-    # One vector multiplies its own W1 view; a stack is copied into one matrix.
-    block = x_batch @ w1.reshape(-1, fan_in).T
-    z1 = block.reshape(block.shape[0], *w1.shape[:-2], fan_out)
+    count, fan_out, fan_in = w1.shape
+    block = x_batch @ w1.reshape(count * fan_out, fan_in).T
+    z1 = block.reshape(block.shape[0], count, fan_out)
     if b1 is not None:
         z1 += b1
-    return np.moveaxis(z1, 0, -2)
+    return z1.transpose(1, 0, 2)
 
 
 def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.ndarray,
@@ -188,22 +193,24 @@ def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.nd
 
     Returns (activations entering each layer, pre-activations per layer,
     logits); past the input, each carries the stack's leading axis.  ReLU
-    is applied after every layer except the last, and a stack's deeper
-    layers run as one batched matmul over (F, n, h).  ``z1`` is the first
-    layer's pre-activation from :func:`first_layer_block` (computed here
-    when omitted); it is read, never written.
+    is applied after every layer except the last, and a stack's layers
+    run as batched matmuls over (F, n, h), so each row gets the bits of
+    its one-vector pass.  ``z1`` is the first layer's pre-activation,
+    e.g. from :func:`first_layer_block` (computed here when omitted); it
+    is read, never written.
     """
-    layers = _layers(layout, weights)
-    if z1 is None:
-        z1 = first_layer_block(layout, weights, x_batch)
-    acts = [x_batch]
-    pres = [z1]
-    for w, b in layers[1:]:
-        a = np.maximum(pres[-1], 0.0)
+    acts, pres = [], []
+    a = x_batch
+    for i, (w, b) in enumerate(_layers(layout, weights)):
+        if i:
+            a = np.maximum(pres[-1], 0.0)
         acts.append(a)
-        z = a @ np.swapaxes(w, -1, -2)
-        if b is not None:
-            z += b[..., None, :]
+        if i == 0 and z1 is not None:
+            z = z1
+        else:
+            z = a @ np.swapaxes(w, -1, -2)
+            if b is not None:
+                z += b[..., None, :]
         pres.append(z)
     return acts, pres, pres[-1]
 

@@ -15,11 +15,10 @@ weights are one stream of standard normals scaled by each
 their weights and momenta are the rows of (F, P) arrays, and each step is
 one stacked forward+backward pass
 (:func:`gradbound.nets.loss_and_param_grads`) on one gathered batch,
-followed by the same elementwise update and per-row finiteness checks.
-Each row gets the bits that training its config alone gives wherever the
-BLAS gives each column of the stacked first-layer GEMM the bits of the
-per-config product, as OpenBLAS does on x86-64 for the desk layouts;
-:func:`train` is lockstep training of one config.
+followed by the same elementwise update and per-row finiteness checks,
+so each row gets the bits that training its config alone gives (with
+OpenBLAS on x86-64; see :mod:`gradbound.nets`).  :func:`train` is
+lockstep training of one config.
 """
 
 from __future__ import annotations

@@ -339,20 +339,28 @@ def test_sq_grad_norms_match_formed_gradients(name, kind):
     assert np.all(loss_and_sq_grad_norms(zero, x, y, kind)[1] == 0.0)
 
 
-@pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
-@pytest.mark.parametrize("name", SQ_NORM_ARCHS)
-def test_stacked_pass_matches_one_vector_passes(name, kind):
-    from gradbound.nets import _backward
+# plus a width where one wide first-layer GEMM over the stack rounds some
+# columns differently from the per-vector product
+STACK_ARCHS = {**SQ_NORM_ARCHS, "mlp-wide": MlpArchitecture(4, 2, (78,), bias=True)}
 
-    arch = SQ_NORM_ARCHS[name]
+
+@pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
+@pytest.mark.parametrize("name", STACK_ARCHS)
+def test_stacked_pass_matches_one_vector_passes(name, kind):
+    from gradbound.nets import _backward, _forward_cached
+
+    arch = STACK_ARCHS[name]
     rng = np.random.default_rng(len(name) * 5 + (kind == NLL))
     x = rng.normal(size=(40, arch.input_dim))
     y = rng.integers(1, arch.class_count + 1, size=40)
     stack = np.stack([random_params(arch, rng, s).values for s in (0.1, 0.5, 2.0)])
     losses, grads = loss_and_param_grads(arch, stack, x, y, kind)
     stacked = _backward(arch, stack, x, y, kind, True)
+    stacked_pres = _forward_cached(arch, stack, x)[1]
     assert losses.shape == (3, 40) and grads.shape == stack.shape
     for f, values in enumerate(stack):
+        for got, want in zip(stacked_pres, _forward_cached(arch, values, x)[1]):
+            assert np.array_equal(got[f], want)
         p = ParamVector(values, arch)
         one_loss, one_grad = loss_and_grad(p, x, y, kind, want_params=True)
         assert np.array_equal(losses[f], one_loss)
