@@ -170,15 +170,13 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
     shape = (cfg.n_weight_samples, data.m)
     losses = [np.empty(shape) for _ in families]
     sq_norms = [np.empty(shape) if grads else None for _ in families]
-    layout = families[0].layout
-    fan_out = layout.layer_dims()[0][1]
+    fan_out = families[0].layout.layer_dims()[0][1]
     per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
     pairs = ((i, j, w)
              for i, draw in enumerate(shared_draws(families, cfg.seed, cfg.n_weight_samples))
              for j, w in enumerate(draw))
     while chunk := list(itertools.islice(pairs, per_chunk)):
-        z1s = first_layer_block(layout, np.stack([w.values for _, _, w in chunk]),
-                                data.inputs)
+        z1s = first_layer_block([w for _, _, w in chunk], data.inputs)
         for (i, j, w), z1 in zip(chunk, z1s):
             if grads:
                 losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(

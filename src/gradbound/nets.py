@@ -24,9 +24,8 @@ First-layer block
 -----------------
 Many weight draws of one layout on one input batch can share the
 batch's first GEMM: :func:`first_layer_block` computes
-``x @ [W1_1; W1_2; ...]^T`` once for a stack, adds every draw's
-first-layer bias in place, and hands back one (n, fan_out) slice per
-draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take
+``x @ [W1_1; W1_2; ...]^T`` once, adds every draw's first-layer bias in
+place, and hands back one (n, fan_out) column slice per draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take
 such a slice as ``z1`` and continue the pass from it.  A column of the
 block can differ from the per-draw product in its last bits, because the
 BLAS may block the wider GEMM differently; on the desk shapes with
@@ -168,22 +167,24 @@ def _check_label(arch: MlpArchitecture, y: int) -> int:
     return y
 
 
-def first_layer_block(layout: MlpArchitecture, weights: np.ndarray,
-                      x_batch: np.ndarray) -> np.ndarray:
-    """First-layer pre-activations of a stack of weight vectors from one GEMM.
+def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> list[np.ndarray]:
+    """First-layer pre-activations of several draws from one GEMM.
 
-    ``weights`` is a stack (F, P) of flat vectors of ``layout``.  Computes
-    x @ [W1_1; W1_2; ...]^T as one (n, F * fan_out) block, adds each
-    vector's first-layer bias into its columns in place, and returns the
-    block as an (F, n, fan_out) view.
+    ``params_list`` shares one layout.  Computes x @ [W1_1; W1_2; ...]^T
+    as one (n, len(params_list) * fan_out) block, adds each draw's
+    first-layer bias into its columns in place, and returns the per-draw
+    (n, fan_out) column views, in order.
     """
-    w1, b1 = _layers(layout, weights)[0]
-    count, fan_out, fan_in = w1.shape
-    block = x_batch @ w1.reshape(count * fan_out, fan_in).T
-    z1 = block.reshape(block.shape[0], count, fan_out)
-    if b1 is not None:
-        z1 += b1
-    return z1.transpose(1, 0, 2)
+    firsts = [unpack_layers(p)[0] for p in params_list]
+    # One draw multiplies its own W1 view without a copy.
+    w1 = firsts[0][0] if len(firsts) == 1 else np.concatenate([w for w, _ in firsts])
+    block = x_batch @ w1.T
+    fan_out = firsts[0][0].shape[0]
+    views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
+    for z1, (_, b) in zip(views, firsts):
+        if b is not None:
+            z1 += b
+    return views
 
 
 def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.ndarray,
@@ -195,9 +196,9 @@ def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.nd
     logits); past the input, each carries the stack's leading axis.  ReLU
     is applied after every layer except the last, and a stack's layers
     run as batched matmuls over (F, n, h), so each row gets the bits of
-    its one-vector pass.  ``z1`` is the first layer's pre-activation,
-    e.g. from :func:`first_layer_block` (computed here when omitted); it
-    is read, never written.
+    its one-vector pass.  ``z1`` is the first layer's pre-activation
+    from :func:`first_layer_block` (computed here when omitted); it is
+    read, never written.
     """
     acts, pres = [], []
     a = x_batch

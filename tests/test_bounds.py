@@ -154,10 +154,10 @@ def test_draw_stats_chunks_stay_within_budget(monkeypatch):
     pair_bytes = 8 * data.m * 6
     chunks = []
 
-    def recording(layout, weights, x):
-        z1s = first_layer_block(layout, weights, x)
-        chunks.append((len(weights), z1s.base.nbytes))
-        return z1s
+    def recording(params_list, x):
+        views = first_layer_block(params_list, x)
+        chunks.append((len(params_list), views[0].base.nbytes))
+        return views
 
     monkeypatch.setattr(bd, "first_layer_block", recording)
     for budget, sizes in [(3 * pair_bytes + 100, [3] * 8), (pair_bytes - 1, [1] * 24)]:
