@@ -22,14 +22,16 @@ vector.
 
 First-layer block
 -----------------
-Many weight draws of one layout on one input batch can share the
-batch's first GEMM: :func:`first_layer_block` computes
-``x @ [W1_1; W1_2; ...]^T`` once, adds every draw's first-layer bias in
-place, and hands back one (n, fan_out) column slice per draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take
-such a slice as ``z1`` and continue the pass from it.  A column of the
-block can differ from the per-draw product in its last bits, because the
-BLAS may block the wider GEMM differently; on the desk shapes with
-OpenBLAS on x86-64 they agree bit for bit.
+Many weight draws of one layout on one input batch share the batch's
+first GEMM: :func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T``
+once, adds every draw's first-layer bias in place, and hands back one
+(n, fan_out) column slice per draw.  :func:`batch_losses` and
+:func:`loss_and_sq_grad_norms` take such a slice as ``z1`` and continue
+the pass from it; without ``z1`` the kernel computes the same slice for
+their one draw, so there is one forward/backward kernel either way.  A
+column of the block can differ from the per-draw product in its last
+bits, because the BLAS may block the wider GEMM differently; on the
+desk shapes with OpenBLAS on x86-64 they agree bit for bit.
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
     arch = MlpArchitecture(4, 2, (5,), bias=True)
     base = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
     cfgs = [dataclasses.replace(base, init_stddev=s) for s in stddevs]
-    for cfg in cfgs:  # one after another, as before lockstep training
+    for cfg in cfgs:  # each config trained alone
         try:
             train(arch, data, NLL, cfg)
             where = None
