@@ -47,6 +47,7 @@ OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
 
 # Byte budget of one draw_stats chunk's stacked first-layer pre-activations.
 FIRST_LAYER_BLOCK_BYTES = 4 << 20
+HERBST_NODES = 10_001  # quadrature nodes of herbst_identity_check
 
 
 @dataclass(frozen=True)
@@ -358,13 +359,12 @@ def mgf_decomposition_check(losses, lam: float, m: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def herbst_identity_check(losses, lam: float, m: int,
-                          n_nodes: int = 10_001) -> tuple[float, float]:
+def herbst_identity_check(losses, lam: float, m: int) -> tuple[float, float]:
     """Reconstruct M(lam/m) from the cumulant derivative on a finite support.
 
     lhs is the exact MGF mean(exp(-(lam/m) loss)).  rhs integrates
     K'(alpha) = (alpha M'(alpha) - M log M) / (alpha^2 M) by dense
-    trapezoid quadrature from K(0) = -mean(loss):
+    trapezoid quadrature on ``HERBST_NODES`` nodes from K(0) = -mean(loss):
 
         rhs = exp(-(lam/m) L_D + (lam/m) * integral of K' over [0, lam/m]).
 
@@ -373,19 +373,17 @@ def herbst_identity_check(losses, lam: float, m: int,
     losses = np.asarray(losses, dtype=np.float64).ravel()
     if losses.size < 1 or m < 1:
         raise ValueError("need a nonempty support and m >= 1")
-    if n_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
     upper = lam / m
     l_d = float(losses.mean())
     lhs = float(np.mean(np.exp(-upper * losses)))
     if upper == 0.0:
         return lhs, 1.0
 
-    nodes = np.linspace(0.0, upper, n_nodes)
+    nodes = np.linspace(0.0, upper, HERBST_NODES)
     e = np.exp(-nodes[1:, None] * losses[None, :])
     m_a = e.mean(axis=1)
     mprime_a = (-losses[None, :] * e).mean(axis=1)
-    kprime = np.empty(n_nodes)
+    kprime = np.empty(HERBST_NODES)
     kprime[0] = float(losses.var()) / 2.0
     kprime[1:] = (nodes[1:] * mprime_a - m_a * np.log(m_a)) / (nodes[1:] ** 2 * m_a)
     integral = float(trapezoid_weights(nodes) @ kprime)

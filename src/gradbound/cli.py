@@ -130,7 +130,7 @@ def arch_for_depth(depth: int, input_dim: int, class_count: int,
     if depth == 1:
         return MlpArchitecture(input_dim, class_count)
     widths = equal_param_hidden_widths(depth, input_dim, class_count, target_params)
-    return MlpArchitecture(input_dim, class_count, widths, bias=True)
+    return MlpArchitecture(input_dim, class_count, widths)
 
 
 def parse_synthetic_spec(text: str) -> dict:

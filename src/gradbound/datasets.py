@@ -168,6 +168,27 @@ def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
+def _stratified_pick(data: LabeledDataset, seed: int, stream: int, allocate
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (picked, rest) row indices: each class, in label order,
+    shuffles its rows on one Philox stream of ``seed`` and picks its share
+    of ``allocate(counts)``, the counts being those of the classes present."""
+    rng = stream_rng(seed, RESERVED_STREAM_BASE + stream)
+    counts = np.bincount(data.labels, minlength=data.class_count + 1)[1:].astype(np.float64)
+    present = counts > 0
+    alloc = np.zeros(data.class_count, dtype=np.int64)
+    alloc[present] = allocate(counts[present])
+    picked, rest = [], []
+    for y, n_y in enumerate(alloc, start=1):
+        idx = np.flatnonzero(data.labels == y)
+        if idx.size == 0:
+            continue
+        idx = idx[rng.permutation(idx.size)]
+        picked.append(idx[:n_y])
+        rest.append(idx[n_y:])
+    return np.sort(np.concatenate(picked)), np.sort(np.concatenate(rest))
+
+
 def split(data: LabeledDataset, train_fraction: float, seed: int
           ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified, seed-deterministic partition into (train, heldout).
@@ -176,24 +197,10 @@ def split(data: LabeledDataset, train_fraction: float, seed: int
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    rng = stream_rng(seed, RESERVED_STREAM_BASE + 0x5F)
-    classes = np.arange(1, data.class_count + 1)
-    counts = np.array([(data.labels == y).sum() for y in classes], dtype=np.float64)
     n_train_total = int(round(train_fraction * data.m))
-    present = counts > 0
-    alloc = np.zeros(len(classes), dtype=np.int64)
-    alloc[present] = _largest_remainder(train_fraction * counts[present], n_train_total)
-
-    train_idx, held_idx = [], []
-    for y, n_train in zip(classes, alloc):
-        idx = np.flatnonzero(data.labels == y)
-        if idx.size == 0:
-            continue
-        idx = idx[rng.permutation(idx.size)]
-        train_idx.append(idx[:n_train])
-        held_idx.append(idx[n_train:])
-    train_idx = np.sort(np.concatenate(train_idx))
-    held_idx = np.sort(np.concatenate(held_idx))
+    train_idx, held_idx = _stratified_pick(
+        data, seed, 0x5F,
+        lambda counts: _largest_remainder(train_fraction * counts, n_train_total))
     if train_idx.size == 0 or held_idx.size == 0:
         raise ValueError("split would leave one side empty")
 
@@ -211,20 +218,8 @@ def stratified_sample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset
         raise ValueError(f"subset size must lie in 1..{data.m}")
     if n == data.m:
         return data
-    rng = stream_rng(seed, RESERVED_STREAM_BASE + 0x5E)
-    classes = np.arange(1, data.class_count + 1)
-    counts = np.array([(data.labels == y).sum() for y in classes], dtype=np.float64)
-    present = counts > 0
-    alloc = np.zeros(len(classes), dtype=np.int64)
-    alloc[present] = _largest_remainder(n * counts[present] / data.m, n)
-    keep = []
-    for y, n_y in zip(classes, alloc):
-        idx = np.flatnonzero(data.labels == y)
-        if idx.size == 0:
-            continue
-        idx = idx[rng.permutation(idx.size)]
-        keep.append(idx[:n_y])
-    keep = np.sort(np.concatenate(keep))
+    keep, _ = _stratified_pick(
+        data, seed, 0x5E, lambda counts: _largest_remainder(n * counts / data.m, n))
     return LabeledDataset(
         data.inputs[keep], data.labels[keep], data.class_count, data.provenance,
         {**data.source, "subset": int(n), "subset_seed": int(seed)})

@@ -12,10 +12,6 @@ a smaller build is a prefix of a larger one.  The result goes through the
 ordinary IDX writer/parser, so the whole pipeline is exercised exactly as it
 would be on the real files.
 
-``load_desk_dataset`` reuses files already present in its cache directory;
-files written by an older version of this module (which built the surrogate
-differently) must be deleted so they are rebuilt.
-
 Anything that accepts IDX paths also accepts real MNIST; this module only
 covers the no-download case.
 """
@@ -26,7 +22,7 @@ import os
 
 import numpy as np
 
-from .datasets import LabeledDataset, load_idx, write_idx
+from .datasets import write_idx
 from .gaussians import RESERVED_STREAM_BASE, standard_normal
 
 DESK_TOTAL = 5120  # 4096 train + 1024 held out after an 0.8 split
@@ -146,12 +142,3 @@ def build_desk_idx(out_dir, n_total: int = DESK_TOTAL, seed: int = 20260809):
     write_idx(images_path, labels_path, images, raw_labels)
     return images_path, labels_path
 
-
-def load_desk_dataset(cache_dir, n_total: int = DESK_TOTAL,
-                      seed: int = 20260809) -> LabeledDataset:
-    """Build the surrogate files if absent under ``cache_dir`` and load them."""
-    images_path = os.path.join(cache_dir, "desk-images-idx3-ubyte")
-    labels_path = os.path.join(cache_dir, "desk-labels-idx1-ubyte")
-    if not (os.path.exists(images_path) and os.path.exists(labels_path)):
-        build_desk_idx(cache_dir, n_total=n_total, seed=seed)
-    return load_idx(images_path, labels_path)

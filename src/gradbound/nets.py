@@ -53,14 +53,11 @@ class MlpArchitecture:
     """Layer shape of a dense feed-forward classifier.
 
     An empty ``hidden_widths`` means a plain linear model W in R^{k x d}.
-    ``bias=None`` resolves to the convention: no bias for the linear model
-    (parameter count exactly k*d), biases on for proper MLPs.
     """
 
     input_dim: int
     class_count: int
     hidden_widths: tuple[int, ...] = ()
-    bias: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -68,8 +65,11 @@ class MlpArchitecture:
             raise ValueError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be positive")
-        if self.bias is None:
-            object.__setattr__(self, "bias", bool(self.hidden_widths))
+
+    @property
+    def bias(self) -> bool:
+        """No bias on the linear model (exactly k*d parameters), biases on an MLP."""
+        return bool(self.hidden_widths)
 
     @property
     def is_linear(self) -> bool:
@@ -127,13 +127,8 @@ def _layers(layout: MlpArchitecture, weights: np.ndarray):
     return out
 
 
-def unpack_layers(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Views (W, b) per layer; W has shape (fan_out, fan_in)."""
-    return _layers(params.layout, params.values)
-
-
 def equal_param_hidden_widths(depth: int, input_dim: int, class_count: int,
-                              target_params: int, bias: bool = True) -> tuple[int, ...]:
+                              target_params: int) -> tuple[int, ...]:
     """Uniform hidden width giving roughly ``target_params`` parameters.
 
     ``depth`` counts weight matrices, so depth d uses d-1 hidden layers.
@@ -144,7 +139,7 @@ def equal_param_hidden_widths(depth: int, input_dim: int, class_count: int,
         raise ValueError("equal-parameter widths only apply to depth >= 2")
 
     def count(h: int) -> int:
-        arch = MlpArchitecture(input_dim, class_count, (h,) * (depth - 1), bias=bias)
+        arch = MlpArchitecture(input_dim, class_count, (h,) * (depth - 1))
         return arch.param_count()
 
     h = 1
@@ -177,7 +172,7 @@ def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> li
     first-layer bias into its columns in place, and returns the per-draw
     (n, fan_out) column views, in order.
     """
-    firsts = [unpack_layers(p)[0] for p in params_list]
+    firsts = [_layers(p.layout, p.values)[0] for p in params_list]
     # One draw multiplies its own W1 view without a copy.
     w1 = firsts[0][0] if len(firsts) == 1 else np.concatenate([w for w, _ in firsts])
     block = x_batch @ w1.T
@@ -328,28 +323,14 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
         g = (g @ w) * (pres[i - 1] > 0.0)
 
 
-def loss_and_grad(params: ParamVector, x_batch, y_batch, kind: str,
-                  want_params: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example losses and one gradient, from one forward+backward pass.
-
-    The gradient is the per-example input gradient, (n, d), or with
-    ``want_params`` the gradient of the mean batch loss with respect to the
-    flat weights (the input gradient is then not formed).
-    """
-    losses, w1, g, grads = _backward(params.layout, params.values, x_batch, y_batch,
-                                     kind, want_params)
-    if want_params:
-        return losses, grads
-    return losses, g @ w1
-
-
 def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
                          kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (F, n) and mean-batch-loss gradients (F, P) of a weight stack.
+    """Per-example losses and the gradient of the mean batch loss with
+    respect to the flat weights, from one forward+backward pass.
 
-    ``weights`` is an (F, P) stack of flat vectors of ``layout``; one
-    stacked forward+backward pass serves them all.  Row f is what
-    :func:`loss_and_grad` with ``want_params`` gives for ``weights[f]``.
+    ``weights`` is one flat vector (P,) of ``layout``, giving (n,) and
+    (P,), or a stack (F, P), giving (F, n) and (F, P) from one stacked
+    pass whose row f is the one-vector result for ``weights[f]``.
     """
     losses, _, _, grads = _backward(layout, weights, x_batch, y_batch, kind, True)
     return losses, grads
@@ -375,12 +356,13 @@ def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch, kind: str,
 
 def batch_input_grads(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
     """Per-example gradient of the loss with respect to the input, (n, d)."""
-    return loss_and_grad(params, x_batch, y_batch, kind)[1]
+    _, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, kind, False)
+    return g @ w1
 
 
 def batch_param_grad(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat weights."""
-    return loss_and_grad(params, x_batch, y_batch, kind, want_params=True)[1]
+    return loss_and_param_grads(params.layout, params.values, x_batch, y_batch, kind)[1]
 
 
 def grad_input(params: ParamVector, x, y: int, kind: str) -> np.ndarray:

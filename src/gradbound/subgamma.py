@@ -15,8 +15,8 @@ import numpy as np
 
 from .numerics import trapezoid_weights
 
-DEFAULT_C_CANDIDATES = 50
-DEFAULT_C_MIN = 1e-8
+C_CANDIDATES = 50
+C_MIN = 1e-8
 # Multiplicative pad on the fitted v so the envelope weakly dominates the
 # binding grid point under floating-point rounding.
 _V_PAD = 1.0 + 1e-12
@@ -33,13 +33,18 @@ class SubGammaFit:
     residual: float
 
 
+def _envelope(v, c, lam):
+    """lambda^2 v / (2 (1 - lambda c)), elementwise over arrays; unchecked."""
+    return lam**2 * v / (2.0 * (1.0 - lam * c))
+
+
 def envelope(v: float, c: float, lam: float) -> float:
     """lambda^2 v / (2 (1 - lambda c)); defined for 0 < lambda < 1/c."""
     if c <= 0 or v < 0:
         raise ValueError("v must be nonnegative and c positive")
     if not 0.0 < lam < 1.0 / c:
         raise ValueError(f"lambda must lie in (0, {1.0 / c}); got {lam}")
-    return lam**2 * v / (2.0 * (1.0 - lam * c))
+    return _envelope(v, c, lam)
 
 
 def _validated_grid(grid) -> tuple[np.ndarray, np.ndarray]:
@@ -55,24 +60,23 @@ def _validated_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     return lams, cs
 
 
-def fit(grid, n_candidates: int = DEFAULT_C_CANDIDATES,
-        c_min: float = DEFAULT_C_MIN, c_max: float | None = None) -> SubGammaFit:
+def fit(grid, c_max: float | None = None) -> SubGammaFit:
     """Dominating (v, c) with minimal envelope area over the grid's range.
 
-    For each c on a log-spaced candidate grid over [c_min, 1/max(lambda))
-    (the upper endpoint excluded so every grid point stays inside the
-    validity interval; ``c_max`` caps it further, e.g. to certify a fit
-    with a prescribed scale ceiling), the minimal dominating v is max over
-    points of 2 C (1 - lambda c) / lambda^2, floored at zero.  Among
-    candidates the pair with the smallest integral of the envelope over
-    [min lambda, max lambda] wins.
+    For each c of ``C_CANDIDATES`` log-spaced candidates over
+    [``C_MIN``, 1/max(lambda)) (the upper endpoint excluded so every grid
+    point stays inside the validity interval; ``c_max`` caps it further,
+    e.g. to certify a fit with a prescribed scale ceiling), the minimal
+    dominating v is max over points of 2 C (1 - lambda c) / lambda^2,
+    floored at zero.  Among candidates the pair with the smallest integral
+    of the envelope over [min lambda, max lambda] wins.
     """
     lams, cs = _validated_grid(grid)
     lam_max = float(lams.max())
     upper = 1.0 / lam_max if c_max is None else min(c_max, 1.0 / lam_max)
-    if upper <= c_min:
+    if upper <= C_MIN:
         raise ValueError("c candidate range is empty")
-    candidates = np.geomspace(c_min, upper, n_candidates + 1)[:-1]
+    candidates = np.geomspace(C_MIN, upper, C_CANDIDATES + 1)[:-1]
 
     mesh = np.linspace(float(lams.min()), lam_max, 512)
     mesh_w = trapezoid_weights(mesh) if mesh[0] < mesh[-1] else np.zeros_like(mesh)
@@ -80,18 +84,18 @@ def fit(grid, n_candidates: int = DEFAULT_C_CANDIDATES,
     for c in candidates:
         v = float(np.max(2.0 * cs * (1.0 - lams * c) / lams**2))
         v = max(v, 0.0) * _V_PAD
-        area = float(mesh_w @ (mesh**2 * v / (2.0 * (1.0 - mesh * c))))
+        area = float(mesh_w @ _envelope(v, c, mesh))
         if best is None or area < best[0]:
             best = (area, v, float(c))
     _, v, c = best
 
-    env = lams**2 * v / (2.0 * (1.0 - lams * c))
+    env = _envelope(v, c, lams)
     # Near the subnormal range the quotients above lose their relative
     # precision (or flush to zero), which the pad cannot absorb: raise v
     # until the envelope dominates as computed.
     while np.any(cs > env):
         v = max(2.0 * v, _V_FLOOR)
-        env = lams**2 * v / (2.0 * (1.0 - lams * c))
+        env = _envelope(v, c, lams)
     residual = float(max(0.0, np.max(cs - env)))
     return SubGammaFit(v=v, c=c, lambda_max=1.0 / c, residual=residual)
 
@@ -101,6 +105,6 @@ def check(fitted: SubGammaFit, grid, tol: float = 1e-12) -> bool:
     lams, cs = _validated_grid(grid)
     if np.any(lams >= 1.0 / fitted.c):
         return False
-    env = lams**2 * fitted.v / (2.0 * (1.0 - lams * fitted.c))
+    env = _envelope(fitted.v, fitted.c, lams)
     return bool(np.all(cs <= env + tol))
 

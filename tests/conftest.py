@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from gradbound.datasets import split, synth_gaussian
-from gradbound.deskdata import load_desk_dataset
+from gradbound.datasets import load_idx, split, synth_gaussian
+from gradbound.deskdata import build_desk_idx
 
 
 @pytest.fixture(scope="session")
 def desk_data(tmp_path_factory):
     """Desk-scale 5120-example digit dataset, built once per session."""
-    return load_desk_dataset(tmp_path_factory.mktemp("deskidx"))
+    return load_idx(*build_desk_idx(tmp_path_factory.mktemp("deskidx")))
 
 
 @pytest.fixture(scope="session")

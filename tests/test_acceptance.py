@@ -222,7 +222,7 @@ def test_criterion_9_numerical_foundations():
     # gradient finite differences (both gradients, both model shapes)
     rng = np.random.default_rng(99)
     worst_fd = 0.0
-    for arch in (MlpArchitecture(6, 3), MlpArchitecture(6, 3, (5, 5), bias=True)):
+    for arch in (MlpArchitecture(6, 3), MlpArchitecture(6, 3, (5, 5))):
         for _ in range(20):
             while True:
                 p = ParamVector(rng.normal(0, 0.5, arch.param_count()), arch)

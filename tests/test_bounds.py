@@ -78,7 +78,7 @@ def test_log_mgf_monotone_in_alpha(losses, a1, a2):
 
 def test_log_mgf_monotone_on_model_draws():
     data = small_synth(n=64)
-    arch = MlpArchitecture(data.dim, data.class_count, (6,), bias=True)
+    arch = MlpArchitecture(data.dim, data.class_count, (6,))
     alphas = np.linspace(0.0, 1.0, 9)
     for w in sample(prior_family(arch, 0.3), 31, 8):
         losses = batch_losses(w, data.inputs, data.labels, NLL)
@@ -91,7 +91,7 @@ def test_log_mgf_monotone_on_model_draws():
 
 def test_draw_stats_matches_per_draw_passes():
     data = small_synth(n=24)
-    prior = prior_family(MlpArchitecture(data.dim, data.class_count, (5,), bias=True), 0.4)
+    prior = prior_family(MlpArchitecture(data.dim, data.class_count, (5,)), 0.4)
     losses, sq_norms = stats_of(prior, data)
     assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
     for i, w in enumerate(sample(prior, CFG.seed, CFG.n_weight_samples)):
@@ -107,7 +107,7 @@ def test_draw_stats_matches_per_draw_passes():
 
 def test_draw_stats_shares_draws_between_families():
     data = small_synth(n=24)
-    arch = MlpArchitecture(data.dim, data.class_count, (5,), bias=True)
+    arch = MlpArchitecture(data.dim, data.class_count, (5,))
     rng = np.random.default_rng(3)
     families = [prior_family(arch, 0.4), prior_family(arch, 0.05),
                 GaussianFamily(rng.normal(size=arch.param_count()), 0.2, arch)]
@@ -129,8 +129,8 @@ def test_draw_stats_is_prefix_stable():
 
 
 @pytest.mark.parametrize("arch", [
-    MlpArchitecture(12, 3, (5, 4), bias=True),  # narrowing first layer: Gram form
-    MlpArchitecture(4, 3, (9,), bias=True),  # widening first layer
+    MlpArchitecture(12, 3, (5, 4)),  # narrowing first layer: Gram form
+    MlpArchitecture(4, 3, (9,)),  # widening first layer
     MlpArchitecture(12, 3),  # linear, no bias
 ], ids=["narrowing", "widening", "linear"])
 def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
@@ -149,7 +149,7 @@ def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
 
 def test_draw_stats_chunks_stay_within_budget(monkeypatch):
     data = small_synth(n=24)
-    arch = MlpArchitecture(data.dim, data.class_count, (6,), bias=True)
+    arch = MlpArchitecture(data.dim, data.class_count, (6,))
     families = [prior_family(arch, s) for s in (0.1, 0.3, 0.5)]
     pair_bytes = 8 * data.m * 6
     chunks = []
@@ -314,7 +314,7 @@ def test_estimate_loss_bound_degenerate_prior(synth2):
 
 
 def test_estimate_loss_bound_monotone_in_sigma(synth2):
-    arch = MlpArchitecture(synth2.dim, synth2.class_count, (8,), bias=True)
+    arch = MlpArchitecture(synth2.dim, synth2.class_count, (8,))
     lo = bd.estimate_loss_bound(losses_of(prior_family(arch, 0.05), synth2),
                                 CFG.loss_bound_slack)
     hi = bd.estimate_loss_bound(losses_of(prior_family(arch, 0.5), synth2),
@@ -342,7 +342,7 @@ def test_gradnorm_bound_rejects_lambda_above_m(synth2):
 def test_integral_bound_dominated_by_expected_norm_bound(synth2):
     # shared weight draws: the alpha integral is at most e^b * lam / m
     cfg = bd.EstimatorConfig(n_weight_samples=16, alpha_quadrature_nodes=128, seed=3)
-    arch = MlpArchitecture(synth2.dim, synth2.class_count, (6,), bias=True)
+    arch = MlpArchitecture(synth2.dim, synth2.class_count, (6,))
     prior = prior_family(arch, 0.1)
     losses, sq_norms = stats_of(prior, synth2, cfg)
     b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)

@@ -10,6 +10,7 @@ from gradbound.nets import (
     NLL,
     MlpArchitecture,
     ParamVector,
+    _layers,
     batch_input_grads,
     batch_losses,
     equal_param_hidden_widths,
@@ -19,20 +20,18 @@ from gradbound.nets import (
     lipschitz_bound,
     logit_gradient,
     loss,
-    loss_and_grad,
     loss_and_param_grads,
     loss_and_sq_grad_norms,
-    unpack_layers,
 )
 
 RNG = np.random.default_rng(1234)
 
 ARCHS = [
     MlpArchitecture(6, 3),  # linear, no bias
-    MlpArchitecture(6, 3, (5,), bias=True),
-    MlpArchitecture(6, 3, (5, 5), bias=True),
-    MlpArchitecture(6, 3, (5, 5, 5), bias=True),
-    MlpArchitecture(6, 3, (5, 5, 5, 5), bias=True),
+    MlpArchitecture(6, 3, (5,)),
+    MlpArchitecture(6, 3, (5, 5)),
+    MlpArchitecture(6, 3, (5, 5, 5)),
+    MlpArchitecture(6, 3, (5, 5, 5, 5)),
 ]
 
 
@@ -46,7 +45,7 @@ def random_params(arch, rng, scale=0.5):
 def test_param_counts():
     assert MlpArchitecture(784, 10).param_count() == 7840  # linear: k*d, no bias
     assert MlpArchitecture(784, 10).bias is False
-    arch = MlpArchitecture(4, 3, (5,), bias=True)
+    arch = MlpArchitecture(4, 3, (5,))
     assert arch.param_count() == (4 + 1) * 5 + (5 + 1) * 3
     assert MlpArchitecture(4, 3, (5,)).bias is True  # MLP default
 
@@ -54,7 +53,7 @@ def test_param_counts():
 def test_equal_param_widths_land_near_target():
     for depth in (2, 3, 4, 5):
         widths = equal_param_hidden_widths(depth, 784, 10, 20_000)
-        arch = MlpArchitecture(784, 10, widths, bias=True)
+        arch = MlpArchitecture(784, 10, widths)
         assert abs(arch.param_count() - 20_000) < 2_000
         assert len(set(widths)) == 1 and len(widths) == depth - 1
 
@@ -66,7 +65,7 @@ def test_forward_identity_linear():
 
 
 def test_forward_zero_weights_two_layer():
-    arch = MlpArchitecture(3, 2, (4,), bias=True)
+    arch = MlpArchitecture(3, 2, (4,))
     p = ParamVector(np.zeros(arch.param_count()), arch)
     for _ in range(5):
         x = RNG.normal(size=3)
@@ -75,12 +74,12 @@ def test_forward_zero_weights_two_layer():
 
 def test_forward_matches_loop_oracle():
     """Layer-by-layer per-neuron reference, independent of the batch code."""
-    arch = MlpArchitecture(4, 3, (5, 6), bias=True)
+    arch = MlpArchitecture(4, 3, (5, 6))
     p = random_params(arch, np.random.default_rng(7))
     x = np.random.default_rng(8).normal(size=4)
 
     a = list(x)
-    for li, (w, b) in enumerate(unpack_layers(p)):
+    for li, (w, b) in enumerate(_layers(arch, p.values)):
         out = []
         for row in range(w.shape[0]):
             s = b[row]
@@ -288,11 +287,11 @@ def test_grad_params_linear_analytic_formula():
 
 
 def test_grad_params_zero_input():
-    arch = MlpArchitecture(4, 3, (5,), bias=True)
+    arch = MlpArchitecture(4, 3, (5,))
     rng = np.random.default_rng(9)
     p = random_params(arch, rng)
     g = grad_params(p, np.zeros(4), 1, NLL)
-    layers = unpack_layers(ParamVector(g, arch))
+    layers = _layers(arch, g)
     assert np.all(layers[0][0] == 0.0)  # first-layer weights see x = 0
     assert np.any(layers[0][1] != 0.0) or np.any(layers[1][1] != 0.0)
 
@@ -316,9 +315,9 @@ def test_linear_grad_norm_bound():
 # The first layer narrows (Gram form) or widens (formed gradient).
 SQ_NORM_ARCHS = {
     "linear-narrowing": MlpArchitecture(6, 3),
-    "mlp-narrowing": MlpArchitecture(6, 3, (4, 5), bias=True),
+    "mlp-narrowing": MlpArchitecture(6, 3, (4, 5)),
     "linear-widening": MlpArchitecture(2, 3),
-    "mlp-widening": MlpArchitecture(3, 2, (8, 4), bias=True),
+    "mlp-widening": MlpArchitecture(3, 2, (8, 4)),
 }
 
 
@@ -341,7 +340,7 @@ def test_sq_grad_norms_match_formed_gradients(name, kind):
 
 # plus a width where one wide first-layer GEMM over the stack rounds some
 # columns differently from the per-vector product
-STACK_ARCHS = {**SQ_NORM_ARCHS, "mlp-wide": MlpArchitecture(4, 2, (78,), bias=True)}
+STACK_ARCHS = {**SQ_NORM_ARCHS, "mlp-wide": MlpArchitecture(4, 2, (78,))}
 
 
 @pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
@@ -362,7 +361,7 @@ def test_stacked_pass_matches_one_vector_passes(name, kind):
         for got, want in zip(stacked_pres, _forward_cached(arch, values, x)[1]):
             assert np.array_equal(got[f], want)
         p = ParamVector(values, arch)
-        one_loss, one_grad = loss_and_grad(p, x, y, kind, want_params=True)
+        one_loss, one_grad = loss_and_param_grads(arch, values, x, y, kind)
         assert np.array_equal(losses[f], one_loss)
         assert np.array_equal(grads[f], one_grad)
         # losses, W1, g1 and the parameter gradient: the squared

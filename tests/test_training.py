@@ -44,7 +44,7 @@ def test_training_fits_separable_data():
 
 def test_training_is_bitwise_deterministic():
     data = separable_data(n=64)
-    arch = MlpArchitecture(4, 2, (5,), bias=True)
+    arch = MlpArchitecture(4, 2, (5,))
     cfg = TrainConfig(epochs=4, batch_size=16, seed=3, init_stddev=0.2)
     a = train(arch, data, NLL, cfg)
     b = train(arch, data, NLL, cfg)
@@ -79,8 +79,8 @@ def test_divergence_raises_with_location():
 
 LAYOUTS = {
     "linear": MlpArchitecture(4, 2),
-    "narrowing": MlpArchitecture(4, 2, (3,), bias=True),
-    "widening": MlpArchitecture(4, 2, (12, 7), bias=True),
+    "narrowing": MlpArchitecture(4, 2, (3,)),
+    "widening": MlpArchitecture(4, 2, (12, 7)),
 }
 
 
@@ -120,7 +120,7 @@ _DIVERGES = {1e100: None, 0.1: (0, 1), 1e300: (0, 0)}
 ])
 def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
     data = separable_data(n=32)
-    arch = MlpArchitecture(4, 2, (5,), bias=True)
+    arch = MlpArchitecture(4, 2, (5,))
     base = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
     cfgs = [dataclasses.replace(base, init_stddev=s) for s in stddevs]
     for cfg in cfgs:  # each config trained alone
@@ -170,7 +170,7 @@ def test_evaluate_single_example_and_oracle():
 
 def test_evaluate_matches_loop_oracle():
     data = separable_data(n=16)
-    arch = MlpArchitecture(4, 2, (3,), bias=True)
+    arch = MlpArchitecture(4, 2, (3,))
     p = sample(prior_family(arch, 0.4), 77, 1)[0]
     losses = [loss(p, data.inputs[i], int(data.labels[i]), NLL) for i in range(data.m)]
     mean_loss, _ = evaluate(p, data, NLL)
