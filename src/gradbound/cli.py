@@ -52,7 +52,7 @@ from . import bounds as bd
 from .datasets import IdxFormatError, LabeledDataset, load_idx, split, stratified_sample, synth_gaussian
 from .gaussians import (RESERVED_STREAM_BASE, kl_divergence, posterior_family,
                         prior_family, sample, stream_rng)
-from .nets import NLL, MlpArchitecture, equal_param_hidden_widths, lipschitz_bound
+from .nets import LOSS_KINDS, NLL, MlpArchitecture, equal_param_hidden_widths, lipschitz_bound
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train_lockstep
 
@@ -111,8 +111,25 @@ class SweepSpec:
             raise ConfigError("variance_grid and depth_grid must be nonempty")
         if any(v <= 0 for v in self.variance_grid):
             raise ConfigError("variance_grid entries must be positive")
-        if any(d < 1 for d in self.depth_grid):
-            raise ConfigError("depth_grid entries must be >= 1")
+        if not all(isinstance(d, int) and d >= 1 for d in self.depth_grid):
+            raise ConfigError("depth_grid entries must be integers >= 1")
+        if not all(lam > 0 for lam in self.lambda_grid):
+            raise ConfigError("lambda_grid entries must be positive")
+        if self.experiment == "naive-vs-lambda" and not self.lambda_grid:
+            raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
+        if self.experiment == "fit-subgamma" and any(lam > self.train_size
+                                                     for lam in self.lambda_grid):
+            raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
+                              "train_size (m)")
+        if self.train_size < 1 or self.heldout_size < 1:
+            raise ConfigError("train_size and heldout_size must be >= 1")
+        if not self.sigma_q > 0:
+            raise ConfigError("sigma_q must be positive")
+        if self.loss_kind not in LOSS_KINDS:
+            raise ConfigError(f"unknown loss_kind {self.loss_kind!r}; "
+                              f"choose from {', '.join(LOSS_KINDS)}")
+        if self.synthetic:
+            parse_synthetic_spec(self.synthetic)
 
 
 # Per-experiment grid defaults, applied when the config leaves them empty.
@@ -153,6 +170,8 @@ def parse_synthetic_spec(text: str) -> dict:
         raise ConfigError(f"synthetic spec is missing {sorted(missing)}")
     if out["k"] > out["d"]:
         raise ConfigError("synthetic spec needs d >= k (class means are sep * e_y)")
+    if not out["sigma"] > 0 or out["n_per_class"] < 1:
+        raise ConfigError("synthetic spec needs sigma > 0 and n_per_class >= 1")
     return out
 
 
@@ -427,8 +446,6 @@ def run(spec: SweepSpec) -> int:
         all_passed = all(row["passed"] for row in rows)
     else:
         train_set, heldout = resolve_dataset(spec)
-        if spec.experiment == "naive-vs-lambda" and not spec.lambda_grid:
-            raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
         columns, rows = _sweep(spec, train_set, heldout)
         all_passed = True
 

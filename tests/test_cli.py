@@ -384,6 +384,43 @@ def test_missing_output_directory_fails_before_any_work(experiment, passes, tmp_
     assert os.listdir(tmp_path) == []
 
 
+# experiment, config file, --synthetic spec (the data files are missing too:
+# the spec checks come first)
+BAD_CONFIGS = {
+    "fit-subgamma lambda above m": ("fit-subgamma", {"lambda_grid": [1e9]}, None),
+    "naive-vs-lambda negative lambda": ("naive-vs-lambda", {"lambda_grid": [-1]}, None),
+    "naive-vs-lambda empty lambda grid": ("naive-vs-lambda", {"lambda_grid": []}, None),
+    "fit-subgamma negative lambda": ("fit-subgamma", {"lambda_grid": [-1]}, None),
+    "train_size 0": ("loss-vs-variance", {"train_size": 0}, None),
+    "heldout_size 0": ("loss-vs-variance", {"heldout_size": 0}, None),
+    "sigma_q 0": ("train-report", {"sigma_q": 0}, None),
+    "unknown loss_kind": ("loss-vs-variance", {"loss_kind": "foo"}, None),
+    "fractional depth": ("loss-vs-variance", {"depth_grid": [1.5]}, None),
+    "synthetic n_per_class 0": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=0"),
+    "synthetic sigma 0": ("loss-vs-variance", {}, "k=2,d=4,sigma=0,n_per_class=64"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_config_fails_before_any_work(case, passes, tmp_path, capsys):
+    experiment, config, synthetic = BAD_CONFIGS[case]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [experiment, "--config", str(config_path),
+            "--data-images", str(tmp_path / "x"), "--data-labels", str(tmp_path / "y"),
+            "--out", str(out_dir / "o.csv")]
+    if synthetic:
+        argv += ["--synthetic", synthetic]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert passes == {}
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+    assert os.listdir(out_dir) == []
+
+
 def test_main_happy_path_with_config_file(tmp_path):
     cfg = {"synthetic": SYNTH, "train_size": 1024, "heldout_size": 256,
            "variance_grid": [0.1], "depth_grid": [1],
