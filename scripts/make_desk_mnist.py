@@ -5,9 +5,7 @@ The files are a drop-in stand-in for MNIST at desk scale (28x28 u8 images,
 10 balanced classes); point the gradbound CLI at them with
 --data-images/--data-labels.  The digits are generated procedurally (jittered
 stroke glyphs plus pixel noise) with numpy alone, offline, and the files are
-a pure function of --seed.  Existing files in --out-dir are overwritten;
-files built by an older version, which drew on scikit-learn's digits, should
-be rebuilt this way.
+a pure function of --seed.  Existing files in --out-dir are overwritten.
 """
 
 import argparse
