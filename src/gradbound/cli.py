@@ -117,8 +117,8 @@ class SweepSpec:
             raise ConfigError("lambda_grid entries must be positive")
         if self.experiment == "naive-vs-lambda" and not self.lambda_grid:
             raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
-        if self.experiment == "fit-subgamma" and any(lam > self.train_size
-                                                     for lam in self.lambda_grid):
+        if (self.experiment == "fit-subgamma"
+                and any(lam > self.train_size for lam in self.lambda_grid)):
             raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
                               "train_size (m)")
         if self.train_size < 1 or self.heldout_size < 1:
