@@ -18,7 +18,7 @@ identity-checks      exact MGF factorization, cumulant reconstruction, and
 Every experiment but identity-checks is one depth x variance loop: each
 depth builds one weight family per grid point (the priors, or for
 train-report the posteriors around the SGD-trained weights, the depth's
-variances trained in lockstep by ``training.train_lockstep``).  One
+variances trained in lockstep by one ``training.train`` call).  One
 ``bounds.draw_stats`` call per depth computes the per-draw losses and
 squared input-gradient norms of all that depth's families, sharing each
 draw's standard normals between them, and each grid point's matrices go
@@ -53,13 +53,8 @@ from .datasets import IdxFormatError, LabeledDataset, load_idx, split, stratifie
 from .gaussians import (RESERVED_STREAM_BASE, kl_divergence, posterior_family,
                         prior_family, sample, stream_rng)
 from .nets import LOSS_KINDS, NLL, MlpArchitecture, equal_param_hidden_widths, lipschitz_bound
-from .subgamma import fit as subgamma_fit, check as subgamma_check
-from .training import TrainConfig, TrainingDiverged, evaluate, train_lockstep
-
-EXPERIMENTS = (
-    "naive-vs-lambda", "gradnorm-vs-variance", "loss-vs-variance",
-    "bound-vs-variance", "fit-subgamma", "train-report", "identity-checks",
-)
+from .subgamma import C_MIN, fit as subgamma_fit, check as subgamma_check
+from .training import TrainConfig, TrainingDiverged, evaluate, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,12 +112,15 @@ class SweepSpec:
             raise ConfigError("lambda_grid entries must be positive")
         if self.experiment == "naive-vs-lambda" and not self.lambda_grid:
             raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
+        if not all(isinstance(n, int) and n >= 1
+                   for n in (self.train_size, self.heldout_size)):
+            raise ConfigError("train_size and heldout_size must be integers >= 1")
         if (self.experiment == "fit-subgamma"
                 and any(lam > self.train_size for lam in self.lambda_grid)):
             raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
                               "train_size (m)")
-        if self.train_size < 1 or self.heldout_size < 1:
-            raise ConfigError("train_size and heldout_size must be >= 1")
+        if self.subgamma_c_max is not None and not self.subgamma_c_max > C_MIN:
+            raise ConfigError(f"subgamma_c_max must exceed {C_MIN:g}")
         if not self.sigma_q > 0:
             raise ConfigError("sigma_q must be positive")
         if self.loss_kind not in LOSS_KINDS:
@@ -170,8 +168,8 @@ def parse_synthetic_spec(text: str) -> dict:
         raise ConfigError(f"synthetic spec is missing {sorted(missing)}")
     if out["k"] > out["d"]:
         raise ConfigError("synthetic spec needs d >= k (class means are sep * e_y)")
-    if not out["sigma"] > 0 or out["n_per_class"] < 1:
-        raise ConfigError("synthetic spec needs sigma > 0 and n_per_class >= 1")
+    if min(out["k"], out["d"], out["n_per_class"]) < 1 or not out["sigma"] > 0:
+        raise ConfigError("synthetic spec needs k, d and n_per_class >= 1 and sigma > 0")
     return out
 
 
@@ -221,7 +219,7 @@ def _trained_posteriors(spec, arch, train_set, heldout):
     center each posterior on its result."""
     sigmas = [math.sqrt(v) for v in spec.variance_grid]
     cfgs = [dataclasses.replace(spec.train, init_stddev=s) for s in sigmas]
-    trained = train_lockstep(arch, train_set, spec.loss_kind, cfgs)
+    trained = train(arch, train_set, spec.loss_kind, cfgs)
     points = []
     for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
         train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
@@ -231,8 +229,7 @@ def _trained_posteriors(spec, arch, train_set, heldout):
         points.append((posterior, {
             "prior_variance": variance, "sigma_p": sigma_p, "sigma_q": spec.sigma_q,
             "m": train_set.m, "train_loss": train_loss, "test_loss": test_loss,
-            "train_accuracy": train_acc, "test_accuracy": test_acc,
-            "kl": kl, "l_d_proxy": "heldout"}))
+            "train_accuracy": train_acc, "test_accuracy": test_acc, "kl": kl}))
     return points
 
 
@@ -242,7 +239,8 @@ def _bound_curve(spec, m, losses, sq_norms, lambdas):
     return b, bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
 
 
-# Row builders: (spec, m, arch, point cells, losses, sq_norms) -> rows.
+# Row builders: (spec, m, arch, point cells, losses, sq_norms) -> rows, each
+# row a dict whose keys are the output's columns, in order.
 
 def _naive_rows(spec, m, arch, point, losses, sq_norms):
     ests = bd.naive_complexity_curve(losses, spec.lambda_grid)
@@ -292,47 +290,31 @@ def _fit_subgamma_rows(spec, m, arch, point, losses, sq_norms):
 def _train_report_rows(spec, m, arch, point, losses, sq_norms):
     b, (sqrt_m, at_m) = _bound_curve(spec, m, losses, sq_norms,
                                      [math.sqrt(m), float(m)])
-    return [{**point, "bound_sqrt_m": sqrt_m.value,
-             "bound_sqrt_m_log": sqrt_m.log_space_value,
-             "bound_m": at_m.value, "bound_m_log": at_m.log_space_value,
-             "loss_bound": b}]
+    row = {**point, "bound_sqrt_m": sqrt_m.value,
+           "bound_sqrt_m_log": sqrt_m.log_space_value,
+           "bound_m": at_m.value, "bound_m_log": at_m.log_space_value}
+    kl = row.pop("kl")
+    return [{**row, "kl": kl, "loss_bound": b, "l_d_proxy": "heldout"}]
 
 
-_BOUND_COLUMNS = ["value", "log_space_value", "std_error", "overflowed"]
-
-# experiment -> (columns, a depth's (family, cells) per grid point, stats on
-# the train split rather than the held-out one, squared gradient norms
-# needed, row builder)
+# experiment -> (a depth's (family, cells) per grid point, stats on the train
+# split rather than the held-out one, squared gradient norms needed, row
+# builder)
 _SWEEPS = {
-    "naive-vs-lambda": (
-        ["depth", "sigma_p", "lam", *_BOUND_COLUMNS, "n_weight_samples", "n_data_points"],
-        _priors, True, False, _naive_rows),
-    "gradnorm-vs-variance": (
-        ["depth", "sigma_p", "grad_norm_sq_mean", "grad_norm_sq_std_error",
-         "linear_worst_case"],
-        _priors, False, True, _gradnorm_rows),
-    "loss-vs-variance": (
-        ["depth", "sigma_p", "avg_prior_loss", "loss_bound"],
-        _priors, False, False, _loss_rows),
-    "bound-vs-variance": (
-        ["depth", "sigma_p", "lam_label", "lam", *_BOUND_COLUMNS, "loss_bound"],
-        _priors, False, True, _bound_rows),
-    "fit-subgamma": (
-        ["depth", "sigma_p", "v", "c", "lambda_max", "residual",
-         "n_finite_points", "n_grid_points", "dominates"],
-        _priors, False, True, _fit_subgamma_rows),
-    "train-report": (
-        ["depth", "prior_variance", "sigma_p", "sigma_q", "m",
-         "train_loss", "test_loss", "train_accuracy", "test_accuracy",
-         "bound_sqrt_m", "bound_sqrt_m_log", "bound_m", "bound_m_log",
-         "kl", "loss_bound", "l_d_proxy"],
-        _trained_posteriors, False, True, _train_report_rows),
+    "naive-vs-lambda": (_priors, True, False, _naive_rows),
+    "gradnorm-vs-variance": (_priors, False, True, _gradnorm_rows),
+    "loss-vs-variance": (_priors, False, False, _loss_rows),
+    "bound-vs-variance": (_priors, False, True, _bound_rows),
+    "fit-subgamma": (_priors, False, True, _fit_subgamma_rows),
+    "train-report": (_trained_posteriors, False, True, _train_report_rows),
 }
+
+EXPERIMENTS = (*_SWEEPS, "identity-checks")
 
 
 def _sweep(spec, train_set, heldout):
     """The depth x variance grid: one family per point, one draw_stats per depth."""
-    columns, families_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
+    families_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
     data = train_set if on_train else heldout
     rows = []
     for depth in spec.depth_grid:
@@ -344,30 +326,26 @@ def _sweep(spec, train_set, heldout):
         for (_, cells), (losses, sq_norms) in zip(points, stats):
             rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells},
                             losses, sq_norms)
-    return columns, rows
+    return rows
 
 
 def _identity_check_rows(spec):
     rng = stream_rng(spec.estimator.seed, _CHECK_STREAM)
     rows = []
 
-    for i in range(50):
-        losses = rng.uniform(0.0, 3.0, size=rng.integers(2, 7))
-        m = int(rng.integers(1, 5))
-        lam = float(rng.uniform(0.0, 3.0))
-        lhs, rhs = bd.mgf_decomposition_check(losses, lam, m)
-        gap = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        rows.append({"check": "mgf-decomposition", "case": i, "lhs": lhs, "rhs": rhs,
-                     "gap": gap, "passed": gap <= 1e-12})
-
-    for i in range(50):
-        losses = rng.uniform(0.0, 3.0, size=rng.integers(2, 7))
-        m = int(rng.integers(1, 5))
-        lam = float(rng.uniform(0.0, 2.0))
-        lhs, rhs = bd.herbst_identity_check(losses, lam, m)
-        gap = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        rows.append({"check": "herbst-identity", "case": i, "lhs": lhs, "rhs": rhs,
-                     "gap": gap, "passed": gap <= 1e-6})
+    # (check, identity, upper end of its random lambda, relative gap it
+    # passes at); the functions are looked up per run, so a wrapper
+    # installed on ``bounds`` after import still sees every call.
+    identities = (("mgf-decomposition", bd.mgf_decomposition_check, 3.0, 1e-12),
+                  ("herbst-identity", bd.herbst_identity_check, 2.0, 1e-6))
+    for name, identity, lam_max, tol in identities:
+        for i in range(50):
+            losses = rng.uniform(0.0, 3.0, size=rng.integers(2, 7))
+            m = int(rng.integers(1, 5))
+            lhs, rhs = identity(losses, float(rng.uniform(0.0, lam_max)), m)
+            gap = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+            rows.append({"check": name, "case": i, "lhs": lhs, "rhs": rhs,
+                         "gap": gap, "passed": gap <= tol})
 
     for i in range(20):
         d = int(rng.integers(4, 17))
@@ -382,9 +360,7 @@ def _identity_check_rows(spec):
         res = bd.log_sobolev_check(w, data, spec.loss_kind, alpha)
         rows.append({"check": "log-sobolev", "case": i, "lhs": res.lhs,
                      "rhs": res.rhs, "gap": res.margin, "passed": res.margin >= 0.0})
-
-    columns = ["check", "case", "lhs", "rhs", "gap", "passed"]
-    return columns, rows
+    return rows
 
 
 def _json_safe(value):
@@ -401,23 +377,22 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
+        return repr(value) if math.isfinite(value) else _json_safe(value)
     return str(value)
 
 
-def write_output(path: str, spec: SweepSpec, columns, rows) -> None:
-    """Write beside ``path`` and rename over it: a failed write leaves no output."""
+def write_output(path: str, spec: SweepSpec, rows) -> None:
+    """Write beside ``path`` and rename over it: a failed write leaves no output.
+
+    The first row's keys are the columns; every row has the same keys."""
+    columns = list(rows[0])
     config = dataclasses.asdict(spec)
     stamp = datetime.now(timezone.utc).isoformat()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as f:
             if spec.format == "json":
-                doc = {"config": config, "timestamp": stamp, "columns": list(columns),
+                doc = {"config": config, "timestamp": stamp, "columns": columns,
                        "rows": [{k: _json_safe(v) for k, v in row.items()}
                                 for row in rows]}
                 json.dump(doc, f, indent=2, sort_keys=True)
@@ -442,14 +417,14 @@ def run(spec: SweepSpec) -> int:
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
     if spec.experiment == "identity-checks":
-        columns, rows = _identity_check_rows(spec)
+        rows = _identity_check_rows(spec)
         all_passed = all(row["passed"] for row in rows)
     else:
         train_set, heldout = resolve_dataset(spec)
-        columns, rows = _sweep(spec, train_set, heldout)
+        rows = _sweep(spec, train_set, heldout)
         all_passed = True
 
-    write_output(out, spec, columns, rows)
+    write_output(out, spec, rows)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 

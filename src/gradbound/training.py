@@ -8,17 +8,16 @@ sampler used for priors: given a config, training is bitwise reproducible.
 
 Lockstep training
 -----------------
-Configs that differ only in ``init_stddev`` (a depth's prior-variance
-grid, say) see the same batches in the same order, and their initial
-weights are one stream of standard normals scaled by each
-``init_stddev``.  :func:`train_lockstep` therefore trains them together:
+:func:`train` takes a list of configs that differ only in
+``init_stddev`` (a depth's prior-variance grid, say).  They see the same
+batches in the same order, and their initial weights are one stream of
+standard normals scaled by each ``init_stddev``, so they train together:
 their weights and momenta are the rows of (F, P) arrays, and each step is
 one stacked forward+backward pass
 (:func:`gradbound.nets.loss_and_param_grads`) on one gathered batch,
 followed by the same elementwise update and per-row finiteness checks,
 so each row gets the bits that training its config alone gives (with
-OpenBLAS on x86-64; see :mod:`gradbound.nets`).  :func:`train` is
-lockstep training of one config.
+OpenBLAS on x86-64; see :mod:`gradbound.nets`).
 """
 
 from __future__ import annotations
@@ -68,16 +67,11 @@ class TrainConfig:
 
 
 def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
-          cfg: TrainConfig) -> ParamVector:
-    """Train and return the final iterate (which reports use as-is)."""
-    return train_lockstep(arch, data, kind, [cfg])[0]
-
-
-def train_lockstep(arch: MlpArchitecture, data: LabeledDataset, kind: str,
-                   cfgs: list[TrainConfig]) -> list[ParamVector]:
+          cfgs: list[TrainConfig]) -> list[ParamVector]:
     """Train configs that differ only in ``init_stddev`` together.
 
-    Returns one final iterate per config, in order.  Raises ValueError if
+    Returns one final iterate per config, in order (reports use them
+    as-is).  Raises ValueError if
     the configs differ in anything else, and the TrainingDiverged that
     training them one after another would raise: that of the first
     config, in order, that diverges, at its own step.

@@ -61,6 +61,9 @@ def test_synthetic_spec_parsing():
         parse_synthetic_spec("k=3,bogus=1")
     with pytest.raises(ConfigError):
         parse_synthetic_spec("k=3")
+    for empty in ("k=0,d=4,n_per_class=7", "k=0,d=0,n_per_class=7"):
+        with pytest.raises(ConfigError):
+            parse_synthetic_spec(empty)
 
 
 def test_spec_merge_precedence():
@@ -244,6 +247,19 @@ def test_golden_column_schemas(tmp_path):
         assert header == expected, experiment
 
 
+@pytest.mark.parametrize("experiment", GOLDEN_HEADERS)
+def test_every_row_has_exactly_the_columns(experiment, tmp_path):
+    # The columns are the first row's keys, and a CSV would drop any other.
+    out = tmp_path / "out.json"
+    spec = small_spec(experiment, tmp_path, variance_grid=(0.1, 3.0), format="json",
+                      lambda_grid=(1.0, 2000.0) if experiment == "naive-vs-lambda" else (),
+                      out=str(out))
+    assert run(spec) == 0
+    doc = json.loads(out.read_text())
+    assert doc["columns"] == GOLDEN_HEADERS[experiment]
+    assert all(set(row) == set(doc["columns"]) for row in doc["rows"])
+
+
 # ------------------------------------------------------- passes per draw
 
 
@@ -307,7 +323,7 @@ def test_train_report_passes(passes, tmp_path):
 def test_sgd_makes_one_forward_per_step(passes):
     data = gradbound.synth_gaussian(2, 4, [[2.0, 0, 0, 0], [0, 2.0, 0, 0]], 1.0, 50, seed=1)
     cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
-    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, "nll", cfg)
+    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, "nll", [cfg])
     steps = cfg.epochs * math.ceil(data.m / cfg.batch_size)
     assert passes.get("sgd_step") == passes.get("forward") == steps
 
@@ -398,6 +414,9 @@ BAD_CONFIGS = {
     "fractional depth": ("loss-vs-variance", {"depth_grid": [1.5]}, None),
     "synthetic n_per_class 0": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=0"),
     "synthetic sigma 0": ("loss-vs-variance", {}, "k=2,d=4,sigma=0,n_per_class=64"),
+    "synthetic k 0": ("loss-vs-variance", {}, "k=0,d=4,n_per_class=64"),
+    "fractional train_size": ("loss-vs-variance", {"train_size": 2.5}, None),
+    "subgamma_c_max at C_MIN": ("fit-subgamma", {"subgamma_c_max": 1e-9}, None),
 }
 
 

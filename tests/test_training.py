@@ -14,7 +14,7 @@ from gradbound.nets import (
     batch_param_grad,
     loss,
 )
-from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train, train_lockstep
+from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train
 
 
 def separable_data(n=256, seed=12):
@@ -26,7 +26,7 @@ def test_zero_learning_rate_returns_initialization():
     data = separable_data(n=32)
     arch = MlpArchitecture(4, 2)
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=5, init_stddev=0.2)
-    got = train(arch, data, NLL, cfg)
+    [got] = train(arch, data, NLL, [cfg])
     init = sample(prior_family(arch, 0.2), 5, 1)[0]
     assert np.array_equal(got.values, init.values)
 
@@ -36,7 +36,7 @@ def test_training_fits_separable_data():
     arch = MlpArchitecture(4, 2)
     cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=40, batch_size=32,
                       seed=9, init_stddev=0.3)
-    w = train(arch, data, NLL, cfg)
+    [w] = train(arch, data, NLL, [cfg])
     final_loss, acc = evaluate(w, data, NLL)
     assert final_loss < 0.05
     assert acc == 1.0
@@ -46,8 +46,8 @@ def test_training_is_bitwise_deterministic():
     data = separable_data(n=64)
     arch = MlpArchitecture(4, 2, (5,))
     cfg = TrainConfig(epochs=4, batch_size=16, seed=3, init_stddev=0.2)
-    a = train(arch, data, NLL, cfg)
-    b = train(arch, data, NLL, cfg)
+    [a] = train(arch, data, NLL, [cfg])
+    [b] = train(arch, data, NLL, [cfg])
     assert np.array_equal(a.values, b.values)
 
 
@@ -72,7 +72,7 @@ def test_divergence_raises_with_location():
     cfg = TrainConfig(learning_rate=1e307, epochs=3, batch_size=16, seed=2,
                       init_stddev=0.5)
     with pytest.raises(TrainingDiverged) as exc:
-        train(arch, data, NLL, cfg)
+        train(arch, data, NLL, [cfg])
     assert exc.value.epoch >= 0
     assert exc.value.batch >= 0
 
@@ -91,10 +91,10 @@ def test_lockstep_matches_training_each_config_alone(layout, kind):
     arch = LAYOUTS[layout]
     base = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
     cfgs = [dataclasses.replace(base, init_stddev=s) for s in (0.05, 0.3, 1.0)]
-    together = train_lockstep(arch, data, kind, cfgs)
+    together = train(arch, data, kind, cfgs)
     assert len(together) == len(cfgs)
     for cfg, got in zip(cfgs, together):
-        alone = train(arch, data, kind, cfg)
+        [alone] = train(arch, data, kind, [cfg])
         assert np.array_equal(got.values, alone.values)
     assert not np.array_equal(together[0].values, together[1].values)
 
@@ -103,8 +103,8 @@ def test_lockstep_rejects_configs_differing_beyond_init_stddev():
     data = separable_data(n=16)
     cfg = TrainConfig(epochs=1, batch_size=8)
     with pytest.raises(ValueError):
-        train_lockstep(MlpArchitecture(4, 2), data, NLL,
-                       [cfg, dataclasses.replace(cfg, learning_rate=0.02)])
+        train(MlpArchitecture(4, 2), data, NLL,
+              [cfg, dataclasses.replace(cfg, learning_rate=0.02)])
 
 
 # init_stddev -> where training that config alone diverges (None: it does
@@ -125,13 +125,13 @@ def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
     cfgs = [dataclasses.replace(base, init_stddev=s) for s in stddevs]
     for cfg in cfgs:  # each config trained alone
         try:
-            train(arch, data, NLL, cfg)
+            train(arch, data, NLL, [cfg])
             where = None
         except TrainingDiverged as exc:
             where = (exc.epoch, exc.batch)
         assert where == _DIVERGES[cfg.init_stddev]
     with pytest.raises(TrainingDiverged) as exc:
-        train_lockstep(arch, data, NLL, cfgs)
+        train(arch, data, NLL, cfgs)
     assert (exc.value.epoch, exc.value.batch) == expected
 
 
