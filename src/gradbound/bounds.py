@@ -55,17 +55,17 @@ class EstimatorConfig:
     """Knobs shared by the Monte-Carlo estimators."""
 
     n_weight_samples: int = 64
-    alpha_quadrature_nodes: int = 64
     seed: int = 0
     loss_bound_slack: float = 0.5
 
     def __post_init__(self):
-        if self.n_weight_samples < 1:
-            raise ValueError("n_weight_samples must be >= 1")
-        if self.alpha_quadrature_nodes < 2:
-            raise ValueError("alpha_quadrature_nodes must be >= 2")
-        if self.loss_bound_slack < 0:
-            raise ValueError("loss_bound_slack must be nonnegative")
+        # type(), not isinstance(): a bool is an int, and not a count.
+        if type(self.n_weight_samples) is not int or self.n_weight_samples < 1:
+            raise ValueError("n_weight_samples must be an integer >= 1")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
+        if not 0.0 <= self.loss_bound_slack < math.inf:
+            raise ValueError("loss_bound_slack must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,6 @@ def _finalize(exponents: np.ndarray, n_data: int,
         std_error=_log_mc_std_error(exponents),
         n_weight_samples=exponents.size, n_data_points=n_data,
         overflowed=overflowed)
-
-
-def log_mgf_from_losses(losses: np.ndarray, alpha: float) -> float:
-    """log M(alpha) with M(alpha) = mean of exp(-alpha * loss).
-
-    Shift-stabilized; log M(0) is exactly 0.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return logmeanexp(-alpha * np.asarray(losses, dtype=np.float64))
 
 
 def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,

@@ -104,28 +104,35 @@ class SweepSpec:
             raise ConfigError(f"unknown format {self.format!r}")
         if not self.variance_grid or not self.depth_grid:
             raise ConfigError("variance_grid and depth_grid must be nonempty")
-        if any(v <= 0 for v in self.variance_grid):
-            raise ConfigError("variance_grid entries must be positive")
-        if not all(isinstance(d, int) and d >= 1 for d in self.depth_grid):
+        if not all(0 < v < math.inf for v in self.variance_grid):
+            raise ConfigError("variance_grid entries must be finite and positive")
+        # type(), not isinstance(): a bool is an int, and not a count.
+        if not all(type(d) is int and d >= 1 for d in self.depth_grid):
             raise ConfigError("depth_grid entries must be integers >= 1")
-        if not all(lam > 0 for lam in self.lambda_grid):
-            raise ConfigError("lambda_grid entries must be positive")
+        if not all(0 < lam < math.inf for lam in self.lambda_grid):
+            raise ConfigError("lambda_grid entries must be finite and positive")
         if self.experiment == "naive-vs-lambda" and not self.lambda_grid:
             raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
-        if not all(isinstance(n, int) and n >= 1
-                   for n in (self.train_size, self.heldout_size)):
-            raise ConfigError("train_size and heldout_size must be integers >= 1")
+        if not all(type(n) is int and n >= 1
+                   for n in (self.train_size, self.heldout_size, self.mlp_target_params)):
+            raise ConfigError("train_size, heldout_size and mlp_target_params "
+                              "must be integers >= 1")
+        if type(self.data_seed) is not int:
+            raise ConfigError("data_seed must be an integer")
         if (self.experiment == "fit-subgamma"
                 and any(lam > self.train_size for lam in self.lambda_grid)):
             raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
                               "train_size (m)")
         if self.subgamma_c_max is not None and not self.subgamma_c_max > C_MIN:
             raise ConfigError(f"subgamma_c_max must exceed {C_MIN:g}")
-        if not self.sigma_q > 0:
-            raise ConfigError("sigma_q must be positive")
+        if not 0 < self.sigma_q < math.inf:
+            raise ConfigError("sigma_q must be finite and positive")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss_kind {self.loss_kind!r}; "
                               f"choose from {', '.join(LOSS_KINDS)}")
+        if not all(v is None or isinstance(v, str)
+                   for v in (self.images_path, self.labels_path, self.synthetic, self.out)):
+            raise ConfigError("images_path, labels_path, synthetic and out must be strings")
         if self.synthetic:
             parse_synthetic_spec(self.synthetic)
 
@@ -218,8 +225,7 @@ def _trained_posteriors(spec, arch, train_set, heldout):
     """Train from N(0, v) for every prior variance v, in lockstep, and
     center each posterior on its result."""
     sigmas = [math.sqrt(v) for v in spec.variance_grid]
-    cfgs = [dataclasses.replace(spec.train, init_stddev=s) for s in sigmas]
-    trained = train(arch, train_set, spec.loss_kind, cfgs)
+    trained = train(arch, train_set, spec.loss_kind, spec.train, sigmas)
     points = []
     for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
         train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
@@ -428,6 +434,23 @@ def run(spec: SweepSpec) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in the config file; NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ConfigError(f"config file holds {constant}; numbers must be finite")
+
+    try:
+        with open(path) as f:
+            config = json.load(f, parse_constant=refuse)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return config
+
+
 def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> SweepSpec:
     """Merge defaults < per-experiment defaults < config file < flags."""
     merged: dict = dict(_DEFAULTS.get(experiment, {}))
@@ -436,17 +459,23 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
         for key, value in src.items():
             if value is None:
                 continue
+            if key in ("estimator", "train") and not isinstance(value, dict):
+                raise ConfigError(f"{key} must be a JSON object")
             if key == "estimator":
                 est.update(value)
             elif key == "train":
                 tr.update(value)
             elif key == "seed":
-                est["seed"] = tr["seed"] = merged["data_seed"] = int(value)
+                if type(value) is not int:
+                    raise ConfigError("seed must be an integer")
+                est["seed"] = tr["seed"] = merged["data_seed"] = value
             else:
                 merged[key] = value
     merged.pop("experiment", None)
     for grid in ("lambda_grid", "variance_grid", "depth_grid"):
         if grid in merged:
+            if not isinstance(merged[grid], (list, tuple)):
+                raise ConfigError(f"{grid} must be a list")
             merged[grid] = tuple(merged[grid])
     try:
         return SweepSpec(experiment=experiment,
@@ -476,22 +505,11 @@ def main(argv=None) -> int:
                         help="inline synthetic source, e.g. k=2,d=16,n_per_class=2560")
     args = parser.parse_args(argv)
 
-    file_config = {}
-    if args.config:
-        try:
-            with open(args.config) as f:
-                file_config = json.load(f)
-        except FileNotFoundError:
-            _error_record("config", f"config file not found: {args.config}")
-            return EXIT_CONFIG
-        except json.JSONDecodeError as exc:
-            _error_record("config", f"config file is not valid JSON: {exc}")
-            return EXIT_CONFIG
-
     flags = {"seed": args.seed, "out": args.out, "format": args.format,
              "images_path": args.images_path, "labels_path": args.labels_path,
              "synthetic": args.synthetic}
     try:
+        file_config = _read_config(args.config) if args.config else {}
         spec = _spec_from_sources(args.experiment, file_config, flags)
         return run(spec)
     except ConfigError as exc:

@@ -4,14 +4,14 @@ IDX is the big-endian binary container used by MNIST-style datasets:
 images carry magic 0x00000803 followed by count/rows/cols and a u8 payload,
 labels carry magic 0x00000801 followed by count and a u8 payload.  Pixels
 are scaled by 1/255 into [0,1] and flattened row-major; no mean centering
-is applied (recorded in the dataset provenance).  Labels are stored
-1-based: raw IDX byte b becomes label b+1, so labels always lie in {1..k}.
+is applied.  Labels are stored 1-based: raw IDX byte b becomes label b+1,
+so labels always lie in {1..k}.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class LabeledDataset:
     inputs: np.ndarray
     labels: np.ndarray
     class_count: int
-    provenance: str = "synthetic"
-    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -114,10 +112,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     inputs = pixels.reshape(count, rows * cols)
     raw = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
     labels = raw + 1
-    return LabeledDataset(
-        inputs, labels, class_count=int(raw.max()) + 1, provenance="idx",
-        source={"images": str(images_path), "labels": str(labels_path),
-                "rows": int(rows), "cols": int(cols), "normalization": "1/255"})
+    return LabeledDataset(inputs, labels, class_count=int(raw.max()) + 1)
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, raw_labels: np.ndarray) -> None:
@@ -154,9 +149,7 @@ def synth_gaussian(k: int, d: int, class_means: np.ndarray, sigma: float,
         blocks.append(class_means[y - 1] + sigma * z)
     inputs = np.vstack(blocks)
     labels = np.repeat(np.arange(1, k + 1), n_per_class)
-    return LabeledDataset(
-        inputs, labels, class_count=k, provenance="synthetic",
-        source={"sigma": float(sigma), "n_per_class": int(n_per_class), "seed": int(seed)})
+    return LabeledDataset(inputs, labels, class_count=k)
 
 
 def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
@@ -204,12 +197,8 @@ def split(data: LabeledDataset, train_fraction: float, seed: int
     if train_idx.size == 0 or held_idx.size == 0:
         raise ValueError("split would leave one side empty")
 
-    def take(idx, tag):
-        return LabeledDataset(
-            data.inputs[idx], data.labels[idx], data.class_count, data.provenance,
-            {**data.source, "split": tag, "split_seed": int(seed)})
-
-    return take(train_idx, "train"), take(held_idx, "heldout")
+    return tuple(LabeledDataset(data.inputs[idx], data.labels[idx], data.class_count)
+                 for idx in (train_idx, held_idx))
 
 
 def stratified_sample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset:
@@ -220,6 +209,4 @@ def stratified_sample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset
         return data
     keep, _ = _stratified_pick(
         data, seed, 0x5E, lambda counts: _largest_remainder(n * counts / data.m, n))
-    return LabeledDataset(
-        data.inputs[keep], data.labels[keep], data.class_count, data.provenance,
-        {**data.source, "subset": int(n), "subset_seed": int(seed)})
+    return LabeledDataset(data.inputs[keep], data.labels[keep], data.class_count)

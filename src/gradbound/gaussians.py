@@ -1,4 +1,4 @@
-"""Diagonal Gaussian families over flat weight vectors.
+"""Isotropic Gaussian families over flat weight vectors.
 
 Randomness policy
 -----------------
@@ -53,14 +53,12 @@ def standard_normal(seed: int, stream: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianFamily:
-    """Diagonal Gaussian over the flat parameter vector of ``layout``.
-
-    ``stddev`` is either a scalar (broadcast over coordinates) or a flat
-    array matching the parameter count; entries must be strictly positive.
+    """Isotropic Gaussian N(mean, stddev^2 I) over the flat parameter
+    vector of ``layout``; ``stddev`` is one strictly positive float.
     """
 
     mean: np.ndarray
-    stddev: np.ndarray | float
+    stddev: float
     layout: MlpArchitecture
 
     def __post_init__(self):
@@ -69,20 +67,9 @@ class GaussianFamily:
         n = self.layout.param_count()
         if mean.shape != (n,):
             raise ValueError(f"mean has length {mean.shape[0]}, expected {n}")
-        sd = np.asarray(self.stddev, dtype=np.float64)
-        if sd.ndim == 0:
-            sd = float(sd)
-        else:
-            sd = sd.ravel()
-            if sd.shape != (n,):
-                raise ValueError(f"stddev has length {sd.shape[0]}, expected {n}")
-        object.__setattr__(self, "stddev", sd)
-        if np.any(np.asarray(sd) <= 0.0):
-            raise ValueError("stddev entries must be strictly positive")
-
-    def stddev_vector(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.stddev, dtype=np.float64),
-                               self.mean.shape).copy()
+        object.__setattr__(self, "stddev", float(self.stddev))
+        if not self.stddev > 0.0:
+            raise ValueError("stddev must be strictly positive")
 
 
 def prior_family(arch: MlpArchitecture, sigma: float) -> GaussianFamily:
@@ -118,13 +105,15 @@ def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:
 
 
 def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:
-    """KL(q || p) for diagonal Gaussians, summed over coordinates.
+    """KL(q || p) for isotropic Gaussians, summed over coordinates.
 
     Per coordinate: log(sp/sq) + (sq^2 + (mq - mp)^2) / (2 sp^2) - 1/2.
+    Each scale is one number, but the terms stay elementwise arrays: a
+    scalar closed form would round differently from the per-coordinate sum.
     """
     if q.layout != p.layout or q.mean.shape != p.mean.shape:
         raise LayoutMismatchError("families have different layouts")
-    sq = q.stddev_vector()
-    sp = p.stddev_vector()
+    sq = np.full(q.mean.shape, q.stddev)
+    sp = np.full(p.mean.shape, p.stddev)
     terms = np.log(sp / sq) + (sq**2 + (q.mean - p.mean) ** 2) / (2.0 * sp**2) - 0.5
     return float(np.sum(terms))

@@ -3,27 +3,27 @@
 The update is u <- momentum * u - lr * grad, w <- w + u.  Batches come
 from a seed-deterministic shuffle per epoch using a reserved Philox
 stream, the last partial batch is used rather than dropped, and weights
-are initialized from N(0, init_stddev^2) via the same deterministic
-sampler used for priors: given a config, training is bitwise reproducible.
+are initialized from N(0, s^2), s an initial scale, via the same
+deterministic sampler used for priors: given a config and a scale,
+training is bitwise reproducible.
 
 Lockstep training
 -----------------
-:func:`train` takes a list of configs that differ only in
-``init_stddev`` (a depth's prior-variance grid, say).  They see the same
-batches in the same order, and their initial weights are one stream of
-standard normals scaled by each ``init_stddev``, so they train together:
-their weights and momenta are the rows of (F, P) arrays, and each step is
-one stacked forward+backward pass
-(:func:`gradbound.nets.loss_and_param_grads`) on one gathered batch,
-followed by the same elementwise update and per-row finiteness checks,
-so each row gets the bits that training its config alone gives (with
-OpenBLAS on x86-64; see :mod:`gradbound.nets`).
+:func:`train` takes one config and a list of initial scales (the square
+roots of a depth's prior-variance grid, say).  Every scale sees the same
+batches in the same order, and its initial weights are one stream of
+standard normals times that scale, so they train together: their weights
+and momenta are the rows of (F, P) arrays, and each step is one stacked
+forward+backward pass (:func:`gradbound.nets.loss_and_param_grads`) on
+one gathered batch, followed by the same elementwise update and per-row
+finiteness checks, so each row gets the bits that training its scale
+alone gives (with OpenBLAS on x86-64; see :mod:`gradbound.nets`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,34 +53,30 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 128
     seed: int = 0
-    init_stddev: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.init_stddev <= 0:
-            raise ValueError("init_stddev must be positive")
+        # type(), not isinstance(): a bool is an int, and not a count.
+        if not all(type(n) is int and n >= 1 for n in (self.epochs, self.batch_size)):
+            raise ValueError("epochs and batch_size must be integers >= 1")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
 
 
-def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
-          cfgs: list[TrainConfig]) -> list[ParamVector]:
-    """Train configs that differ only in ``init_stddev`` together.
+def train(arch: MlpArchitecture, data: LabeledDataset, kind: str, cfg: TrainConfig,
+          init_scales: list[float]) -> list[ParamVector]:
+    """Train from N(0, s^2) for every initial scale s, together.
 
-    Returns one final iterate per config, in order (reports use them
-    as-is).  Raises ValueError if
-    the configs differ in anything else, and the TrainingDiverged that
-    training them one after another would raise: that of the first
-    config, in order, that diverges, at its own step.
+    Returns one final iterate per scale, in order (reports use them
+    as-is).  Raises ValueError if a scale is not positive, and the
+    TrainingDiverged that training the scales one after another would
+    raise: that of the first scale, in order, that diverges, at its own
+    step.
     """
-    cfg = cfgs[0]
-    if any(dataclasses.replace(c, init_stddev=cfg.init_stddev) != cfg for c in cfgs):
-        raise ValueError("lockstep training needs configs that differ only in init_stddev")
-    inits = next(shared_draws([prior_family(arch, c.init_stddev) for c in cfgs],
-                              cfg.seed, 1))
+    inits = next(shared_draws([prior_family(arch, s) for s in init_scales], cfg.seed, 1))
     # The loop owns these rows and updates weights and momenta in place;
     # the one finiteness scan per step keeps every row a valid weight vector.
     w = np.stack([p.values for p in inits])
@@ -110,9 +106,8 @@ def train(arch: MlpArchitecture, data: LabeledDataset, kind: str,
                 batch_loss = batch_loss[:first]
                 epoch_loss = epoch_loss[:first]
             epoch_loss += batch_loss * idx.size
-        for c, total in zip(cfgs, epoch_loss):
-            log.info("epoch %d (init_stddev %g): train loss %.6f", epoch, c.init_stddev,
-                     total / data.m)
+        for s, total in zip(init_scales, epoch_loss):
+            log.info("epoch %d (init scale %g): train loss %.6f", epoch, s, total / data.m)
 
     if diverged is not None:
         raise diverged

@@ -6,9 +6,16 @@ from gradbound.deskdata import build_desk_idx
 
 
 @pytest.fixture(scope="session")
-def desk_data(tmp_path_factory):
-    """Desk-scale 5120-example digit dataset, built once per session."""
-    return load_idx(*build_desk_idx(tmp_path_factory.mktemp("deskidx")))
+def desk_idx(tmp_path_factory):
+    """(images, labels) paths of the desk-scale 5120-example digit IDX files,
+    built once per session."""
+    return build_desk_idx(tmp_path_factory.mktemp("deskidx"))
+
+
+@pytest.fixture(scope="session")
+def desk_data(desk_idx):
+    """The desk-scale digit dataset."""
+    return load_idx(*desk_idx)
 
 
 @pytest.fixture(scope="session")

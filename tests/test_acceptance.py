@@ -193,9 +193,8 @@ def test_criterion_7_subgamma_certification(heldout, train_set):
                   f"({'; '.join(notes)}); round-trip v={recovered.v:.4f}")
 
 
-def test_criterion_8_train_report_direction(desk_data, tmp_path):
-    images = desk_data.source["images"]
-    labels = desk_data.source["labels"]
+def test_criterion_8_train_report_direction(desk_idx, tmp_path):
+    images, labels = desk_idx
     out = tmp_path / "train-report.csv"
     spec = SweepSpec(
         experiment="train-report",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -86,6 +87,12 @@ def test_spec_validation_errors():
         SweepSpec(experiment="loss-vs-variance", format="yaml")
     with pytest.raises(ConfigError):
         _spec_from_sources("loss-vs-variance", {"bogus_key": 1}, {})
+    # a JSON number such as 1e999 parses to inf: the checks refuse it too
+    for infinite in ({"variance_grid": [math.inf]}, {"sigma_q": math.inf},
+                     {"estimator": {"loss_bound_slack": math.inf}},
+                     {"train": {"learning_rate": math.inf}}):
+        with pytest.raises(ConfigError):
+            _spec_from_sources("loss-vs-variance", infinite, {})
 
 
 def test_per_experiment_defaults():
@@ -323,7 +330,7 @@ def test_train_report_passes(passes, tmp_path):
 def test_sgd_makes_one_forward_per_step(passes):
     data = gradbound.synth_gaussian(2, 4, [[2.0, 0, 0, 0], [0, 2.0, 0, 0]], 1.0, 50, seed=1)
     cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
-    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, "nll", [cfg])
+    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, "nll", cfg, [0.1])
     steps = cfg.epochs * math.ceil(data.m / cfg.batch_size)
     assert passes.get("sgd_step") == passes.get("forward") == steps
 
@@ -417,6 +424,32 @@ BAD_CONFIGS = {
     "synthetic k 0": ("loss-vs-variance", {}, "k=0,d=4,n_per_class=64"),
     "fractional train_size": ("loss-vs-variance", {"train_size": 2.5}, None),
     "subgamma_c_max at C_MIN": ("fit-subgamma", {"subgamma_c_max": 1e-9}, None),
+    # json.dumps writes NaN and Infinity, which JSON itself does not have
+    "NaN variance": ("loss-vs-variance", {"variance_grid": [math.nan]}, None),
+    "infinite lambda": ("naive-vs-lambda", {"lambda_grid": [math.inf]}, None),
+    "infinite loss_bound_slack": ("loss-vs-variance",
+                                  {"estimator": {"loss_bound_slack": math.inf}}, None),
+    "NaN learning_rate": ("train-report", {"train": {"learning_rate": math.nan}}, None),
+    "fractional n_weight_samples": ("loss-vs-variance",
+                                    {"estimator": {"n_weight_samples": 2.5}}, None),
+    "bool epochs": ("train-report", {"train": {"epochs": True}}, None),
+    "fractional batch_size": ("train-report", {"train": {"batch_size": 16.5}}, None),
+    "bool depth": ("loss-vs-variance", {"depth_grid": [True]}, None),
+    "bool heldout_size": ("loss-vs-variance", {"heldout_size": True}, None),
+    "fractional mlp_target_params": ("loss-vs-variance", {"mlp_target_params": 400.5}, None),
+    "fractional estimator seed": ("loss-vs-variance", {"estimator": {"seed": 2.5}}, None),
+    "bool train seed": ("train-report", {"train": {"seed": True}}, None),
+    "fractional data_seed": ("loss-vs-variance", {"data_seed": 1.5}, None),
+    "fractional seed": ("loss-vs-variance", {"seed": 2.5}, None),
+    "bool seed": ("loss-vs-variance", {"seed": True}, None),
+    "string seed": ("loss-vs-variance", {"seed": "abc"}, None),
+    "config file a list": ("loss-vs-variance", [{"variance_grid": [0.1]}], None),
+    "estimator not an object": ("loss-vs-variance", {"estimator": 3}, None),
+    "scalar variance_grid": ("loss-vs-variance", {"variance_grid": 0.1}, None),
+    "numeric synthetic": ("loss-vs-variance", {"synthetic": 3}, None),
+    "removed alpha_quadrature_nodes": ("loss-vs-variance",
+                                       {"estimator": {"alpha_quadrature_nodes": 64}}, None),
+    "removed init_stddev": ("train-report", {"train": {"init_stddev": 0.1}}, None),
 }
 
 
@@ -438,6 +471,40 @@ def test_bad_config_fails_before_any_work(case, passes, tmp_path, capsys):
     assert passes == {}
     assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
     assert os.listdir(out_dir) == []
+
+
+# ------------------------------------------------------ every knob is read
+
+_KNOB_BASE = {"synthetic": "k=2,d=4,n_per_class=64", "train_size": 64,
+              "heldout_size": 32, "variance_grid": [0.1],
+              "estimator": {"n_weight_samples": 2}, "train": {"epochs": 2, "batch_size": 32}}
+# (section, field) -> a value other than the base run's; a field missing
+# here fails the guard below until it is given one.
+_KNOB_VALUES = {
+    ("estimator", "n_weight_samples"): 3, ("estimator", "seed"): 1,
+    ("estimator", "loss_bound_slack"): 0.25,
+    ("train", "learning_rate"): 0.02, ("train", "momentum"): 0.5, ("train", "epochs"): 3,
+    ("train", "batch_size"): 16, ("train", "seed"): 1,
+}
+
+
+def _train_report_lines(config, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main(["train-report", "--config", str(path), "--out", str(out)]) == 0
+    return [l for l in out.read_text().splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("section,name", [
+    (section, f.name)
+    for section, cls in (("estimator", bd.EstimatorConfig), ("train", TrainConfig))
+    for f in dataclasses.fields(cls)])
+def test_every_echoed_knob_is_read(section, name, tmp_path):
+    """Every output echoes each estimator and train field; each must move the rows."""
+    base = _train_report_lines(_KNOB_BASE, tmp_path)
+    changed = {**_KNOB_BASE[section], name: _KNOB_VALUES[section, name]}
+    assert _train_report_lines({**_KNOB_BASE, section: changed}, tmp_path) != base
 
 
 def test_main_happy_path_with_config_file(tmp_path):

@@ -36,7 +36,6 @@ def test_hand_built_fixture_scales_pixels(tmp_path):
     assert np.allclose(data.inputs[0], [0.0, 1.0, 128 / 255, 7 / 255])
     assert data.labels.tolist() == [4, 10]  # raw byte b stored as label b+1
     assert data.class_count == 10
-    assert data.provenance == "idx"
 
 
 def test_roundtrip_identity_on_random_fixture(tmp_path):

@@ -54,8 +54,7 @@ def test_sample_determinism_and_prefix_stability():
 
 def test_shared_draws_match_sampling_each_family_alone():
     families = [prior_family(ARCH4, 0.3), prior_family(ARCH4, 2.0),
-                GaussianFamily(np.array([1.0, -2.0, 0.5, 3.0]),
-                               np.array([0.1, 0.2, 0.3, 0.4]), ARCH4)]
+                GaussianFamily(np.array([1.0, -2.0, 0.5, 3.0]), 0.4, ARCH4)]
     alone = [sample(fam, 77, 5) for fam in families]
     for i, draw in enumerate(shared_draws(families, 77, 5)):
         assert len(draw) == len(families)
@@ -81,7 +80,7 @@ def test_standard_normal_draws_are_finite_and_symmetricish():
 
 
 def test_kl_self_is_zero():
-    fam = GaussianFamily(np.array([0.3, -1.0, 2.0, 0.0]), np.array([1.0, 2.0, 0.5, 3.0]), ARCH4)
+    fam = GaussianFamily(np.array([0.3, -1.0, 2.0, 0.0]), 2.5, ARCH4)
     assert kl_divergence(fam, fam) == 0.0
 
 
@@ -106,13 +105,13 @@ def test_kl_closed_form_matches_integration_oracle():
 
 
 def test_kl_additivity_over_coordinates():
-    q2 = GaussianFamily(np.array([0.5, -1.0]), np.array([1.2, 0.7]), ARCH2)
-    p2 = GaussianFamily(np.array([0.0, 0.3]), np.array([0.9, 1.5]), ARCH2)
+    q2 = GaussianFamily(np.array([0.5, -1.0]), 1.2, ARCH2)
+    p2 = GaussianFamily(np.array([0.0, 0.3]), 0.9, ARCH2)
     parts = 0.0
     for i in range(2):
         parts += kl_divergence(
-            GaussianFamily(q2.mean[i : i + 1], q2.stddev_vector()[i], ARCH1),
-            GaussianFamily(p2.mean[i : i + 1], p2.stddev_vector()[i], ARCH1))
+            GaussianFamily(q2.mean[i : i + 1], q2.stddev, ARCH1),
+            GaussianFamily(p2.mean[i : i + 1], p2.stddev, ARCH1))
     assert kl_divergence(q2, p2) == pytest.approx(parts, rel=1e-12)
 
 
@@ -146,7 +145,9 @@ def test_family_validation():
     with pytest.raises(ValueError):
         GaussianFamily(np.zeros(4), 0.0, ARCH4)  # stddev must be positive
     with pytest.raises(ValueError):
-        GaussianFamily(np.zeros(4), np.array([1.0, 1.0, -1.0, 1.0]), ARCH4)
+        GaussianFamily(np.zeros(4), math.nan, ARCH4)
+    with pytest.raises(TypeError):  # one scale per family, not one per coordinate
+        GaussianFamily(np.zeros(4), np.array([1.0, 1.0, 2.0, 1.0]), ARCH4)
     with pytest.raises(ValueError):
         sample(prior_family(ARCH4, 1.0), 0, 0)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +24,8 @@ def separable_data(n=256, seed=12):
 def test_zero_learning_rate_returns_initialization():
     data = separable_data(n=32)
     arch = MlpArchitecture(4, 2)
-    cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=5, init_stddev=0.2)
-    [got] = train(arch, data, NLL, [cfg])
+    cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=5)
+    [got] = train(arch, data, NLL, cfg, [0.2])
     init = sample(prior_family(arch, 0.2), 5, 1)[0]
     assert np.array_equal(got.values, init.values)
 
@@ -34,9 +33,8 @@ def test_zero_learning_rate_returns_initialization():
 def test_training_fits_separable_data():
     data = separable_data()
     arch = MlpArchitecture(4, 2)
-    cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=40, batch_size=32,
-                      seed=9, init_stddev=0.3)
-    [w] = train(arch, data, NLL, [cfg])
+    cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=40, batch_size=32, seed=9)
+    [w] = train(arch, data, NLL, cfg, [0.3])
     final_loss, acc = evaluate(w, data, NLL)
     assert final_loss < 0.05
     assert acc == 1.0
@@ -45,9 +43,9 @@ def test_training_fits_separable_data():
 def test_training_is_bitwise_deterministic():
     data = separable_data(n=64)
     arch = MlpArchitecture(4, 2, (5,))
-    cfg = TrainConfig(epochs=4, batch_size=16, seed=3, init_stddev=0.2)
-    [a] = train(arch, data, NLL, [cfg])
-    [b] = train(arch, data, NLL, [cfg])
+    cfg = TrainConfig(epochs=4, batch_size=16, seed=3)
+    [a] = train(arch, data, NLL, cfg, [0.2])
+    [b] = train(arch, data, NLL, cfg, [0.2])
     assert np.array_equal(a.values, b.values)
 
 
@@ -69,10 +67,9 @@ def test_single_full_batch_step_decreases_loss():
 def test_divergence_raises_with_location():
     data = separable_data(n=64)
     arch = MlpArchitecture(4, 2)
-    cfg = TrainConfig(learning_rate=1e307, epochs=3, batch_size=16, seed=2,
-                      init_stddev=0.5)
+    cfg = TrainConfig(learning_rate=1e307, epochs=3, batch_size=16, seed=2)
     with pytest.raises(TrainingDiverged) as exc:
-        train(arch, data, NLL, [cfg])
+        train(arch, data, NLL, cfg, [0.5])
     assert exc.value.epoch >= 0
     assert exc.value.batch >= 0
 
@@ -89,25 +86,17 @@ LAYOUTS = {
 def test_lockstep_matches_training_each_config_alone(layout, kind):
     data = separable_data(n=40)
     arch = LAYOUTS[layout]
-    base = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
-    cfgs = [dataclasses.replace(base, init_stddev=s) for s in (0.05, 0.3, 1.0)]
-    together = train(arch, data, kind, cfgs)
-    assert len(together) == len(cfgs)
-    for cfg, got in zip(cfgs, together):
-        [alone] = train(arch, data, kind, [cfg])
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
+    scales = [0.05, 0.3, 1.0]
+    together = train(arch, data, kind, cfg, scales)
+    assert len(together) == len(scales)
+    for scale, got in zip(scales, together):
+        [alone] = train(arch, data, kind, cfg, [scale])
         assert np.array_equal(got.values, alone.values)
     assert not np.array_equal(together[0].values, together[1].values)
 
 
-def test_lockstep_rejects_configs_differing_beyond_init_stddev():
-    data = separable_data(n=16)
-    cfg = TrainConfig(epochs=1, batch_size=8)
-    with pytest.raises(ValueError):
-        train(MlpArchitecture(4, 2), data, NLL,
-              [cfg, dataclasses.replace(cfg, learning_rate=0.02)])
-
-
-# init_stddev -> where training that config alone diverges (None: it does
+# initial scale -> where training that config alone diverges (None: it does
 # not), with learning rate 1e200 on a one-hidden-layer net.
 _DIVERGES = {1e100: None, 0.1: (0, 1), 1e300: (0, 0)}
 
@@ -121,17 +110,16 @@ _DIVERGES = {1e100: None, 0.1: (0, 1), 1e300: (0, 0)}
 def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
     data = separable_data(n=32)
     arch = MlpArchitecture(4, 2, (5,))
-    base = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
-    cfgs = [dataclasses.replace(base, init_stddev=s) for s in stddevs]
-    for cfg in cfgs:  # each config trained alone
+    cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
+    for scale in stddevs:  # each scale trained alone
         try:
-            train(arch, data, NLL, [cfg])
+            train(arch, data, NLL, cfg, [scale])
             where = None
         except TrainingDiverged as exc:
             where = (exc.epoch, exc.batch)
-        assert where == _DIVERGES[cfg.init_stddev]
+        assert where == _DIVERGES[scale]
     with pytest.raises(TrainingDiverged) as exc:
-        train(arch, data, NLL, cfgs)
+        train(arch, data, NLL, cfg, list(stddevs))
     assert (exc.value.epoch, exc.value.batch) == expected
 
 
@@ -185,4 +173,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(init_stddev=0.0)
+        TrainConfig(epochs=2.5)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=True)
+    with pytest.raises(ValueError):
+        TrainConfig(learning_rate=math.nan)
+    with pytest.raises(ValueError):
+        train(MlpArchitecture(4, 2), separable_data(n=16), NLL, TrainConfig(), [0.0])
