@@ -96,7 +96,7 @@ def test_lockstep_matches_training_each_config_alone(layout, kind):
     assert not np.array_equal(together[0].values, together[1].values)
 
 
-# initial scale -> where training that config alone diverges (None: it does
+# initial scale -> where training that scale alone diverges (None: it does
 # not), with learning rate 1e200 on a one-hidden-layer net.
 _DIVERGES = {1e100: None, 0.1: (0, 1), 1e300: (0, 0)}
 
@@ -119,7 +119,7 @@ def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
             where = (exc.epoch, exc.batch)
         assert where == _DIVERGES[scale]
     with pytest.raises(TrainingDiverged) as exc:
-        train(arch, data, NLL, cfg, list(stddevs))
+        train(arch, data, NLL, cfg, stddevs)
     assert (exc.value.epoch, exc.value.batch) == expected
 
 
