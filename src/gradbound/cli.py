@@ -49,7 +49,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bounds as bd
-from .datasets import IdxFormatError, LabeledDataset, load_idx, split, stratified_sample, synth_gaussian
+from .datasets import (MAX_SYNTH_CLASSES, IdxFormatError, LabeledDataset, load_idx, split,
+                       stratified_sample, synth_gaussian)
 from .gaussians import (RESERVED_STREAM_BASE, kl_divergence, posterior_family,
                         prior_family, sample, stream_rng)
 from .nets import LOSS_KINDS, NLL, MlpArchitecture, equal_param_hidden_widths, lipschitz_bound
@@ -173,8 +174,9 @@ def parse_synthetic_spec(text: str) -> dict:
     missing = {"k", "d", "n_per_class"} - out.keys()
     if missing:
         raise ConfigError(f"synthetic spec is missing {sorted(missing)}")
-    if out["k"] > out["d"]:
-        raise ConfigError("synthetic spec needs d >= k (class means are sep * e_y)")
+    if out["k"] > min(out["d"], MAX_SYNTH_CLASSES):
+        raise ConfigError("synthetic spec needs k <= d (class means are sep * e_y) "
+                          f"and k <= {MAX_SYNTH_CLASSES}")
     if min(out["k"], out["d"], out["n_per_class"]) < 1 or not out["sigma"] > 0:
         raise ConfigError("synthetic spec needs k, d and n_per_class >= 1 and sigma > 0")
     return out
@@ -434,8 +436,14 @@ def run(spec: SweepSpec) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (dict, list)):
+        return any(map(_holds_bool, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, bool)
+
+
 def _read_config(path: str) -> dict:
-    """The JSON object in the config file; NaN and Infinity are refused."""
+    """The JSON object in the config file; NaN, Infinity, true and false are refused."""
     def refuse(constant):
         raise ConfigError(f"config file holds {constant}; numbers must be finite")
 
@@ -448,6 +456,8 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
+    if _holds_bool(config):
+        raise ConfigError("config file holds true or false; no setting is boolean")
     return config
 
 
@@ -459,6 +469,8 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
         for key, value in src.items():
             if value is None:
                 continue
+            if key == "experiment":
+                raise ConfigError("the experiment is the command's first argument")
             if key in ("estimator", "train") and not isinstance(value, dict):
                 raise ConfigError(f"{key} must be a JSON object")
             if key == "estimator":
@@ -471,7 +483,6 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
                 est["seed"] = tr["seed"] = merged["data_seed"] = value
             else:
                 merged[key] = value
-    merged.pop("experiment", None)
     for grid in ("lambda_grid", "variance_grid", "depth_grid"):
         if grid in merged:
             if not isinstance(merged[grid], (list, tuple)):

@@ -20,7 +20,11 @@ from .gaussians import RESERVED_STREAM_BASE, standard_normal, stream_rng
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
+# synth_gaussian's class y draws from _SYNTH_STREAM + y, short of the next two.
 _SYNTH_STREAM = RESERVED_STREAM_BASE + 0x51
+_SUBSET_STREAM = RESERVED_STREAM_BASE + 0x5E
+_SPLIT_STREAM = RESERVED_STREAM_BASE + 0x5F
+MAX_SYNTH_CLASSES = _SUBSET_STREAM - _SYNTH_STREAM - 1
 
 
 class IdxFormatError(ValueError):
@@ -141,8 +145,8 @@ def synth_gaussian(k: int, d: int, class_means: np.ndarray, sigma: float,
     class_means = np.asarray(class_means, dtype=np.float64)
     if class_means.shape != (k, d):
         raise ValueError(f"class_means must have shape ({k}, {d})")
-    if sigma <= 0 or n_per_class < 1:
-        raise ValueError("sigma must be positive and n_per_class >= 1")
+    if sigma <= 0 or n_per_class < 1 or k > MAX_SYNTH_CLASSES:
+        raise ValueError(f"need sigma > 0, n_per_class >= 1 and k <= {MAX_SYNTH_CLASSES}")
     blocks = []
     for y in range(1, k + 1):
         z = standard_normal(seed, _SYNTH_STREAM + y, n_per_class * d).reshape(n_per_class, d)
@@ -166,7 +170,7 @@ def _stratified_pick(data: LabeledDataset, seed: int, stream: int, allocate
     """Sorted (picked, rest) row indices: each class, in label order,
     shuffles its rows on one Philox stream of ``seed`` and picks its share
     of ``allocate(counts)``, the counts being those of the classes present."""
-    rng = stream_rng(seed, RESERVED_STREAM_BASE + stream)
+    rng = stream_rng(seed, stream)
     counts = np.bincount(data.labels, minlength=data.class_count + 1)[1:].astype(np.float64)
     present = counts > 0
     alloc = np.zeros(data.class_count, dtype=np.int64)
@@ -192,7 +196,7 @@ def split(data: LabeledDataset, train_fraction: float, seed: int
         raise ValueError("train_fraction must lie strictly between 0 and 1")
     n_train_total = int(round(train_fraction * data.m))
     train_idx, held_idx = _stratified_pick(
-        data, seed, 0x5F,
+        data, seed, _SPLIT_STREAM,
         lambda counts: _largest_remainder(train_fraction * counts, n_train_total))
     if train_idx.size == 0 or held_idx.size == 0:
         raise ValueError("split would leave one side empty")
@@ -208,5 +212,5 @@ def stratified_sample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset
     if n == data.m:
         return data
     keep, _ = _stratified_pick(
-        data, seed, 0x5E, lambda counts: _largest_remainder(n * counts / data.m, n))
+        data, seed, _SUBSET_STREAM, lambda counts: _largest_remainder(n * counts / data.m, n))
     return LabeledDataset(data.inputs[keep], data.labels[keep], data.class_count)

@@ -18,7 +18,10 @@ with the shapes of the one-vector pass, and its first-layer weight
 gradient is one ``[g1_1 ... g1_F]^T @ x`` GEMM; with OpenBLAS on x86-64
 each row gets the bits of its one-vector pass.  SGD passes a stack
 (:func:`loss_and_param_grads`); the ParamVector functions pass one
-vector.
+vector.  The forward pass caches one array per layer, the activation
+entering it; the backward pass takes the loss and its logit gradient
+from one :func:`logit_loss_and_gradient` call and reads each ReLU mask
+off the cached activations.
 
 First-layer block
 -----------------
@@ -40,8 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import softmax
 
 NLL = "nll"
 MULTICLASS_HINGE = "hinge"
@@ -173,9 +174,7 @@ def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> li
     (n, fan_out) column views, in order.
     """
     firsts = [_layers(p.layout, p.values)[0] for p in params_list]
-    # One draw multiplies its own W1 view without a copy.
-    w1 = firsts[0][0] if len(firsts) == 1 else np.concatenate([w for w, _ in firsts])
-    block = x_batch @ w1.T
+    block = x_batch @ np.concatenate([w for w, _ in firsts]).T
     fan_out = firsts[0][0].shape[0]
     views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
     for z1, (_, b) in zip(views, firsts):
@@ -186,22 +185,21 @@ def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> li
 
 def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.ndarray,
                     z1: np.ndarray | None = None):
-    """Batch forward pass of flat weights (P,) or a stack (F, P), keeping
-    pre-activations for backprop.
+    """Batch forward pass of flat weights (P,) or a stack (F, P).
 
-    Returns (activations entering each layer, pre-activations per layer,
-    logits); past the input, each carries the stack's leading axis.  ReLU
-    is applied after every layer except the last, and a stack's layers
-    run as batched matmuls over (F, n, h), so each row gets the bits of
-    its one-vector pass.  ``z1`` is the first layer's pre-activation
-    from :func:`first_layer_block` (computed here when omitted); it is
-    read, never written.
+    Returns (activations entering each layer, logits), the one array per
+    layer kept for backprop: the input batch, then each hidden ReLU
+    output, which past the input carry the stack's leading axis.  A
+    stack's layers run as batched matmuls over (F, n, h), so each row
+    gets the bits of its one-vector pass.  ``z1`` is the first layer's
+    pre-activation from :func:`first_layer_block` (computed here when
+    omitted); it is read, never written.
     """
-    acts, pres = [], []
+    acts = []
     a = x_batch
     for i, (w, b) in enumerate(_layers(layout, weights)):
         if i:
-            a = np.maximum(pres[-1], 0.0)
+            a = np.maximum(z, 0.0)
         acts.append(a)
         if i == 0 and z1 is not None:
             z = z1
@@ -209,13 +207,12 @@ def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.nd
             z = a @ np.swapaxes(w, -1, -2)
             if b is not None:
                 z += b[..., None, :]
-        pres.append(z)
-    return acts, pres, pres[-1]
+    return acts, z
 
 
 def batch_forward(params: ParamVector, x_batch: np.ndarray) -> np.ndarray:
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    return _forward_cached(params.layout, params.values, x_batch)[2]
+    return _forward_cached(params.layout, params.values, x_batch)[1]
 
 
 def forward(params: ParamVector, x) -> np.ndarray:
@@ -224,37 +221,27 @@ def forward(params: ParamVector, x) -> np.ndarray:
     return batch_forward(params, x[None, :])[0]
 
 
-def logit_loss(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.ndarray:
-    """Per-example loss from logits (..., n, k); y_batch holds n 1-based labels."""
-    y0 = np.asarray(y_batch, dtype=np.int64) - 1
-    rows = np.arange(logits.shape[-2])
-    if kind == NLL:
-        # (max - t_y) + log sum exp(t - max): the shift cancels before any
-        # large intermediate forms, so adding a constant to all logits
-        # leaves the result unchanged to the last bit.
-        tmax = logits.max(axis=-1)
-        spread = np.exp(logits - tmax[..., None]).sum(axis=-1)
-        return (tmax - logits[..., rows, y0]) + np.log(spread)
-    if kind == MULTICLASS_HINGE:
-        margins = logits - logits[..., rows, y0][..., None] + 1.0
-        margins[..., rows, y0] = 0.0
-        return margins.max(axis=-1)
-    raise ValueError(f"unknown loss kind: {kind!r}")
+def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray, kind: str
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example loss and its gradient with respect to the logits
+    (..., n, k); y_batch holds n 1-based labels.
 
-
-def logit_gradient(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.ndarray:
-    """Gradient of the loss with respect to the logits (..., n, k), per example.
-
-    For NLL this is softmax(t) - e_y.  For the hinge loss it is
-    e_{y*} - e_y for the attaining class y* (ties resolved to the smallest
-    index, matching np.argmax), or zero when the margin term y* = y wins.
+    NLL: (max - t_y) + log sum exp(t - max), whose shift cancels before
+    any large intermediate forms, so adding a constant to all logits
+    leaves it unchanged to the last bit; the gradient softmax(t) - e_y
+    comes from the same shifted exponentials.  Hinge: the largest margin,
+    with gradient e_{y*} - e_y for the attaining class y* (ties resolved
+    to the smallest index, as np.argmax), or zero when y* = y wins.
     """
     y0 = np.asarray(y_batch, dtype=np.int64) - 1
     rows = np.arange(logits.shape[-2])
     if kind == NLL:
-        g = softmax(logits, axis=-1)
+        tmax = logits.max(axis=-1)
+        e = np.exp(logits - tmax[..., None])
+        spread = e.sum(axis=-1)
+        g = e / spread[..., None]
         g[..., rows, y0] -= 1.0
-        return g
+        return (tmax - logits[..., rows, y0]) + np.log(spread), g
     if kind == MULTICLASS_HINGE:
         margins = logits - logits[..., rows, y0][..., None] + 1.0
         margins[..., rows, y0] = 0.0
@@ -263,15 +250,20 @@ def logit_gradient(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.nda
         hit = np.nonzero(ystar != y0)
         g[(*hit, ystar[hit])] = 1.0
         g[(*hit, y0[hit[-1]])] = -1.0
-        return g
+        return margins.max(axis=-1), g
     raise ValueError(f"unknown loss kind: {kind!r}")
+
+
+def logit_loss(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.ndarray:
+    """Per-example loss from logits, as in :func:`logit_loss_and_gradient`."""
+    return logit_loss_and_gradient(logits, y_batch, kind)[0]
 
 
 def batch_losses(params: ParamVector, x_batch, y_batch, kind: str,
                  z1: np.ndarray | None = None) -> np.ndarray:
     """Per-example losses; ``z1`` as in :func:`_forward_cached`."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    logits = _forward_cached(params.layout, params.values, x_batch, z1)[2]
+    logits = _forward_cached(params.layout, params.values, x_batch, z1)[1]
     return logit_loss(logits, y_batch, kind)
 
 
@@ -291,14 +283,13 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
     loss gradient g1 at W1's output (n, fan_out), and with ``want_params``
     the flat gradient of the mean batch loss (P,), else None); a stack
     adds its leading axis F to each.  The input gradient is g1 @ W1;
-    callers form it only when they need it.  ``z1`` as in
-    :func:`_forward_cached`.
+    callers form it only when they need it.  ``z1`` as in :func:`_forward_cached`,
+    whose cached activations give the weight gradients and ReLU masks.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = _layers(layout, weights)
-    acts, pres, logits = _forward_cached(layout, weights, x_batch, z1)
-    losses = logit_loss(logits, y_batch, kind)
-    g = logit_gradient(logits, y_batch, kind)
+    acts, logits = _forward_cached(layout, weights, x_batch, z1)
+    losses, g = logit_loss_and_gradient(logits, y_batch, kind)
 
     n = x_batch.shape[0]
     grads = np.empty_like(weights) if want_params else None
@@ -319,8 +310,8 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
                 gb[...] = g.mean(axis=-2)
         if i == 0:
             return losses, w, g, grads
-        # ReLU subgradient: derivative 0 at the kink.
-        g = (g @ w) * (pres[i - 1] > 0.0)
+        # ReLU subgradient, 0 at the kink: acts[i] = max(z, 0) > 0 iff z > 0.
+        g = (g @ w) * (acts[i] > 0.0)
 
 
 def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,

@@ -27,13 +27,6 @@ def logmeanexp(a, axis=None):
     return logsumexp(a, axis=axis) - np.log(n)
 
 
-def softmax(logits, axis=-1):
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def trapezoid_weights(nodes):
     """Composite-trapezoid quadrature weights for sorted 1-D nodes."""
     nodes = np.asarray(nodes, dtype=np.float64)

@@ -38,12 +38,12 @@ _SHUFFLE_STREAM = RESERVED_STREAM_BASE + 0x7E
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the epoch and batch index."""
+    """Loss became non-finite; carries the epoch, batch index and initial scale."""
 
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
-        self.epoch = epoch
-        self.batch = batch
+    def __init__(self, epoch: int, batch: int, scale: float):
+        self.epoch, self.batch, self.scale = epoch, batch, float(scale)
+        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}, "
+                         f"initial scale {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def train(arch: MlpArchitecture, data: LabeledDataset, kind: str, cfg: TrainConf
                 # Rows after the first diverging one can no longer decide
                 # which divergence is raised; earlier rows still can.
                 first = int(bad.argmax())
-                diverged = TrainingDiverged(epoch, bi)
+                diverged = TrainingDiverged(epoch, bi, init_scales[first])
                 if first == 0:
                     raise diverged
                 w, u = w[:first], u[:first]

@@ -17,7 +17,7 @@ from gradbound.cli import SweepSpec, arch_for_depth, run
 from gradbound.datasets import synth_gaussian
 from gradbound.gaussians import (GaussianFamily, kl_divergence, prior_family,
                                  sample, stream_rng)
-from gradbound.nets import (NLL, MlpArchitecture, ParamVector, grad_input,
+from gradbound.nets import (NLL, MlpArchitecture, ParamVector, _layers, grad_input,
                             grad_params, lipschitz_bound, logit_loss, loss)
 from gradbound.subgamma import check as subgamma_check
 from gradbound.subgamma import envelope, fit
@@ -227,8 +227,11 @@ def test_criterion_9_numerical_foundations():
                 p = ParamVector(rng.normal(0, 0.5, arch.param_count()), arch)
                 x = rng.normal(size=6)
                 y = int(rng.integers(1, 4))
-                from gradbound.nets import _forward_cached
-                pres = _forward_cached(p.layout, p.values, x[None, :])[1][:-1]
+                # hidden pre-activations, with the kernel's arithmetic
+                a, pres = x[None, :], []
+                for w, b in _layers(arch, p.values)[:-1]:
+                    pres.append(a @ w.T + b)
+                    a = np.maximum(pres[-1], 0.0)
                 if not pres or min(np.abs(z).min() for z in pres) > 1e-3:
                     break
             gx = grad_input(p, x, y, NLL)

@@ -95,6 +95,11 @@ def test_spec_validation_errors():
             _spec_from_sources("loss-vs-variance", infinite, {})
 
 
+def test_experiment_key_is_refused_with_its_reason():
+    with pytest.raises(ConfigError, match="command's first argument"):
+        _spec_from_sources("loss-vs-variance", {"experiment": "loss-vs-variance"}, {})
+
+
 def test_per_experiment_defaults():
     spec = _spec_from_sources("naive-vs-lambda", {}, {})
     assert spec.lambda_grid and spec.variance_grid == (0.1,)
@@ -450,6 +455,16 @@ BAD_CONFIGS = {
     "removed alpha_quadrature_nodes": ("loss-vs-variance",
                                        {"estimator": {"alpha_quadrature_nodes": 64}}, None),
     "removed init_stddev": ("train-report", {"train": {"init_stddev": 0.1}}, None),
+    "bool sigma_q": ("train-report", {"sigma_q": True}, None),
+    "bool variance": ("loss-vs-variance", {"variance_grid": [True]}, None),
+    "bool lambda": ("naive-vs-lambda", {"lambda_grid": [True]}, None),
+    "bool subgamma_c_max": ("fit-subgamma", {"subgamma_c_max": True}, None),
+    "bool loss_bound_slack": ("loss-vs-variance",
+                              {"estimator": {"loss_bound_slack": True}}, None),
+    "bool learning_rate": ("train-report", {"train": {"learning_rate": True}}, None),
+    "bool momentum": ("train-report", {"train": {"momentum": False}}, None),
+    "experiment key": ("loss-vs-variance", {"experiment": "bogus"}, None),
+    "synthetic k 13": ("loss-vs-variance", {}, "k=13,d=13,n_per_class=64"),
 }
 
 

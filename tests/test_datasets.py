@@ -9,6 +9,7 @@ from gradbound.datasets import (
     IdxBadMagicError,
     IdxCountMismatchError,
     IdxFormatError,
+    MAX_SYNTH_CLASSES,
     IdxTruncatedError,
     LabeledDataset,
     load_idx,
@@ -115,6 +116,16 @@ def test_synth_determinism_and_balance():
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.labels, b.labels)
     assert [(a.labels == y).sum() for y in (1, 2, 3)] == [10, 10, 10]
+
+
+def test_synth_class_streams_stop_short_of_the_subset_and_split_streams():
+    # class y draws from the synthetic base stream + y; 13 classes would
+    # reach the streams stratified_sample and split shuffle with
+    assert MAX_SYNTH_CLASSES == 12
+    means = np.zeros((13, 13))
+    assert synth_gaussian(12, 13, means[:12], 1.0, 2, seed=3).class_count == 12
+    with pytest.raises(ValueError, match="k <= 12"):
+        synth_gaussian(13, 13, means, 1.0, 2, seed=3)
 
 
 def test_split_partitions_and_stratifies():

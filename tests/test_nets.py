@@ -18,7 +18,7 @@ from gradbound.nets import (
     grad_input,
     grad_params,
     lipschitz_bound,
-    logit_gradient,
+    logit_loss_and_gradient,
     loss,
     loss_and_param_grads,
     loss_and_sq_grad_norms,
@@ -185,10 +185,12 @@ def test_loss_nonnegative(logit_list, y, kind):
 
 
 def _hidden_preactivations(params, x):
-    from gradbound.nets import _forward_cached
-
-    _, pres, _ = _forward_cached(params.layout, params.values, x[None, :])
-    return [z[0] for z in pres[:-1]]
+    """Hidden pre-activations of one input, with the kernel's arithmetic."""
+    a, pres = x[None, :], []
+    for w, b in _layers(params.layout, params.values)[:-1]:
+        pres.append(a @ w.T + b)
+        a = np.maximum(pres[-1], 0.0)
+    return [z[0] for z in pres]
 
 
 def _hinge_margin_gap(params, x, y):
@@ -355,11 +357,15 @@ def test_stacked_pass_matches_one_vector_passes(name, kind):
     stack = np.stack([random_params(arch, rng, s).values for s in (0.1, 0.5, 2.0)])
     losses, grads = loss_and_param_grads(arch, stack, x, y, kind)
     stacked = _backward(arch, stack, x, y, kind, True)
-    stacked_pres = _forward_cached(arch, stack, x)[1]
+    stacked_acts, stacked_logits = _forward_cached(arch, stack, x)
     assert losses.shape == (3, 40) and grads.shape == stack.shape
     for f, values in enumerate(stack):
-        for got, want in zip(stacked_pres, _forward_cached(arch, values, x)[1]):
+        acts, logits = _forward_cached(arch, values, x)
+        # the input batch, then each hidden activation
+        assert stacked_acts[0] is x and acts[0] is x
+        for got, want in zip(stacked_acts[1:], acts[1:]):
             assert np.array_equal(got[f], want)
+        assert np.array_equal(stacked_logits[f], logits)
         p = ParamVector(values, arch)
         one_loss, one_grad = loss_and_param_grads(arch, values, x, y, kind)
         assert np.array_equal(losses[f], one_loss)
@@ -438,5 +444,17 @@ def test_lipschitz_bound_on_random_logits(kind):
     lip = lipschitz_bound(kind)
     logits = rng.uniform(-30, 30, size=(100_000, 5))
     y = rng.integers(1, 6, size=100_000)
-    g = logit_gradient(logits, y, kind)
+    g = logit_loss_and_gradient(logits, y, kind)[1]
     assert np.all(np.linalg.norm(g, axis=1) <= lip + 1e-12)
+
+
+def test_nll_logit_gradient_rows_sum_to_zero_and_survive_shift():
+    x = np.array([[1000.0, 0.0, -5.0], [0.3, 0.2, 0.1]])
+    y = np.array([1, 3])
+    g = logit_loss_and_gradient(x, y, NLL)[1]
+    assert np.allclose(g.sum(axis=1), 0.0)
+    # softmax - e_y: the label's entry in [-1, 0], every other one >= 0
+    off = np.ones_like(g, dtype=bool)
+    off[[0, 1], y - 1] = False
+    assert np.all(g[off] >= 0) and np.all((-1 <= g[~off]) & (g[~off] <= 0))
+    assert np.allclose(logit_loss_and_gradient(x + 123.0, y, NLL)[1], g)

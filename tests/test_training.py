@@ -72,6 +72,7 @@ def test_divergence_raises_with_location():
         train(arch, data, NLL, cfg, [0.5])
     assert exc.value.epoch >= 0
     assert exc.value.batch >= 0
+    assert exc.value.scale == 0.5 and "initial scale 0.5" in str(exc.value)
 
 
 LAYOUTS = {
@@ -103,9 +104,9 @@ _DIVERGES = {1e100: None, 0.1: (0, 1), 1e300: (0, 0)}
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("stddevs,expected", [
-    ((1e100, 1e300), (0, 0)),  # the second config diverges at batch 0
-    ((1e300, 1e100), (0, 0)),  # the first does
-    ((0.1, 1e300), (0, 1)),    # the second diverges sooner, the first wins
+    ((1e100, 1e300), (0, 0, 1e300)),  # the second config diverges at batch 0
+    ((1e300, 1e100), (0, 0, 1e300)),  # the first does
+    ((0.1, 1e300), (0, 1, 0.1)),      # the second diverges sooner, the first wins
 ])
 def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
     data = separable_data(n=32)
@@ -117,10 +118,12 @@ def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
             where = None
         except TrainingDiverged as exc:
             where = (exc.epoch, exc.batch)
+            assert exc.scale == scale
         assert where == _DIVERGES[scale]
     with pytest.raises(TrainingDiverged) as exc:
         train(arch, data, NLL, cfg, stddevs)
-    assert (exc.value.epoch, exc.value.batch) == expected
+    assert (exc.value.epoch, exc.value.batch, exc.value.scale) == expected
+    assert f"initial scale {expected[2]!r}" in str(exc.value)
 
 
 def test_evaluate_zero_weights_balanced_data():
