@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gradbound.datasets import (
+    MAX_SYNTH_CLASSES,
     IdxBadMagicError,
     IdxCountMismatchError,
     IdxFormatError,
-    MAX_SYNTH_CLASSES,
     IdxTruncatedError,
     LabeledDataset,
     load_idx,
