@@ -17,12 +17,12 @@ from .bounds import (
 from .datasets import LabeledDataset, load_idx, split, synth_gaussian
 from .gaussians import GaussianFamily, kl_divergence, posterior_family, prior_family, sample
 from .nets import (
+    LIPSCHITZ_BOUND,
     MlpArchitecture,
     ParamVector,
     forward,
     grad_input,
     grad_params,
-    lipschitz_bound,
     loss,
 )
 from .subgamma import SubGammaFit, check, envelope, fit

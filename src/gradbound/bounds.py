@@ -64,7 +64,9 @@ class EstimatorConfig:
             raise ValueError("n_weight_samples must be an integer >= 1")
         if type(self.seed) is not int:
             raise ValueError("seed must be an integer")
-        if not 0.0 <= self.loss_bound_slack < math.inf:
+        # A bool compares as 0 or 1, but it is not a real.
+        if (isinstance(self.loss_bound_slack, bool)
+                or not 0.0 <= self.loss_bound_slack < math.inf):
             raise ValueError("loss_bound_slack must be finite and nonnegative")
 
 
@@ -137,8 +139,7 @@ def _finalize(exponents: np.ndarray, n_data: int,
         overflowed=overflowed)
 
 
-def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
-               cfg: EstimatorConfig,
+def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: EstimatorConfig,
                grads: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per family and weight draw: losses[S, n] and sq_grad_norms[S, n].
 
@@ -171,9 +172,9 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, kind: str,
         for (i, j, w), z1 in zip(chunk, z1s):
             if grads:
                 losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
-                    w, data.inputs, data.labels, kind, z1)
+                    w, data.inputs, data.labels, z1)
             else:
-                losses[j][i] = batch_losses(w, data.inputs, data.labels, kind, z1)
+                losses[j][i] = batch_losses(w, data.inputs, data.labels, z1)
     return list(zip(losses, sq_norms))
 
 
@@ -292,8 +293,8 @@ class EntropyCheck:
         return self.rhs + 3.0 * (self.lhs_std_error + self.rhs_std_error) - self.lhs
 
 
-def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, kind: str,
-                      alpha: float, n: int | None = None) -> EntropyCheck:
+def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, alpha: float,
+                      n: int | None = None) -> EntropyCheck:
     """MC estimate of the entropy inequality on class-conditional Gaussian data.
 
     lhs = alpha M'(alpha) - M(alpha) log M(alpha) (the entropy of
@@ -309,7 +310,7 @@ def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, kind: 
     if not 1 <= n <= gaussian_data.m:
         raise ValueError("n out of range")
     losses, sq = loss_and_sq_grad_norms(params, gaussian_data.inputs[:n],
-                                        gaussian_data.labels[:n], kind)
+                                        gaussian_data.labels[:n])
 
     v = np.exp(-alpha * losses)
     u = -losses * v

@@ -51,10 +51,10 @@ import numpy as np
 from . import bounds as bd
 from .datasets import (MAX_SYNTH_CLASSES, IdxFormatError, LabeledDataset, load_idx, split,
                        stratified_sample, synth_gaussian)
-from .gaussians import (RESERVED_STREAM_BASE, kl_divergence, posterior_family,
-                        prior_family, sample, stream_rng)
-from .nets import LOSS_KINDS, NLL, MlpArchitecture, equal_param_hidden_widths, lipschitz_bound
-from .subgamma import C_MIN, fit as subgamma_fit, check as subgamma_check
+from .gaussians import (CHECK_STREAM, kl_divergence, posterior_family, prior_family, sample,
+                        stream_rng)
+from .nets import LIPSCHITZ_BOUND, MlpArchitecture, equal_param_hidden_widths
+from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train
 
 EXIT_OK = 0
@@ -62,8 +62,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_CHECK_FAILED = 5
-
-_CHECK_STREAM = RESERVED_STREAM_BASE + 0xC0
 
 
 class ConfigError(ValueError):
@@ -90,8 +88,6 @@ class SweepSpec:
     data_seed: int = 0
     sigma_q: float = 0.05
     mlp_target_params: int = 20_000
-    subgamma_c_max: float | None = None
-    loss_kind: str = NLL
     estimator: bd.EstimatorConfig = field(default_factory=bd.EstimatorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     out: str | None = None
@@ -105,12 +101,14 @@ class SweepSpec:
             raise ConfigError(f"unknown format {self.format!r}")
         if not self.variance_grid or not self.depth_grid:
             raise ConfigError("variance_grid and depth_grid must be nonempty")
-        if not all(0 < v < math.inf for v in self.variance_grid):
+        # A bool compares as 0 or 1, but it is not a real.
+        if not all(not isinstance(v, bool) and 0 < v < math.inf for v in self.variance_grid):
             raise ConfigError("variance_grid entries must be finite and positive")
         # type(), not isinstance(): a bool is an int, and not a count.
         if not all(type(d) is int and d >= 1 for d in self.depth_grid):
             raise ConfigError("depth_grid entries must be integers >= 1")
-        if not all(0 < lam < math.inf for lam in self.lambda_grid):
+        if not all(not isinstance(lam, bool) and 0 < lam < math.inf
+                   for lam in self.lambda_grid):
             raise ConfigError("lambda_grid entries must be finite and positive")
         if self.experiment == "naive-vs-lambda" and not self.lambda_grid:
             raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
@@ -124,13 +122,8 @@ class SweepSpec:
                 and any(lam > self.train_size for lam in self.lambda_grid)):
             raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
                               "train_size (m)")
-        if self.subgamma_c_max is not None and not self.subgamma_c_max > C_MIN:
-            raise ConfigError(f"subgamma_c_max must exceed {C_MIN:g}")
-        if not 0 < self.sigma_q < math.inf:
+        if isinstance(self.sigma_q, bool) or not 0 < self.sigma_q < math.inf:
             raise ConfigError("sigma_q must be finite and positive")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss_kind {self.loss_kind!r}; "
-                              f"choose from {', '.join(LOSS_KINDS)}")
         if not all(v is None or isinstance(v, str)
                    for v in (self.images_path, self.labels_path, self.synthetic, self.out)):
             raise ConfigError("images_path, labels_path, synthetic and out must be strings")
@@ -227,11 +220,11 @@ def _trained_posteriors(spec, arch, train_set, heldout):
     """Train from N(0, v) for every prior variance v, in lockstep, and
     center each posterior on its result."""
     sigmas = [math.sqrt(v) for v in spec.variance_grid]
-    trained = train(arch, train_set, spec.loss_kind, spec.train, sigmas)
+    trained = train(arch, train_set, spec.train, sigmas)
     points = []
     for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
-        train_loss, train_acc = evaluate(weights, train_set, spec.loss_kind)
-        test_loss, test_acc = evaluate(weights, heldout, spec.loss_kind)
+        train_loss, train_acc = evaluate(weights, train_set)
+        test_loss, test_acc = evaluate(weights, heldout)
         posterior = posterior_family(weights, spec.sigma_q)
         kl = kl_divergence(posterior, prior_family(arch, sigma_p))
         points.append((posterior, {
@@ -260,8 +253,8 @@ def _naive_rows(spec, m, arch, point, losses, sq_norms):
 
 def _gradnorm_rows(spec, m, arch, point, losses, sq_norms):
     mean, se = bd.expected_grad_norm_mc(sq_norms)
-    lip = lipschitz_bound(spec.loss_kind)
-    worst = lip**2 * point["sigma_p"]**2 * arch.param_count() if arch.is_linear else None
+    worst = (LIPSCHITZ_BOUND**2 * point["sigma_p"]**2 * arch.param_count()
+             if arch.is_linear else None)
     return [{**point, "grad_norm_sq_mean": mean, "grad_norm_sq_std_error": se,
              "linear_worst_case": worst}]
 
@@ -289,7 +282,7 @@ def _fit_subgamma_rows(spec, m, arch, point, losses, sq_norms):
     if not grid:
         return [{**point, "v": None, "c": None, "lambda_max": None,
                  "residual": None, **counts, "dominates": False}]
-    fitted = subgamma_fit(grid, c_max=spec.subgamma_c_max)
+    fitted = subgamma_fit(grid)
     return [{**point, "v": fitted.v, "c": fitted.c, "lambda_max": fitted.lambda_max,
              "residual": fitted.residual, **counts,
              "dominates": subgamma_check(fitted, grid)}]
@@ -329,8 +322,7 @@ def _sweep(spec, train_set, heldout):
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count,
                               spec.mlp_target_params)
         points = families_at(spec, arch, train_set, heldout)
-        stats = bd.draw_stats([family for family, _ in points], data, spec.loss_kind,
-                              spec.estimator, grads)
+        stats = bd.draw_stats([family for family, _ in points], data, spec.estimator, grads)
         for (_, cells), (losses, sq_norms) in zip(points, stats):
             rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells},
                             losses, sq_norms)
@@ -338,7 +330,7 @@ def _sweep(spec, train_set, heldout):
 
 
 def _identity_check_rows(spec):
-    rng = stream_rng(spec.estimator.seed, _CHECK_STREAM)
+    rng = stream_rng(spec.estimator.seed, CHECK_STREAM)
     rows = []
 
     # (check, identity, upper end of its random lambda, relative gap it
@@ -365,7 +357,7 @@ def _identity_check_rows(spec):
         w = sample(prior_family(arch, float(rng.uniform(0.05, 0.3))),
                    int(rng.integers(0, 2**31)), 1)[0]
         alpha = float(rng.uniform(0.05, 0.8))
-        res = bd.log_sobolev_check(w, data, spec.loss_kind, alpha)
+        res = bd.log_sobolev_check(w, data, alpha)
         rows.append({"check": "log-sobolev", "case": i, "lhs": res.lhs,
                      "rhs": res.rhs, "gap": res.margin, "passed": res.margin >= 0.0})
     return rows
@@ -436,14 +428,12 @@ def run(spec: SweepSpec) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _holds_bool(value) -> bool:
-    if isinstance(value, (dict, list)):
-        return any(map(_holds_bool, value.values() if isinstance(value, dict) else value))
-    return isinstance(value, bool)
-
-
 def _read_config(path: str) -> dict:
-    """The JSON object in the config file; NaN, Infinity, true and false are refused."""
+    """The JSON object in the config file; NaN and Infinity are refused.
+
+    A ``true`` or ``false`` reaches the dataclasses, which refuse it: every
+    setting is a count, a seed, a real, a string or a grid of these.
+    """
     def refuse(constant):
         raise ConfigError(f"config file holds {constant}; numbers must be finite")
 
@@ -456,8 +446,6 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    if _holds_bool(config):
-        raise ConfigError("config file holds true or false; no setting is boolean")
     return config
 
 

@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import RESERVED_STREAM_BASE, standard_normal, stream_rng
+from .gaussians import (MAX_SYNTH_CLASSES, SPLIT_STREAM, SUBSET_STREAM, SYNTH_STREAM,
+                        standard_normal, stream_rng)
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-
-# synth_gaussian's class y draws from _SYNTH_STREAM + y, short of the next two.
-_SYNTH_STREAM = RESERVED_STREAM_BASE + 0x51
-_SUBSET_STREAM = RESERVED_STREAM_BASE + 0x5E
-_SPLIT_STREAM = RESERVED_STREAM_BASE + 0x5F
-MAX_SYNTH_CLASSES = _SUBSET_STREAM - _SYNTH_STREAM - 1
 
 
 class IdxFormatError(ValueError):
@@ -139,7 +134,7 @@ def synth_gaussian(k: int, d: int, class_means: np.ndarray, sigma: float,
     """Class-conditional Gaussian data: x | y ~ N(mean_y, sigma^2 I).
 
     Rows are grouped by class (labels 1..k each repeated n_per_class
-    times); class y draws from stream (_SYNTH_STREAM + y) so the dataset is
+    times); class y draws from stream (SYNTH_STREAM + y) so the dataset is
     a pure function of its arguments.
     """
     class_means = np.asarray(class_means, dtype=np.float64)
@@ -149,7 +144,7 @@ def synth_gaussian(k: int, d: int, class_means: np.ndarray, sigma: float,
         raise ValueError(f"need sigma > 0, n_per_class >= 1 and k <= {MAX_SYNTH_CLASSES}")
     blocks = []
     for y in range(1, k + 1):
-        z = standard_normal(seed, _SYNTH_STREAM + y, n_per_class * d).reshape(n_per_class, d)
+        z = standard_normal(seed, SYNTH_STREAM + y, n_per_class * d).reshape(n_per_class, d)
         blocks.append(class_means[y - 1] + sigma * z)
     inputs = np.vstack(blocks)
     labels = np.repeat(np.arange(1, k + 1), n_per_class)
@@ -196,7 +191,7 @@ def split(data: LabeledDataset, train_fraction: float, seed: int
         raise ValueError("train_fraction must lie strictly between 0 and 1")
     n_train_total = int(round(train_fraction * data.m))
     train_idx, held_idx = _stratified_pick(
-        data, seed, _SPLIT_STREAM,
+        data, seed, SPLIT_STREAM,
         lambda counts: _largest_remainder(train_fraction * counts, n_train_total))
     if train_idx.size == 0 or held_idx.size == 0:
         raise ValueError("split would leave one side empty")
@@ -212,5 +207,5 @@ def stratified_sample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset
     if n == data.m:
         return data
     keep, _ = _stratified_pick(
-        data, seed, _SUBSET_STREAM, lambda counts: _largest_remainder(n * counts / data.m, n))
+        data, seed, SUBSET_STREAM, lambda counts: _largest_remainder(n * counts / data.m, n))
     return LabeledDataset(data.inputs[keep], data.labels[keep], data.class_count)

@@ -23,11 +23,9 @@ import os
 import numpy as np
 
 from .datasets import write_idx
-from .gaussians import RESERVED_STREAM_BASE, standard_normal
+from .gaussians import JITTER_STREAM, NOISE_STREAM, standard_normal
 
 DESK_TOTAL = 5120  # 4096 train + 1024 held out after an 0.8 split
-_NOISE_STREAM = RESERVED_STREAM_BASE + 0xD0
-_JITTER_STREAM = RESERVED_STREAM_BASE + 0xD1
 NOISE_SCALE = 10.0  # u8 units
 
 SIDE = 28
@@ -124,7 +122,7 @@ def build_desk_idx(out_dir, n_total: int = DESK_TOTAL, seed: int = 20260809):
         raise ValueError("n_total must be a positive multiple of 10")
 
     raw_labels = (np.arange(n_total) % k).astype(np.uint8)
-    z = standard_normal(seed, _JITTER_STREAM, n_total * _N_JITTER)
+    z = standard_normal(seed, JITTER_STREAM, n_total * _N_JITTER)
     linear, offset, half_width = _jitter_maps(
         np.clip(z, -2.0, 2.0).reshape(n_total, _N_JITTER))
     pixels = np.empty((n_total, SIDE * SIDE))
@@ -132,7 +130,7 @@ def build_desk_idx(out_dir, n_total: int = DESK_TOTAL, seed: int = 20260809):
         rows = np.flatnonzero(raw_labels == y)
         pixels[rows] = 255.0 * _render(*_segments(skeleton), linear[rows],
                                        offset[rows], half_width[rows])
-    noise = standard_normal(seed, _NOISE_STREAM, n_total * SIDE * SIDE)
+    noise = standard_normal(seed, NOISE_STREAM, n_total * SIDE * SIDE)
     pixels += NOISE_SCALE * noise.reshape(n_total, SIDE * SIDE)
     images = np.rint(pixels).clip(0, 255).astype(np.uint8).reshape(n_total, SIDE, SIDE)
 

@@ -13,7 +13,7 @@ share z_i: :func:`shared_draws` generates each stream once and maps it
 into every family, which gives each family the same bits as sampling it
 alone.  Streams at and above ``RESERVED_STREAM_BASE`` are reserved for
 non-sampling uses (batch shuffling, synthetic data) so they never collide
-with weight draws.
+with weight draws; the constants below list them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,19 @@ from scipy.special import ndtri
 from .nets import MlpArchitecture, ParamVector
 
 RESERVED_STREAM_BASE = 1 << 48
+# The reserved streams.  Two are runs that count up from their base:
+# synthetic class y draws from SYNTH_STREAM + y and training epoch e
+# shuffles on SHUFFLE_STREAM + e; the caps below keep each run short of
+# the next stream.
+SYNTH_STREAM = RESERVED_STREAM_BASE + 0x51
+SUBSET_STREAM = RESERVED_STREAM_BASE + 0x5E
+SPLIT_STREAM = RESERVED_STREAM_BASE + 0x5F
+SHUFFLE_STREAM = RESERVED_STREAM_BASE + 0x7E
+CHECK_STREAM = RESERVED_STREAM_BASE + 0xC0
+NOISE_STREAM = RESERVED_STREAM_BASE + 0xD0
+JITTER_STREAM = RESERVED_STREAM_BASE + 0xD1
+MAX_SYNTH_CLASSES = SUBSET_STREAM - SYNTH_STREAM - 1
+MAX_EPOCHS = CHECK_STREAM - SHUFFLE_STREAM
 
 _U52 = np.uint64(1) << np.uint64(52)
 

@@ -4,6 +4,7 @@ Weights live in a single flat vector so they can be treated as a point in
 parameter space by the Gaussian machinery.  The flat layout is, per layer,
 the weight matrix in row-major order followed by the bias vector (when the
 architecture uses biases).  Labels are 1-based: y ranges over {1..k}.
+The loss is the negative log-likelihood (NLL) of the softmax of the logits.
 
 All public operations are pure functions of their arguments; arrays are
 treated as read-only.
@@ -44,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NLL = "nll"
-MULTICLASS_HINGE = "hinge"
-LOSS_KINDS = (NLL, MULTICLASS_HINGE)
+# Uniform bound L on the logit-space gradient norm ||softmax(t) - e_y||:
+# it is < sqrt(2), approached as the softmax concentrates on a wrong class.
+LIPSCHITZ_BOUND = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -221,60 +222,47 @@ def forward(params: ParamVector, x) -> np.ndarray:
     return batch_forward(params, x[None, :])[0]
 
 
-def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray, kind: str
+def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example loss and its gradient with respect to the logits
+    """Per-example NLL and its gradient with respect to the logits
     (..., n, k); y_batch holds n 1-based labels.
 
-    NLL: (max - t_y) + log sum exp(t - max), whose shift cancels before
-    any large intermediate forms, so adding a constant to all logits
-    leaves it unchanged to the last bit; the gradient softmax(t) - e_y
-    comes from the same shifted exponentials.  Hinge: the largest margin,
-    with gradient e_{y*} - e_y for the attaining class y* (ties resolved
-    to the smallest index, as np.argmax), or zero when y* = y wins.
+    The loss is (max - t_y) + log sum exp(t - max), whose shift cancels
+    before any large intermediate forms, so adding a constant to all
+    logits leaves it unchanged to the last bit; the gradient
+    softmax(t) - e_y comes from the same shifted exponentials.
     """
     y0 = np.asarray(y_batch, dtype=np.int64) - 1
     rows = np.arange(logits.shape[-2])
-    if kind == NLL:
-        tmax = logits.max(axis=-1)
-        e = np.exp(logits - tmax[..., None])
-        spread = e.sum(axis=-1)
-        g = e / spread[..., None]
-        g[..., rows, y0] -= 1.0
-        return (tmax - logits[..., rows, y0]) + np.log(spread), g
-    if kind == MULTICLASS_HINGE:
-        margins = logits - logits[..., rows, y0][..., None] + 1.0
-        margins[..., rows, y0] = 0.0
-        ystar = margins.argmax(axis=-1)
-        g = np.zeros_like(logits)
-        hit = np.nonzero(ystar != y0)
-        g[(*hit, ystar[hit])] = 1.0
-        g[(*hit, y0[hit[-1]])] = -1.0
-        return margins.max(axis=-1), g
-    raise ValueError(f"unknown loss kind: {kind!r}")
+    tmax = logits.max(axis=-1)
+    e = np.exp(logits - tmax[..., None])
+    spread = e.sum(axis=-1)
+    g = e / spread[..., None]
+    g[..., rows, y0] -= 1.0
+    return (tmax - logits[..., rows, y0]) + np.log(spread), g
 
 
-def logit_loss(logits: np.ndarray, y_batch: np.ndarray, kind: str) -> np.ndarray:
+def logit_loss(logits: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
     """Per-example loss from logits, as in :func:`logit_loss_and_gradient`."""
-    return logit_loss_and_gradient(logits, y_batch, kind)[0]
+    return logit_loss_and_gradient(logits, y_batch)[0]
 
 
-def batch_losses(params: ParamVector, x_batch, y_batch, kind: str,
+def batch_losses(params: ParamVector, x_batch, y_batch,
                  z1: np.ndarray | None = None) -> np.ndarray:
     """Per-example losses; ``z1`` as in :func:`_forward_cached`."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
     logits = _forward_cached(params.layout, params.values, x_batch, z1)[1]
-    return logit_loss(logits, y_batch, kind)
+    return logit_loss(logits, y_batch)
 
 
-def loss(params: ParamVector, x, y: int, kind: str) -> float:
-    """Loss of a single example; nonnegative for both kinds."""
+def loss(params: ParamVector, x, y: int) -> float:
+    """Loss of a single example; nonnegative."""
     x = _check_input(params.layout, x)
     y = _check_label(params.layout, y)
-    return float(batch_losses(params, x[None, :], np.array([y]), kind)[0])
+    return float(batch_losses(params, x[None, :], np.array([y]))[0])
 
 
-def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, kind: str,
+def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
               want_params: bool, z1: np.ndarray | None = None):
     """One forward+backward pass down to the first layer's pre-activation.
 
@@ -289,7 +277,7 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
     x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = _layers(layout, weights)
     acts, logits = _forward_cached(layout, weights, x_batch, z1)
-    losses, g = logit_loss_and_gradient(logits, y_batch, kind)
+    losses, g = logit_loss_and_gradient(logits, y_batch)
 
     n = x_batch.shape[0]
     grads = np.empty_like(weights) if want_params else None
@@ -314,8 +302,8 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch, ki
         g = (g @ w) * (acts[i] > 0.0)
 
 
-def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
-                         kind: str) -> tuple[np.ndarray, np.ndarray]:
+def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Per-example losses and the gradient of the mean batch loss with
     respect to the flat weights, from one forward+backward pass.
 
@@ -323,11 +311,11 @@ def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, 
     (P,), or a stack (F, P), giving (F, n) and (F, P) from one stacked
     pass whose row f is the one-vector result for ``weights[f]``.
     """
-    losses, _, _, grads = _backward(layout, weights, x_batch, y_batch, kind, True)
+    losses, _, _, grads = _backward(layout, weights, x_batch, y_batch, True)
     return losses, grads
 
 
-def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch, kind: str,
+def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch,
                            z1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-example losses and squared input-gradient norms, from one pass.
 
@@ -337,46 +325,34 @@ def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch, kind: str,
     rows are squared and summed.  The choice depends only on the layout.
     ``z1`` as in :func:`_forward_cached`.
     """
-    losses, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, kind,
-                                 False, z1)
+    losses, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, False, z1)
     if w1.shape[0] < w1.shape[1]:
         return losses, np.einsum("ij,ij->i", g @ (w1 @ w1.T), g)
     g = g @ w1
     return losses, np.einsum("ij,ij->i", g, g)
 
 
-def batch_input_grads(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
+def batch_input_grads(params: ParamVector, x_batch, y_batch) -> np.ndarray:
     """Per-example gradient of the loss with respect to the input, (n, d)."""
-    _, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, kind, False)
+    _, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, False)
     return g @ w1
 
 
-def batch_param_grad(params: ParamVector, x_batch, y_batch, kind: str) -> np.ndarray:
+def batch_param_grad(params: ParamVector, x_batch, y_batch) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat weights."""
-    return loss_and_param_grads(params.layout, params.values, x_batch, y_batch, kind)[1]
+    return loss_and_param_grads(params.layout, params.values, x_batch, y_batch)[1]
 
 
-def grad_input(params: ParamVector, x, y: int, kind: str) -> np.ndarray:
+def grad_input(params: ParamVector, x, y: int) -> np.ndarray:
     """Gradient of the loss with respect to the input vector x."""
     x = _check_input(params.layout, x)
     y = _check_label(params.layout, y)
-    return batch_input_grads(params, x[None, :], np.array([y]), kind)[0]
+    return batch_input_grads(params, x[None, :], np.array([y]))[0]
 
 
-def grad_params(params: ParamVector, x, y: int, kind: str) -> np.ndarray:
+def grad_params(params: ParamVector, x, y: int) -> np.ndarray:
     """Gradient with respect to the weights, in the flat ParamVector layout."""
     x = _check_input(params.layout, x)
     y = _check_label(params.layout, y)
-    return batch_param_grad(params, x[None, :], np.array([y]), kind)
+    return batch_param_grad(params, x[None, :], np.array([y]))
 
-
-def lipschitz_bound(kind: str) -> float:
-    """Uniform bound L on the logit-space gradient norm ||grad_t l(t, y)||.
-
-    NLL: ||softmax(t) - e_y|| < sqrt(2) (approached as the softmax
-    concentrates on a wrong class).  Hinge: the subgradient is either zero
-    or +-1 at exactly two coordinates, so the norm is at most sqrt(2).
-    """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind: {kind!r}")
-    return math.sqrt(2.0)

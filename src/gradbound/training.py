@@ -29,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import RESERVED_STREAM_BASE, prior_family, shared_draws, stream_rng
+from .gaussians import MAX_EPOCHS, SHUFFLE_STREAM, prior_family, shared_draws, stream_rng
 from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_param_grads
 
 log = logging.getLogger(__name__)
-
-_SHUFFLE_STREAM = RESERVED_STREAM_BASE + 0x7E
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,18 +53,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.learning_rate < math.inf:
+        # A bool compares as 0 or 1, but it is not a real.
+        if isinstance(self.learning_rate, bool) or not 0.0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
+        if isinstance(self.momentum, bool) or not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         # type(), not isinstance(): a bool is an int, and not a count.
         if not all(type(n) is int and n >= 1 for n in (self.epochs, self.batch_size)):
             raise ValueError("epochs and batch_size must be integers >= 1")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be <= {MAX_EPOCHS}, where the per-epoch "
+                             "shuffle streams reach the next reserved stream")
         if type(self.seed) is not int:
             raise ValueError("seed must be an integer")
 
 
-def train(arch: MlpArchitecture, data: LabeledDataset, kind: str, cfg: TrainConfig,
+def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
           init_scales: list[float]) -> list[ParamVector]:
     """Train from N(0, s^2) for every initial scale s, together.
 
@@ -84,12 +86,11 @@ def train(arch: MlpArchitecture, data: LabeledDataset, kind: str, cfg: TrainConf
     diverged = None
 
     for epoch in range(cfg.epochs):
-        perm = stream_rng(cfg.seed, _SHUFFLE_STREAM + epoch).permutation(data.m)
+        perm = stream_rng(cfg.seed, SHUFFLE_STREAM + epoch).permutation(data.m)
         epoch_loss = np.zeros(len(w))
         for bi, start in enumerate(range(0, data.m, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            losses, grad = loss_and_param_grads(arch, w, data.inputs[idx],
-                                                data.labels[idx], kind)
+            losses, grad = loss_and_param_grads(arch, w, data.inputs[idx], data.labels[idx])
             batch_loss = losses.mean(axis=1)
             u *= cfg.momentum
             u -= cfg.learning_rate * grad
@@ -114,11 +115,11 @@ def train(arch: MlpArchitecture, data: LabeledDataset, kind: str, cfg: TrainConf
     return [ParamVector(row, arch) for row in w]
 
 
-def evaluate(params: ParamVector, data: LabeledDataset, kind: str) -> tuple[float, float]:
+def evaluate(params: ParamVector, data: LabeledDataset) -> tuple[float, float]:
     """(mean loss, accuracy); argmax ties resolve to the lowest class index."""
     if data.m < 1:
         raise ValueError("dataset is empty")
     logits = batch_forward(params, data.inputs)
-    losses = logit_loss(logits, data.labels, kind)
+    losses = logit_loss(logits, data.labels)
     pred = logits.argmax(axis=1) + 1
     return float(losses.mean()), float(np.mean(pred == data.labels))

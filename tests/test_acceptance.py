@@ -17,8 +17,8 @@ from gradbound.cli import SweepSpec, arch_for_depth, run
 from gradbound.datasets import synth_gaussian
 from gradbound.gaussians import (GaussianFamily, kl_divergence, prior_family,
                                  sample, stream_rng)
-from gradbound.nets import (NLL, MlpArchitecture, ParamVector, _layers, grad_input,
-                            grad_params, lipschitz_bound, logit_loss, loss)
+from gradbound.nets import (LIPSCHITZ_BOUND, MlpArchitecture, ParamVector, _layers,
+                            grad_input, grad_params, logit_loss, loss)
 from gradbound.subgamma import check as subgamma_check
 from gradbound.subgamma import envelope, fit
 from gradbound.training import TrainConfig
@@ -43,7 +43,7 @@ def train_set(desk_splits):
 
 
 def test_criterion_1_closed_form_exactness():
-    lip = lipschitz_bound(NLL)
+    lip = LIPSCHITZ_BOUND
     worst = 0.0
     for (k, d, m, sigma) in [(10, 784, 60_000, 0.1), (10, 784, 4096, 0.3162),
                              (3, 7, 128, 0.5), (2, 2, 16, 1.0)]:
@@ -80,7 +80,7 @@ def test_criterion_3_log_sobolev_property():
         data = synth_gaussian(k, d, means, 1.0, n_per, seed=int(rng.integers(0, 2**31)))
         w = sample(prior_family(MlpArchitecture(d, k), float(rng.uniform(0.05, 0.3))),
                    int(rng.integers(0, 2**31)), 1)[0]
-        res = bd.log_sobolev_check(w, data, NLL, float(rng.uniform(0.05, 0.8)),
+        res = bd.log_sobolev_check(w, data, float(rng.uniform(0.05, 0.8)),
                                    n=100_000)
         margins.append(res.margin)
     ok = all(m >= 0.0 for m in margins)
@@ -95,7 +95,7 @@ def test_criterion_4_naive_estimator_instability(train_set):
     details = []
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count, TARGET_PARAMS)
-        losses, _ = bd.draw_stats([prior_family(arch, 0.1)], train_set, NLL, cfg, grads=False)[0]
+        losses, _ = bd.draw_stats([prior_family(arch, 0.1)], train_set, cfg, grads=False)[0]
         ests = bd.naive_complexity_curve(losses, lambdas)
         for lam, est in zip(lambdas, ests):
             if lam >= 50.0 and not est.overflowed:
@@ -113,11 +113,11 @@ def test_criterion_5_depth_monotonicity(heldout):
     means = {}
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
-        _, sq_norms = bd.draw_stats([prior_family(arch, 0.1)], heldout, NLL, cfg, grads=True)[0]
+        _, sq_norms = bd.draw_stats([prior_family(arch, 0.1)], heldout, cfg, grads=True)[0]
         means[depth], _ = bd.expected_grad_norm_mc(sq_norms)
     decreasing = all(means[d] > means[d + 1] for d in (2, 3, 4))
     lin = arch_for_depth(1, heldout.dim, heldout.class_count, TARGET_PARAMS)
-    worst_case = lipschitz_bound(NLL) ** 2 * 0.1**2 * lin.param_count()
+    worst_case = LIPSCHITZ_BOUND**2 * 0.1**2 * lin.param_count()
     dominates = all(worst_case > v for v in means.values())
     seq = ", ".join(f"{d}:{means[d]:.4g}" for d in (2, 3, 4, 5))
     report(5, decreasing and dominates,
@@ -136,7 +136,7 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
         values = []
         for sigma in SIGMA_GRID:
             prior = prior_family(arch, sigma)
-            losses, sq_norms = bd.draw_stats([prior], heldout, NLL, cfg, grads=True)[0]
+            losses, sq_norms = bd.draw_stats([prior], heldout, cfg, grads=True)[0]
             b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
             est = bd.gradnorm_bound_curve(sq_norms, [lam], m, b)[0]
             values.append(math.inf if est.overflowed else est.log_space_value)
@@ -152,7 +152,7 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, synth2.dim, synth2.class_count, 2_000)
         for sigma in (0.0004, 0.01, 0.05, 0.1):
-            losses, _ = bd.draw_stats([prior_family(arch, sigma)], synth2, NLL, cfg,
+            losses, _ = bd.draw_stats([prior_family(arch, sigma)], synth2, cfg,
                                       grads=False)[0]
             bs.append(bd.estimate_loss_bound(losses, cfg.loss_bound_slack))
     if max(bs) > 2.0:
@@ -171,7 +171,7 @@ def test_criterion_7_subgamma_certification(heldout, train_set):
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
         prior = prior_family(arch, 0.1)
-        losses, sq_norms = bd.draw_stats([prior], heldout, NLL, cfg, grads=True)[0]
+        losses, sq_norms = bd.draw_stats([prior], heldout, cfg, grads=True)[0]
         b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
         ests = bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
         grid = [(float(l), e.log_space_value) for l, e in zip(lambdas, ests)
@@ -234,20 +234,20 @@ def test_criterion_9_numerical_foundations():
                     a = np.maximum(pres[-1], 0.0)
                 if not pres or min(np.abs(z).min() for z in pres) > 1e-3:
                     break
-            gx = grad_input(p, x, y, NLL)
+            gx = grad_input(p, x, y)
             fdx = np.array([
-                (loss(p, x + h, y, NLL) - loss(p, x - h, y, NLL)) / 2e-5
+                (loss(p, x + h, y) - loss(p, x - h, y)) / 2e-5
                 for h in (1e-5 * np.eye(6))])
             worst_fd = max(worst_fd, np.linalg.norm(fdx - gx) /
                            max(np.linalg.norm(gx), 1e-8))
-            gw = grad_params(p, x, y, NLL)
+            gw = grad_params(p, x, y)
             fdw = np.zeros_like(gw)
             for i in range(gw.size):
                 up, down = p.values.copy(), p.values.copy()
                 up[i] += 1e-5
                 down[i] -= 1e-5
-                fdw[i] = (loss(ParamVector(up, arch), x, y, NLL)
-                          - loss(ParamVector(down, arch), x, y, NLL)) / 2e-5
+                fdw[i] = (loss(ParamVector(up, arch), x, y)
+                          - loss(ParamVector(down, arch), x, y)) / 2e-5
             worst_fd = max(worst_fd, np.linalg.norm(fdw - gw) /
                            max(np.linalg.norm(gw), 1e-8))
 
@@ -269,8 +269,8 @@ def test_criterion_9_numerical_foundations():
     for _ in range(200):
         logits = rng.integers(-5000, 5000, size=5) / 1024.0
         for c in (-1e6, -12345.5, 1.0, 12345.5, 1e6):
-            a = float(logit_loss(np.array([logits]), np.array([2]), NLL)[0])
-            b = float(logit_loss(np.array([logits + c]), np.array([2]), NLL)[0])
+            a = float(logit_loss(np.array([logits]), np.array([2]))[0])
+            b = float(logit_loss(np.array([logits + c]), np.array([2]))[0])
             worst_shift = max(worst_shift, abs(a - b))
 
     ok = worst_fd <= 1e-4 and worst_kl <= 1e-8 and worst_shift <= 1e-12

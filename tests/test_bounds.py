@@ -8,13 +8,12 @@ from gradbound import bounds as bd
 from gradbound.datasets import LabeledDataset, synth_gaussian
 from gradbound.gaussians import GaussianFamily, prior_family, sample
 from gradbound.nets import (
-    NLL,
+    LIPSCHITZ_BOUND,
     MlpArchitecture,
     ParamVector,
     batch_input_grads,
     batch_losses,
     first_layer_block,
-    lipschitz_bound,
     loss_and_sq_grad_norms,
 )
 from gradbound.numerics import logmeanexp
@@ -23,11 +22,11 @@ CFG = bd.EstimatorConfig(n_weight_samples=8, seed=11)
 
 
 def losses_of(family, data, cfg=CFG):
-    return bd.draw_stats([family], data, NLL, cfg, grads=False)[0][0]
+    return bd.draw_stats([family], data, cfg, grads=False)[0][0]
 
 
 def stats_of(family, data, cfg=CFG):
-    return bd.draw_stats([family], data, NLL, cfg, grads=True)[0]
+    return bd.draw_stats([family], data, cfg, grads=True)[0]
 
 
 def small_synth(seed=5, n=32, d=4, k=2, sigma=1.0):
@@ -50,7 +49,7 @@ def test_log_mgf_at_zero_is_exactly_zero():
     data = small_synth()
     arch = MlpArchitecture(data.dim, data.class_count)
     p = ParamVector(np.ones(arch.param_count()), arch)
-    losses = batch_losses(p, data.inputs, data.labels, NLL)
+    losses = batch_losses(p, data.inputs, data.labels)
     assert logmeanexp(-0.0 * losses) == 0.0
 
 
@@ -82,7 +81,7 @@ def test_log_mgf_monotone_on_model_draws():
     arch = MlpArchitecture(data.dim, data.class_count, (6,))
     alphas = np.linspace(0.0, 1.0, 9)
     for w in sample(prior_family(arch, 0.3), 31, 8):
-        losses = batch_losses(w, data.inputs, data.labels, NLL)
+        losses = batch_losses(w, data.inputs, data.labels)
         vals = [logmeanexp(-a * losses) for a in alphas]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -96,13 +95,13 @@ def test_draw_stats_matches_per_draw_passes():
     losses, sq_norms = stats_of(prior, data)
     assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
     for i, w in enumerate(sample(prior, CFG.seed, CFG.n_weight_samples)):
-        g = batch_input_grads(w, data.inputs, data.labels, NLL)
-        assert np.array_equal(losses[i], batch_losses(w, data.inputs, data.labels, NLL))
+        g = batch_input_grads(w, data.inputs, data.labels)
+        assert np.array_equal(losses[i], batch_losses(w, data.inputs, data.labels))
         np.testing.assert_allclose(sq_norms[i], np.einsum("ij,ij->i", g, g), rtol=1e-12)
-        kernel = loss_and_sq_grad_norms(w, data.inputs, data.labels, NLL)
+        kernel = loss_and_sq_grad_norms(w, data.inputs, data.labels)
         assert np.array_equal(losses[i], kernel[0])
         assert np.array_equal(sq_norms[i], kernel[1])
-    [(forward_only, none)] = bd.draw_stats([prior], data, NLL, CFG, grads=False)
+    [(forward_only, none)] = bd.draw_stats([prior], data, CFG, grads=False)
     assert none is None and np.array_equal(forward_only, losses)
 
 
@@ -113,9 +112,9 @@ def test_draw_stats_shares_draws_between_families():
     families = [prior_family(arch, 0.4), prior_family(arch, 0.05),
                 GaussianFamily(rng.normal(size=arch.param_count()), 0.2, arch)]
     for grads in (False, True):
-        together = bd.draw_stats(families, data, NLL, CFG, grads)
+        together = bd.draw_stats(families, data, CFG, grads)
         for family, (losses, sq_norms) in zip(families, together):
-            alone = bd.draw_stats([family], data, NLL, CFG, grads)[0]
+            alone = bd.draw_stats([family], data, CFG, grads)[0]
             assert np.array_equal(losses, alone[0])
             assert np.array_equal(sq_norms, alone[1]) if grads else sq_norms is None
 
@@ -141,7 +140,7 @@ def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
         runs = []
         for budget in (1, 1 << 40):  # one pair per chunk, every pair in one
             monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-            runs.append(bd.draw_stats(families, data, NLL, CFG, grads))
+            runs.append(bd.draw_stats(families, data, CFG, grads))
         for one, everything in zip(*runs):
             np.testing.assert_allclose(one[0], everything[0], rtol=1e-12)
             if grads:
@@ -164,7 +163,7 @@ def test_draw_stats_chunks_stay_within_budget(monkeypatch):
     for budget, sizes in [(3 * pair_bytes + 100, [3] * 8), (pair_bytes - 1, [1] * 24)]:
         chunks.clear()
         monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-        bd.draw_stats(families, data, NLL, CFG, grads=True)
+        bd.draw_stats(families, data, CFG, grads=True)
         assert [pairs for pairs, _ in chunks] == sizes
         assert all(nbytes <= budget or pairs == 1 for pairs, nbytes in chunks)
         assert all(nbytes == pairs * pair_bytes for pairs, nbytes in chunks)
@@ -231,12 +230,12 @@ def test_integral_bound_zero_gradient_prior():
     assert abs(est.log_space_value) < 1e-9
 
 
-def dense_quadrature_oracle(prior, data, kind, lam, m, seed, n_weight, nodes_n):
+def dense_quadrature_oracle(prior, data, lam, m, seed, n_weight, nodes_n):
     """Straight-loop reimplementation with its own dense trapezoid rule."""
     exps = []
     for w in sample(prior, seed, n_weight):
-        lo = batch_losses(w, data.inputs, data.labels, kind)
-        g = batch_input_grads(w, data.inputs, data.labels, kind)
+        lo = batch_losses(w, data.inputs, data.labels)
+        g = batch_input_grads(w, data.inputs, data.labels)
         sq = (g**2).sum(axis=1)
         nodes = np.linspace(0.0, lam / m, nodes_n)
         log_m = np.array([logmeanexp(-a * lo) for a in nodes])
@@ -255,7 +254,7 @@ def test_integral_bound_matches_dense_quadrature_oracle():
     cfg = bd.EstimatorConfig(n_weight_samples=4, seed=11)
     losses, sq_norms = stats_of(prior, data, cfg)
     est = bd.gradnorm_integral_bound(losses, sq_norms, lam, m, 64)
-    oracle = dense_quadrature_oracle(prior, data, NLL, lam, m, 11, 4, 10_001)
+    oracle = dense_quadrature_oracle(prior, data, lam, m, 11, 4, 10_001)
     assert est.log_space_value == pytest.approx(oracle, rel=1e-4)
     # node-doubling convergence
     prev = est.log_space_value
@@ -270,7 +269,7 @@ def test_integral_bound_matches_dense_quadrature_oracle():
 
 def test_linear_bound_exact_log2_point():
     for (k, d, m, sigma) in [(10, 784, 60_000, 0.1), (3, 7, 128, 0.5), (2, 2, 16, 1.0)]:
-        lip = lipschitz_bound(NLL)
+        lip = LIPSCHITZ_BOUND
         lam = math.sqrt(m) / (4 * lip * sigma)
         got = bd.linear_gradnorm_bound(k, d, m, lip, sigma, lam)
         assert abs(got - k * d * math.log(2.0)) <= 1e-12 * k * d

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gradbound
@@ -93,6 +94,16 @@ def test_spec_validation_errors():
                      {"train": {"learning_rate": math.inf}}):
         with pytest.raises(ConfigError):
             _spec_from_sources("loss-vs-variance", infinite, {})
+    # a bool compares as 0 or 1, but it is not a real
+    for flag in ({"variance_grid": (True,)}, {"lambda_grid": (True,)}, {"sigma_q": True}):
+        with pytest.raises(ConfigError):
+            SweepSpec(experiment="loss-vs-variance", **flag)
+    with pytest.raises(ValueError):
+        bd.EstimatorConfig(loss_bound_slack=False)
+    spec = SweepSpec(experiment="loss-vs-variance", variance_grid=(1, np.float64(0.5)),
+                     lambda_grid=(2,), sigma_q=np.float64(0.1),
+                     estimator=bd.EstimatorConfig(loss_bound_slack=1))
+    assert spec.variance_grid == (1, 0.5) and spec.estimator.loss_bound_slack == 1
 
 
 def test_experiment_key_is_refused_with_its_reason():
@@ -335,7 +346,7 @@ def test_train_report_passes(passes, tmp_path):
 def test_sgd_makes_one_forward_per_step(passes):
     data = gradbound.synth_gaussian(2, 4, [[2.0, 0, 0, 0], [0, 2.0, 0, 0]], 1.0, 50, seed=1)
     cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
-    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, "nll", cfg, [0.1])
+    training.train(gradbound.MlpArchitecture(4, 2, (3,)), data, cfg, [0.1])
     steps = cfg.epochs * math.ceil(data.m / cfg.batch_size)
     assert passes.get("sgd_step") == passes.get("forward") == steps
 
@@ -422,13 +433,13 @@ BAD_CONFIGS = {
     "train_size 0": ("loss-vs-variance", {"train_size": 0}, None),
     "heldout_size 0": ("loss-vs-variance", {"heldout_size": 0}, None),
     "sigma_q 0": ("train-report", {"sigma_q": 0}, None),
-    "unknown loss_kind": ("loss-vs-variance", {"loss_kind": "foo"}, None),
+    "removed loss_kind": ("loss-vs-variance", {"loss_kind": "nll"}, None),
     "fractional depth": ("loss-vs-variance", {"depth_grid": [1.5]}, None),
     "synthetic n_per_class 0": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=0"),
     "synthetic sigma 0": ("loss-vs-variance", {}, "k=2,d=4,sigma=0,n_per_class=64"),
     "synthetic k 0": ("loss-vs-variance", {}, "k=0,d=4,n_per_class=64"),
     "fractional train_size": ("loss-vs-variance", {"train_size": 2.5}, None),
-    "subgamma_c_max at C_MIN": ("fit-subgamma", {"subgamma_c_max": 1e-9}, None),
+    "removed subgamma_c_max": ("fit-subgamma", {"subgamma_c_max": 1e-3}, None),
     # json.dumps writes NaN and Infinity, which JSON itself does not have
     "NaN variance": ("loss-vs-variance", {"variance_grid": [math.nan]}, None),
     "infinite lambda": ("naive-vs-lambda", {"lambda_grid": [math.inf]}, None),
@@ -458,13 +469,13 @@ BAD_CONFIGS = {
     "bool sigma_q": ("train-report", {"sigma_q": True}, None),
     "bool variance": ("loss-vs-variance", {"variance_grid": [True]}, None),
     "bool lambda": ("naive-vs-lambda", {"lambda_grid": [True]}, None),
-    "bool subgamma_c_max": ("fit-subgamma", {"subgamma_c_max": True}, None),
     "bool loss_bound_slack": ("loss-vs-variance",
                               {"estimator": {"loss_bound_slack": True}}, None),
     "bool learning_rate": ("train-report", {"train": {"learning_rate": True}}, None),
     "bool momentum": ("train-report", {"train": {"momentum": False}}, None),
     "experiment key": ("loss-vs-variance", {"experiment": "bogus"}, None),
     "synthetic k 13": ("loss-vs-variance", {}, "k=13,d=13,n_per_class=64"),
+    "epochs 67": ("train-report", {"train": {"epochs": 67}}, None),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from gradbound import gaussians
 from gradbound.gaussians import (
     GaussianFamily,
     LayoutMismatchError,
@@ -32,6 +34,24 @@ def kl_quad_oracle(mq, sq, mp_, sp):
     val, err = quad(integrand, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
     assert err < 1e-9
     return val
+
+
+def test_reserved_stream_ranges_are_disjoint():
+    # synthetic class y draws from SYNTH_STREAM + y, epoch e shuffles on
+    # SHUFFLE_STREAM + e; every other reserved stream is used alone
+    g = gaussians
+    ranges = {
+        "synth": range(g.SYNTH_STREAM + 1, g.SYNTH_STREAM + g.MAX_SYNTH_CLASSES + 1),
+        "shuffle": range(g.SHUFFLE_STREAM, g.SHUFFLE_STREAM + g.MAX_EPOCHS),
+        **{name: range(s, s + 1) for name, s in (
+            ("subset", g.SUBSET_STREAM), ("split", g.SPLIT_STREAM),
+            ("check", g.CHECK_STREAM), ("noise", g.NOISE_STREAM),
+            ("jitter", g.JITTER_STREAM))},
+    }
+    assert (g.MAX_SYNTH_CLASSES, g.MAX_EPOCHS) == (12, 66)
+    assert all(r.start >= g.RESERVED_STREAM_BASE for r in ranges.values())
+    for (a, ra), (b, rb) in itertools.combinations(ranges.items(), 2):
+        assert not set(ra) & set(rb), (a, b)
 
 
 def test_sample_degenerate_stddev_sticks_to_mean():

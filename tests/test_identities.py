@@ -7,7 +7,7 @@ import pytest
 from gradbound import bounds as bd
 from gradbound.datasets import LabeledDataset, synth_gaussian
 from gradbound.gaussians import prior_family, sample
-from gradbound.nets import NLL, MlpArchitecture, ParamVector
+from gradbound.nets import MlpArchitecture, ParamVector
 
 
 # -------------------------------------------------------- MGF factorization
@@ -93,7 +93,7 @@ def test_log_sobolev_constant_loss_degenerates_to_zero():
     data = LabeledDataset(inputs, np.ones(256, dtype=np.int64), 3)
     arch = MlpArchitecture(4, 3)
     zero = ParamVector(np.zeros(arch.param_count()), arch)
-    res = bd.log_sobolev_check(zero, data, NLL, 0.5)
+    res = bd.log_sobolev_check(zero, data, 0.5)
     assert abs(res.lhs) < 1e-12
     assert res.rhs >= 0.0
 
@@ -103,7 +103,7 @@ def test_log_sobolev_alpha_to_zero():
     data = synth_gaussian(2, 4, means, 1.0, 500, seed=2)
     arch = MlpArchitecture(4, 2)
     w = sample(prior_family(arch, 0.2), 3, 1)[0]
-    res = bd.log_sobolev_check(w, data, NLL, 1e-6)
+    res = bd.log_sobolev_check(w, data, 1e-6)
     assert abs(res.lhs) < 1e-4 and abs(res.rhs) < 1e-4
 
 
@@ -114,7 +114,7 @@ def test_log_sobolev_random_linear_model_margin():
     data = synth_gaussian(2, 8, means, 1.0, 50_000, seed=5)
     arch = MlpArchitecture(8, 2)
     w = sample(prior_family(arch, 0.2), 6, 1)[0]
-    res = bd.log_sobolev_check(w, data, NLL, 0.5)
+    res = bd.log_sobolev_check(w, data, 0.5)
     assert res.lhs <= res.rhs - 3.0 * (res.lhs_std_error + res.rhs_std_error)
 
 
@@ -123,10 +123,10 @@ def test_log_sobolev_subsample_argument():
     data = synth_gaussian(2, 4, means, 1.0, 100, seed=7)
     arch = MlpArchitecture(4, 2)
     w = sample(prior_family(arch, 0.2), 8, 1)[0]
-    full = bd.log_sobolev_check(w, data, NLL, 0.3)
-    head = bd.log_sobolev_check(w, data, NLL, 0.3, n=50)
+    full = bd.log_sobolev_check(w, data, 0.3)
+    head = bd.log_sobolev_check(w, data, 0.3, n=50)
     assert head.lhs != full.lhs  # different sample sizes
     with pytest.raises(ValueError):
-        bd.log_sobolev_check(w, data, NLL, 0.3, n=0)
+        bd.log_sobolev_check(w, data, 0.3, n=0)
     with pytest.raises(ValueError):
-        bd.log_sobolev_check(w, data, NLL, -0.1)
+        bd.log_sobolev_check(w, data, -0.1)

@@ -5,14 +5,8 @@ import pytest
 
 from gradbound.datasets import LabeledDataset, synth_gaussian
 from gradbound.gaussians import prior_family, sample
-from gradbound.nets import (
-    MULTICLASS_HINGE,
-    NLL,
-    MlpArchitecture,
-    ParamVector,
-    batch_param_grad,
-    loss,
-)
+from gradbound.gaussians import MAX_EPOCHS
+from gradbound.nets import MlpArchitecture, ParamVector, batch_param_grad, loss
 from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train
 
 
@@ -25,7 +19,7 @@ def test_zero_learning_rate_returns_initialization():
     data = separable_data(n=32)
     arch = MlpArchitecture(4, 2)
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=5)
-    [got] = train(arch, data, NLL, cfg, [0.2])
+    [got] = train(arch, data, cfg, [0.2])
     init = sample(prior_family(arch, 0.2), 5, 1)[0]
     assert np.array_equal(got.values, init.values)
 
@@ -34,8 +28,8 @@ def test_training_fits_separable_data():
     data = separable_data()
     arch = MlpArchitecture(4, 2)
     cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=40, batch_size=32, seed=9)
-    [w] = train(arch, data, NLL, cfg, [0.3])
-    final_loss, acc = evaluate(w, data, NLL)
+    [w] = train(arch, data, cfg, [0.3])
+    final_loss, acc = evaluate(w, data)
     assert final_loss < 0.05
     assert acc == 1.0
 
@@ -44,8 +38,8 @@ def test_training_is_bitwise_deterministic():
     data = separable_data(n=64)
     arch = MlpArchitecture(4, 2, (5,))
     cfg = TrainConfig(epochs=4, batch_size=16, seed=3)
-    [a] = train(arch, data, NLL, cfg, [0.2])
-    [b] = train(arch, data, NLL, cfg, [0.2])
+    [a] = train(arch, data, cfg, [0.2])
+    [b] = train(arch, data, cfg, [0.2])
     assert np.array_equal(a.values, b.values)
 
 
@@ -56,10 +50,10 @@ def test_single_full_batch_step_decreases_loss():
     for _ in range(20):
         w0 = ParamVector(rng.normal(0, 0.5, arch.param_count()), arch)
         lr = 1e-4
-        grad = batch_param_grad(w0, data.inputs, data.labels, NLL)
+        grad = batch_param_grad(w0, data.inputs, data.labels)
         w1 = ParamVector(w0.values - lr * grad, arch)
-        before = evaluate(w0, data, NLL)[0]
-        after = evaluate(w1, data, NLL)[0]
+        before = evaluate(w0, data)[0]
+        after = evaluate(w1, data)[0]
         assert after < before
 
 
@@ -69,7 +63,7 @@ def test_divergence_raises_with_location():
     arch = MlpArchitecture(4, 2)
     cfg = TrainConfig(learning_rate=1e307, epochs=3, batch_size=16, seed=2)
     with pytest.raises(TrainingDiverged) as exc:
-        train(arch, data, NLL, cfg, [0.5])
+        train(arch, data, cfg, [0.5])
     assert exc.value.epoch >= 0
     assert exc.value.batch >= 0
     assert exc.value.scale == 0.5 and "initial scale 0.5" in str(exc.value)
@@ -82,17 +76,17 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", [NLL, MULTICLASS_HINGE])
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_lockstep_matches_training_each_config_alone(layout, kind):
+# Case ids end in the loss's name, "nll".
+@pytest.mark.parametrize("layout", sorted(LAYOUTS), ids=lambda layout: f"{layout}-nll")
+def test_lockstep_matches_training_each_config_alone(layout):
     data = separable_data(n=40)
     arch = LAYOUTS[layout]
     cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
     scales = [0.05, 0.3, 1.0]
-    together = train(arch, data, kind, cfg, scales)
+    together = train(arch, data, cfg, scales)
     assert len(together) == len(scales)
     for scale, got in zip(scales, together):
-        [alone] = train(arch, data, kind, cfg, [scale])
+        [alone] = train(arch, data, cfg, [scale])
         assert np.array_equal(got.values, alone.values)
     assert not np.array_equal(together[0].values, together[1].values)
 
@@ -114,14 +108,14 @@ def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
     cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
     for scale in stddevs:  # each scale trained alone
         try:
-            train(arch, data, NLL, cfg, [scale])
+            train(arch, data, cfg, [scale])
             where = None
         except TrainingDiverged as exc:
             where = (exc.epoch, exc.batch)
             assert exc.scale == scale
         assert where == _DIVERGES[scale]
     with pytest.raises(TrainingDiverged) as exc:
-        train(arch, data, NLL, cfg, stddevs)
+        train(arch, data, cfg, stddevs)
     assert (exc.value.epoch, exc.value.batch, exc.value.scale) == expected
     assert f"initial scale {expected[2]!r}" in str(exc.value)
 
@@ -130,7 +124,7 @@ def test_evaluate_zero_weights_balanced_data():
     data = separable_data(n=100)  # 100 per class, balanced
     arch = MlpArchitecture(4, 2)
     zero = ParamVector(np.zeros(arch.param_count()), arch)
-    mean_loss, acc = evaluate(zero, data, NLL)
+    mean_loss, acc = evaluate(zero, data)
     assert mean_loss == pytest.approx(math.log(2), abs=1e-12)
     assert acc == 0.5  # argmax ties go to class 1 on all-zero logits
 
@@ -141,7 +135,7 @@ def test_evaluate_perfect_margin_fixture():
     w = np.zeros((2, 4))
     w[0, 0], w[1, 0] = 5.0, -5.0  # class 1 on x1 > 0, class 2 on x1 < 0
     p = ParamVector(w.ravel(), arch)
-    _, acc = evaluate(p, data, NLL)
+    _, acc = evaluate(p, data)
     assert acc == 1.0
 
 
@@ -150,21 +144,21 @@ def test_evaluate_single_example_and_oracle():
     arch = MlpArchitecture(single.dim, single.class_count)
     rng = np.random.default_rng(0)
     p = ParamVector(rng.normal(0, 1, arch.param_count()), arch)
-    only = loss(p, single.inputs[0], int(single.labels[0]), NLL)
-    assert evaluate(p, single, NLL)[0] == pytest.approx(only, rel=1e-15)
+    only = loss(p, single.inputs[0], int(single.labels[0]))
+    assert evaluate(p, single)[0] == pytest.approx(only, rel=1e-15)
 
     data = separable_data(n=32)
-    total = math.fsum(loss(p, data.inputs[i], int(data.labels[i]), NLL)
+    total = math.fsum(loss(p, data.inputs[i], int(data.labels[i]))
                       for i in range(data.m))
-    assert evaluate(p, data, NLL)[0] == pytest.approx(total / data.m, rel=1e-12)
+    assert evaluate(p, data)[0] == pytest.approx(total / data.m, rel=1e-12)
 
 
 def test_evaluate_matches_loop_oracle():
     data = separable_data(n=16)
     arch = MlpArchitecture(4, 2, (3,))
     p = sample(prior_family(arch, 0.4), 77, 1)[0]
-    losses = [loss(p, data.inputs[i], int(data.labels[i]), NLL) for i in range(data.m)]
-    mean_loss, _ = evaluate(p, data, NLL)
+    losses = [loss(p, data.inputs[i], int(data.labels[i])) for i in range(data.m)]
+    mean_loss, _ = evaluate(p, data)
     assert mean_loss == pytest.approx(math.fsum(losses) / data.m, rel=1e-12)
 
 
@@ -181,5 +175,14 @@ def test_config_validation():
         TrainConfig(batch_size=True)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=math.nan)
+    # a bool compares as 0 or 1, but it is not a real
+    for flag in ({"learning_rate": True}, {"momentum": False}):
+        with pytest.raises(ValueError):
+            TrainConfig(**flag)
+    assert TrainConfig(learning_rate=1, momentum=np.float64(0.5)).learning_rate == 1
+    # epoch e shuffles on its own reserved stream, short of the next one
+    assert TrainConfig(epochs=MAX_EPOCHS).epochs == 66
     with pytest.raises(ValueError):
-        train(MlpArchitecture(4, 2), separable_data(n=16), NLL, TrainConfig(), [0.0])
+        TrainConfig(epochs=MAX_EPOCHS + 1)
+    with pytest.raises(ValueError):
+        train(MlpArchitecture(4, 2), separable_data(n=16), TrainConfig(), [0.0])
