@@ -49,10 +49,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bounds as bd
-from .datasets import (MAX_SYNTH_CLASSES, IdxFormatError, LabeledDataset, load_idx, split,
-                       stratified_sample, synth_gaussian)
-from .gaussians import (CHECK_STREAM, kl_divergence, posterior_family, prior_family, sample,
-                        stream_rng)
+from .datasets import (IdxFormatError, LabeledDataset, load_idx, split, stratified_sample,
+                       synth_gaussian)
+from .gaussians import (CHECK_STREAM, MAX_SYNTH_CLASSES, kl_divergence, posterior_family,
+                        prior_family, sample, stream_rng)
 from .nets import LIPSCHITZ_BOUND, MlpArchitecture, equal_param_hidden_widths
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train
