@@ -39,19 +39,16 @@ def kl_quad_oracle(mq, sq, mp_, sp):
 def test_reserved_stream_ranges_are_disjoint():
     # synthetic class y draws from SYNTH_STREAM + y, epoch e shuffles on
     # SHUFFLE_STREAM + e; every other reserved stream is used alone
-    g = gaussians
-    ranges = {
-        "synth": range(g.SYNTH_STREAM + 1, g.SYNTH_STREAM + g.MAX_SYNTH_CLASSES + 1),
-        "shuffle": range(g.SHUFFLE_STREAM, g.SHUFFLE_STREAM + g.MAX_EPOCHS),
-        **{name: range(s, s + 1) for name, s in (
-            ("subset", g.SUBSET_STREAM), ("split", g.SPLIT_STREAM),
-            ("check", g.CHECK_STREAM), ("noise", g.NOISE_STREAM),
-            ("jitter", g.JITTER_STREAM))},
-    }
-    assert (g.MAX_SYNTH_CLASSES, g.MAX_EPOCHS) == (12, 66)
-    assert all(r.start >= g.RESERVED_STREAM_BASE for r in ranges.values())
-    for (a, ra), (b, rb) in itertools.combinations(ranges.items(), 2):
-        assert not set(ra) & set(rb), (a, b)
+    singles = (gaussians.SUBSET_STREAM, gaussians.SPLIT_STREAM, gaussians.CHECK_STREAM,
+               gaussians.NOISE_STREAM, gaussians.JITTER_STREAM)
+    synth, shuffle = gaussians.SYNTH_STREAM, gaussians.SHUFFLE_STREAM
+    ranges = [range(synth + 1, synth + gaussians.MAX_SYNTH_CLASSES + 1),
+              range(shuffle, shuffle + gaussians.MAX_EPOCHS),
+              *(range(s, s + 1) for s in singles)]
+    assert (gaussians.MAX_SYNTH_CLASSES, gaussians.MAX_EPOCHS) == (12, 66)
+    assert all(r.start >= gaussians.RESERVED_STREAM_BASE for r in ranges)
+    for a, b in itertools.combinations(ranges, 2):
+        assert not set(a) & set(b), (a, b)
 
 
 def test_sample_degenerate_stddev_sticks_to_mean():
