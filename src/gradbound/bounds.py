@@ -17,11 +17,17 @@ Estimator conventions
   that needs them.  ``draw_stats`` takes all the families of one layout
   at once (a depth's prior scales, say) and loops draw-outer,
   family-inner, so each draw's standard normals are generated once and
-  shared (:func:`gradbound.gaussians.shared_draws`).  It takes those
-  (draw, family) pairs in fixed-size chunks whose first layers run as
-  one stacked GEMM.  Draws come from the prefix-stable streams in
-  :mod:`gradbound.gaussians`; given a config seed, results are bitwise
-  reproducible and reductions run in draw-index order.
+  shared (:func:`gradbound.gaussians.shared_draws`).  Its first layers
+  run as one stacked GEMM per chunk of columns, a chunk being as many as
+  fit a fixed byte budget.  For the gradient passes a zero-mean family
+  is a scale family: draw i of N(0, sigma^2 I) is sigma * z_i, so all of
+  a draw's zero-mean families share one column, the unit draw's
+  first-layer product, each scaling it by its sigma (the scale path of
+  :mod:`gradbound.nets`).  Forward-only passes and families with a mean
+  keep one column per (draw, family) pair.  Draws come from the
+  prefix-stable streams in :mod:`gradbound.gaussians`; given a config
+  seed, results are bitwise reproducible and reductions run in
+  draw-index order.
 * The m in a bound is the training-sample size of the certificate being
   priced; the dataset the matrices were computed on serves as the proxy
   for the unknown data distribution (callers typically pass a held-out
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, shared_draws
+from .gaussians import GaussianFamily, is_seed, prior_family, shared_draws
 from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
 from .numerics import logmeanexp, trapezoid_weights
 
@@ -62,8 +68,8 @@ class EstimatorConfig:
         # type(), not isinstance(): a bool is an int, and not a count.
         if type(self.n_weight_samples) is not int or self.n_weight_samples < 1:
             raise ValueError("n_weight_samples must be an integer >= 1")
-        if type(self.seed) is not int:
-            raise ValueError("seed must be an integer")
+        if not is_seed(self.seed):
+            raise ValueError("seed must be an integer in [0, 2**64)")
         # A bool compares as 0 or 1, but it is not a real.
         if (isinstance(self.loss_bound_slack, bool)
                 or not 0.0 <= self.loss_bound_slack < math.inf):
@@ -146,35 +152,64 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     ``families`` share one layout.  Returns one (losses, sq_grad_norms)
     pair per family, in order; sq_grad_norms is None without ``grads``.
     Row i belongs to draw i, a function of (cfg.seed, i) alone.  Draw i's
-    normals are generated once and shared by every family.
+    normals z_i are generated once and shared by every family.
 
-    The (draw, family) pairs, draw-outer and family-inner, are taken in
-    chunks of as many pairs as fit one (n, pairs * fan_out) float64 block
+    The first layer is taken in columns.  With ``grads``, a zero-mean
+    family's draw is sigma * z_i, so its first-layer pre-activation is
+    sigma * base_i, base_i = x @ Z1_i^T + b_i from the unit draw z_i: all
+    of draw i's zero-mean families share that one column, each scaling it
+    into one reused (n, fan_out) buffer (the scale path of
+    :mod:`gradbound.nets`).  Every other (draw, family) pair is a column
+    of its own.  The path depends only on the family and ``grads``, never
+    on the other families in the call.  The columns, draw-outer, are taken
+    in chunks of as many as fit one (n, columns * fan_out) float64 block
     in ``FIRST_LAYER_BLOCK_BYTES`` (at least one).  Each chunk's first
-    layer is one GEMM (:func:`gradbound.nets.first_layer_block`), and
-    each pair continues from its columns with one pass over ``data``: a
-    forward pass, or with ``grads`` one forward+backward pass that yields
-    the squared norms without forming the input gradient where the first
-    layer narrows (:func:`gradbound.nets.loss_and_sq_grad_norms`).  Chunk
-    boundaries depend only on the pair index, so fewer draws
+    layer is one GEMM (:func:`gradbound.nets.first_layer_block`), and each
+    pair continues from its column with one pass over ``data``: a forward
+    pass, or with ``grads`` one forward+backward pass that yields the
+    squared norms without forming the input gradient where the first
+    layer narrows (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers
+    2+ and the norms use the family's own weights.  Chunk boundaries
+    depend only on the column index, so fewer draws
     (S = ``cfg.n_weight_samples``) give a prefix of the rows.
+
+    A scaled row can differ from a one-draw pass in its last bits; on the
+    golden and benchmark configurations the outputs moved by at most
+    7.6e-15 relative.  Forward-only passes stay per pair because the
+    naive estimator's exponent cancels about five digits: the scale path
+    moved naive-vs-lambda by 2.1e-10 relative on desk data.
     """
     shape = (cfg.n_weight_samples, data.m)
     losses = [np.empty(shape) for _ in families]
     sq_norms = [np.empty(shape) if grads else None for _ in families]
-    fan_out = families[0].layout.layer_dims()[0][1]
+    layout = families[0].layout
+    fan_out = layout.layer_dims()[0][1]
     per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
-    pairs = ((i, j, w)
-             for i, draw in enumerate(shared_draws(families, cfg.seed, cfg.n_weight_samples))
-             for j, w in enumerate(draw))
-    while chunk := list(itertools.islice(pairs, per_chunk)):
-        z1s = first_layer_block([w for _, _, w in chunk], data.inputs)
-        for (i, j, w), z1 in zip(chunk, z1s):
-            if grads:
-                losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
-                    w, data.inputs, data.labels, z1)
-            else:
-                losses[j][i] = batch_losses(w, data.inputs, data.labels, z1)
+    scaled = [grads and not f.mean.any() for f in families]
+    # The sigma = 1 zero-mean family gives z_i itself: 0 + 1.0 * z = z.
+    unit = [prior_family(layout, 1.0)] if any(scaled) else []
+    buf = np.empty((data.m, fan_out)) if unit else None
+
+    def columns():
+        """(draw index, first-layer weights, [(family index, weights, scale)])"""
+        for i, ws in enumerate(shared_draws(families + unit, cfg.seed, cfg.n_weight_samples)):
+            if unit:
+                yield i, ws[-1], [(j, w, f.stddev)
+                                  for j, (f, w, s) in enumerate(zip(families, ws, scaled)) if s]
+            yield from ((i, w, [(j, w, None)])
+                        for j, (w, s) in enumerate(zip(ws, scaled)) if not s)
+
+    cols = columns()
+    while chunk := list(itertools.islice(cols, per_chunk)):
+        bases = first_layer_block([first for _, first, _ in chunk], data.inputs)
+        for (i, _, users), base in zip(chunk, bases):
+            for j, w, scale in users:
+                z1 = base if scale is None else np.multiply(base, scale, out=buf)
+                if grads:
+                    losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
+                        w, data.inputs, data.labels, z1)
+                else:
+                    losses[j][i] = batch_losses(w, data.inputs, data.labels, z1)
     return list(zip(losses, sq_norms))
 
 

@@ -51,8 +51,8 @@ import numpy as np
 from . import bounds as bd
 from .datasets import (IdxFormatError, LabeledDataset, load_idx, split, stratified_sample,
                        synth_gaussian)
-from .gaussians import (CHECK_STREAM, MAX_SYNTH_CLASSES, kl_divergence, posterior_family,
-                        prior_family, sample, stream_rng)
+from .gaussians import (CHECK_STREAM, MAX_SYNTH_CLASSES, is_seed, kl_divergence,
+                        posterior_family, prior_family, sample, stream_rng)
 from .nets import LIPSCHITZ_BOUND, MlpArchitecture, equal_param_hidden_widths
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train
@@ -116,8 +116,8 @@ class SweepSpec:
                    for n in (self.train_size, self.heldout_size, self.mlp_target_params)):
             raise ConfigError("train_size, heldout_size and mlp_target_params "
                               "must be integers >= 1")
-        if type(self.data_seed) is not int:
-            raise ConfigError("data_seed must be an integer")
+        if not is_seed(self.data_seed):
+            raise ConfigError("data_seed must be an integer in [0, 2**64)")
         if (self.experiment == "fit-subgamma"
                 and any(lam > self.train_size for lam in self.lambda_grid)):
             raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
@@ -416,6 +416,8 @@ def run(spec: SweepSpec) -> int:
     out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
+    if os.path.isdir(out):
+        raise ConfigError(f"output path is a directory: {out}")
     if spec.experiment == "identity-checks":
         rows = _identity_check_rows(spec)
         all_passed = all(row["passed"] for row in rows)
@@ -466,8 +468,8 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
             elif key == "train":
                 tr.update(value)
             elif key == "seed":
-                if type(value) is not int:
-                    raise ConfigError("seed must be an integer")
+                if not is_seed(value):
+                    raise ConfigError("seed must be an integer in [0, 2**64)")
                 est["seed"] = tr["seed"] = merged["data_seed"] = value
             else:
                 merged[key] = value

@@ -40,11 +40,20 @@ JITTER_STREAM = RESERVED_STREAM_BASE + 0xD1
 MAX_SYNTH_CLASSES = SUBSET_STREAM - SYNTH_STREAM - 1
 MAX_EPOCHS = CHECK_STREAM - SHUFFLE_STREAM
 
+# A seed keys Philox as one uint64, so seeds outside [0, SEED_LIMIT) would
+# alias seeds inside it (-1 and 2**64 - 1 give the same draws).
+SEED_LIMIT = 1 << 64
+
 _U52 = np.uint64(1) << np.uint64(52)
 
 
 class LayoutMismatchError(ValueError):
     """Raised when two families disagree on architecture or shape."""
+
+
+def is_seed(value) -> bool:
+    """A seed is an int (a bool is not one) in [0, SEED_LIMIT)."""
+    return type(value) is int and 0 <= value < SEED_LIMIT
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:

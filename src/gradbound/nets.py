@@ -30,12 +30,25 @@ Many weight draws of one layout on one input batch share the batch's
 first GEMM: :func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T``
 once, adds every draw's first-layer bias in place, and hands back one
 (n, fan_out) column slice per draw.  :func:`batch_losses` and
-:func:`loss_and_sq_grad_norms` take such a slice as ``z1`` and continue
-the pass from it; without ``z1`` the kernel computes the same slice for
-their one draw, so there is one forward/backward kernel either way.  A
-column of the block can differ from the per-draw product in its last
-bits, because the BLAS may block the wider GEMM differently; on the
-desk shapes with OpenBLAS on x86-64 they agree bit for bit.
+:func:`loss_and_sq_grad_norms` take a first-layer pre-activation as
+``z1`` and continue the pass from it, reading it and never writing it;
+without ``z1`` the kernel computes it for their one draw, so there is one
+forward/backward kernel either way.  A column of the block can differ
+from the per-draw product in its last bits, because the BLAS may block
+the wider GEMM differently; on the desk shapes with OpenBLAS on x86-64
+they agree bit for bit.
+
+The scale path
+--------------
+A draw of a zero-mean family N(0, sigma^2 I) is sigma * z, so its
+first-layer pre-activation is sigma * (x @ Z1^T + b_z): one column of the
+unit draw z serves every zero-mean family of that draw, scaled into a
+buffer that is passed as ``z1``, while layers 2+ and the Gram-form norm
+use the family's own weights sigma * z.  ``bounds.draw_stats`` takes this
+path for gradient passes only.  sigma * (x @ Z1^T + b_z) rounds
+differently from x @ (sigma Z1)^T + sigma b_z, and the naive estimator's
+exponent amplifies such last-bit loss changes 1e5-1e6 times, so
+forward-only passes keep one column per (draw, family) pair.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import MAX_EPOCHS, SHUFFLE_STREAM, prior_family, shared_draws, stream_rng
+from .gaussians import (MAX_EPOCHS, SHUFFLE_STREAM, is_seed, prior_family, shared_draws,
+                        stream_rng)
 from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_param_grads
 
 log = logging.getLogger(__name__)
@@ -64,8 +65,8 @@ class TrainConfig:
         if self.epochs > MAX_EPOCHS:
             raise ValueError(f"epochs must be <= {MAX_EPOCHS}, where the per-epoch "
                              "shuffle streams reach the next reserved stream")
-        if type(self.seed) is not int:
-            raise ValueError("seed must be an integer")
+        if not is_seed(self.seed):
+            raise ValueError("seed must be an integer in [0, 2**64)")
 
 
 def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,

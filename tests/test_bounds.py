@@ -90,19 +90,30 @@ def test_log_mgf_monotone_on_model_draws():
 
 
 def test_draw_stats_matches_per_draw_passes():
+    """Forward-only rows and a non-zero-mean family's rows are a one-draw
+    pass bit for bit.  A zero-mean family's gradient rows take their first
+    layer as sigma times the unit draw's product, so they match the
+    one-draw pass to rounding."""
     data = small_synth(n=24)
-    prior = prior_family(MlpArchitecture(data.dim, data.class_count, (5,)), 0.4)
-    losses, sq_norms = stats_of(prior, data)
-    assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
-    for i, w in enumerate(sample(prior, CFG.seed, CFG.n_weight_samples)):
-        g = batch_input_grads(w, data.inputs, data.labels)
-        assert np.array_equal(losses[i], batch_losses(w, data.inputs, data.labels))
-        np.testing.assert_allclose(sq_norms[i], np.einsum("ij,ij->i", g, g), rtol=1e-12)
-        kernel = loss_and_sq_grad_norms(w, data.inputs, data.labels)
-        assert np.array_equal(losses[i], kernel[0])
-        assert np.array_equal(sq_norms[i], kernel[1])
-    [(forward_only, none)] = bd.draw_stats([prior], data, CFG, grads=False)
-    assert none is None and np.array_equal(forward_only, losses)
+    arch = MlpArchitecture(data.dim, data.class_count, (5,))
+    posterior = GaussianFamily(np.random.default_rng(3).normal(size=arch.param_count()),
+                               0.2, arch)
+    for family, scaled in ((prior_family(arch, 0.4), True), (posterior, False)):
+        losses, sq_norms = stats_of(family, data)
+        assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
+        [(forward_only, none)] = bd.draw_stats([family], data, CFG, grads=False)
+        assert none is None
+        for i, w in enumerate(sample(family, CFG.seed, CFG.n_weight_samples)):
+            assert np.array_equal(forward_only[i], batch_losses(w, data.inputs, data.labels))
+            g = batch_input_grads(w, data.inputs, data.labels)
+            np.testing.assert_allclose(sq_norms[i], np.einsum("ij,ij->i", g, g), rtol=1e-12)
+            kernel = loss_and_sq_grad_norms(w, data.inputs, data.labels)
+            if scaled:
+                np.testing.assert_allclose(losses[i], kernel[0], rtol=1e-13)
+                np.testing.assert_allclose(sq_norms[i], kernel[1], rtol=1e-13)
+            else:
+                assert np.array_equal(losses[i], kernel[0])
+                assert np.array_equal(sq_norms[i], kernel[1])
 
 
 def test_draw_stats_shares_draws_between_families():
@@ -147,11 +158,8 @@ def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
                 np.testing.assert_allclose(one[1], everything[1], rtol=1e-12)
 
 
-def test_draw_stats_chunks_stay_within_budget(monkeypatch):
-    data = small_synth(n=24)
-    arch = MlpArchitecture(data.dim, data.class_count, (6,))
-    families = [prior_family(arch, s) for s in (0.1, 0.3, 0.5)]
-    pair_bytes = 8 * data.m * 6
+def _record_chunks(monkeypatch):
+    """(columns, block bytes) of every first-layer block draw_stats makes."""
     chunks = []
 
     def recording(params_list, x):
@@ -160,13 +168,42 @@ def test_draw_stats_chunks_stay_within_budget(monkeypatch):
         return views
 
     monkeypatch.setattr(bd, "first_layer_block", recording)
-    for budget, sizes in [(3 * pair_bytes + 100, [3] * 8), (pair_bytes - 1, [1] * 24)]:
-        chunks.clear()
-        monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-        bd.draw_stats(families, data, CFG, grads=True)
-        assert [pairs for pairs, _ in chunks] == sizes
-        assert all(nbytes <= budget or pairs == 1 for pairs, nbytes in chunks)
-        assert all(nbytes == pairs * pair_bytes for pairs, nbytes in chunks)
+    return chunks
+
+
+def test_draw_stats_chunks_stay_within_budget(monkeypatch):
+    """The budget counts first-layer columns: with gradients, one per draw
+    for the zero-mean families, plus one per (draw, family) pair of the
+    others; without, one per pair."""
+    data = small_synth(n=24)
+    arch = MlpArchitecture(data.dim, data.class_count, (6,))
+    posterior = GaussianFamily(np.random.default_rng(3).normal(size=arch.param_count()),
+                               0.2, arch)
+    families = [prior_family(arch, s) for s in (0.1, 0.3, 0.5)] + [posterior]
+    column_bytes = 8 * data.m * 6
+    chunks = _record_chunks(monkeypatch)
+    for grads, columns in ((True, 8 * 2), (False, 8 * 4)):
+        for budget, per_chunk in [(3 * column_bytes + 100, 3), (column_bytes - 1, 1)]:
+            chunks.clear()
+            monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
+            bd.draw_stats(families, data, CFG, grads)
+            full, rest = divmod(columns, per_chunk)
+            assert [cols for cols, _ in chunks] == [per_chunk] * full + [rest] * (rest > 0)
+            assert all(nbytes <= budget or cols == 1 for cols, nbytes in chunks)
+            assert all(nbytes == cols * column_bytes for cols, nbytes in chunks)
+
+
+def test_draw_stats_takes_one_column_per_chunk_past_the_budget(monkeypatch):
+    """A widening first layer whose one column outgrows the budget, as on
+    d = 16 data with 1053-wide hidden layers, gets a block per column:
+    the zero-mean families of a draw share one column, never one block."""
+    data = small_synth(n=24)
+    arch = MlpArchitecture(data.dim, data.class_count, (40, 40))
+    column_bytes = 8 * data.m * 40
+    chunks = _record_chunks(monkeypatch)
+    monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", column_bytes // 2)
+    bd.draw_stats([prior_family(arch, s) for s in (0.01, 0.1, 0.5)], data, CFG, True)
+    assert chunks == [(1, column_bytes)] * CFG.n_weight_samples
 
 
 # --------------------------------------------------------- naive complexity

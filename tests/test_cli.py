@@ -100,6 +100,15 @@ def test_spec_validation_errors():
             SweepSpec(experiment="loss-vs-variance", **flag)
     with pytest.raises(ValueError):
         bd.EstimatorConfig(loss_bound_slack=False)
+    # a seed keys Philox as one uint64, so it must lie in [0, 2**64)
+    for bad_seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            bd.EstimatorConfig(seed=bad_seed)
+        with pytest.raises(ConfigError):
+            SweepSpec(experiment="loss-vs-variance", data_seed=bad_seed)
+        with pytest.raises(ConfigError):
+            _spec_from_sources("loss-vs-variance", {}, {"seed": bad_seed})
+    assert _spec_from_sources("loss-vs-variance", {}, {"seed": 2**64 - 1}).data_seed == 2**64 - 1
     spec = SweepSpec(experiment="loss-vs-variance", variance_grid=(1, np.float64(0.5)),
                      lambda_grid=(2,), sigma_q=np.float64(0.1),
                      estimator=bd.EstimatorConfig(loss_bound_slack=1))
@@ -423,6 +432,20 @@ def test_missing_output_directory_fails_before_any_work(experiment, passes, tmp_
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("experiment", ["loss-vs-variance", "identity-checks"])
+def test_output_path_naming_a_directory_fails_before_any_work(experiment, passes, tmp_path,
+                                                             capsys):
+    out = tmp_path / "o.csv"
+    out.mkdir()
+    code = main([experiment, "--data-images", str(tmp_path / "x"),
+                 "--data-labels", str(tmp_path / "y"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "output path is a directory" in err["message"]
+    assert passes == {}
+    assert os.listdir(tmp_path) == ["o.csv"] and os.listdir(out) == []
+
+
 # experiment, config file, --synthetic spec (the data files are missing too:
 # the spec checks come first)
 BAD_CONFIGS = {
@@ -476,6 +499,12 @@ BAD_CONFIGS = {
     "experiment key": ("loss-vs-variance", {"experiment": "bogus"}, None),
     "synthetic k 13": ("loss-vs-variance", {}, "k=13,d=13,n_per_class=64"),
     "epochs 67": ("train-report", {"train": {"epochs": 67}}, None),
+    # a seed keys Philox as one uint64: -1 would alias 2**64 - 1
+    "negative seed": ("loss-vs-variance", {"seed": -1}, None),
+    "seed 2**64 + 7": ("loss-vs-variance", {"seed": 2**64 + 7}, None),
+    "negative estimator seed": ("loss-vs-variance", {"estimator": {"seed": -1}}, None),
+    "train seed 2**64": ("train-report", {"train": {"seed": 2**64}}, None),
+    "negative data_seed": ("loss-vs-variance", {"data_seed": -1}, None),
 }
 
 

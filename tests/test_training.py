@@ -180,6 +180,11 @@ def test_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**flag)
     assert TrainConfig(learning_rate=1, momentum=np.float64(0.5)).learning_rate == 1
+    # a seed keys Philox as one uint64, so it must lie in [0, 2**64)
+    for bad_seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            TrainConfig(seed=bad_seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
     # epoch e shuffles on its own reserved stream, short of the next one
     assert TrainConfig(epochs=MAX_EPOCHS).epochs == 66
     with pytest.raises(ValueError):
