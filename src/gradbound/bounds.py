@@ -18,13 +18,10 @@ Estimator conventions
   at once (a depth's prior scales, say) and loops draw-outer,
   family-inner, so each draw's standard normals are generated once and
   shared (:func:`gradbound.gaussians.shared_draws`).  Its first layers
-  run as one stacked GEMM per chunk of columns, a chunk being as many as
-  fit a fixed byte budget.  For the gradient passes a zero-mean family
-  is a scale family: draw i of N(0, sigma^2 I) is sigma * z_i, so all of
-  a draw's zero-mean families share one column, the unit draw's
-  first-layer product, each scaling it by its sigma (the scale path of
-  :mod:`gradbound.nets`).  Forward-only passes and families with a mean
-  keep one column per (draw, family) pair.  Draws come from the
+  run as one stacked GEMM per chunk of columns; in gradient passes all
+  of a draw's zero-mean families share one column, the unit draw's,
+  scaled by each sigma (the scale path of :mod:`gradbound.nets`), and
+  every other (draw, family) pair is a column.  Draws come from the
   prefix-stable streams in :mod:`gradbound.gaussians`; given a config
   seed, results are bitwise reproducible and reductions run in
   draw-index order.
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, is_seed, prior_family, shared_draws
+from .gaussians import GaussianFamily, common_layout, is_seed, prior_family, shared_draws
 from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
 from .numerics import logmeanexp, trapezoid_weights
 
@@ -182,29 +179,34 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     shape = (cfg.n_weight_samples, data.m)
     losses = [np.empty(shape) for _ in families]
     sq_norms = [np.empty(shape) if grads else None for _ in families]
-    layout = families[0].layout
+    layout = common_layout(families)
     fan_out = layout.layer_dims()[0][1]
     per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
-    scaled = [grads and not f.mean.any() for f in families]
+    scaled = [j for j, f in enumerate(families) if grads and not f.mean.any()]
+    own = [j for j in range(len(families)) if j not in scaled]
     # The sigma = 1 zero-mean family gives z_i itself: 0 + 1.0 * z = z.
-    unit = [prior_family(layout, 1.0)] if any(scaled) else []
-    buf = np.empty((data.m, fan_out)) if unit else None
+    unit = [prior_family(layout, 1.0)] if scaled else []
+    buf = np.empty((data.m, fan_out)) if scaled else None
 
     def columns():
-        """(draw index, first-layer weights, [(family index, weights, scale)])"""
-        for i, ws in enumerate(shared_draws(families + unit, cfg.seed, cfg.n_weight_samples)):
-            if unit:
-                yield i, ws[-1], [(j, w, f.stddev)
-                                  for j, (f, w, s) in enumerate(zip(families, ws, scaled)) if s]
-            yield from ((i, w, [(j, w, None)])
-                        for j, (w, s) in enumerate(zip(ws, scaled)) if not s)
+        """(draw index, first-layer weights, indices of the families using them)"""
+        draws = shared_draws(unit + [families[j] for j in own], cfg.seed, cfg.n_weight_samples)
+        for i, ws in enumerate(draws):
+            if scaled:
+                yield i, ws[0], scaled
+            yield from ((i, w, [j]) for j, w in zip(own, ws[len(unit):]))
 
     cols = columns()
     while chunk := list(itertools.islice(cols, per_chunk)):
         bases = first_layer_block([first for _, first, _ in chunk], data.inputs)
-        for (i, _, users), base in zip(chunk, bases):
-            for j, w, scale in users:
-                z1 = base if scale is None else np.multiply(base, scale, out=buf)
+        for (i, first, users), base in zip(chunk, bases):
+            for j in users:
+                w, z1 = first, base
+                if j in scaled:
+                    # Formed here, not sampled, so a chunk holds one weight
+                    # vector per column rather than one per scaled family.
+                    w = families[j].draw(first.values)
+                    z1 = np.multiply(base, families[j].stddev, out=buf)
                 if grads:
                     losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
                         w, data.inputs, data.labels, z1)

@@ -93,6 +93,10 @@ class GaussianFamily:
         if not self.stddev > 0.0:
             raise ValueError("stddev must be strictly positive")
 
+    def draw(self, z: np.ndarray) -> ParamVector:
+        """The weights mean + stddev * z for one vector z of standard normals."""
+        return ParamVector(self.mean + self.stddev * z, self.layout)
+
 
 def prior_family(arch: MlpArchitecture, sigma: float) -> GaussianFamily:
     """Zero-mean isotropic family N(0, sigma^2 I) over the architecture."""
@@ -104,6 +108,14 @@ def posterior_family(params: ParamVector, sigma: float) -> GaussianFamily:
     return GaussianFamily(params.values, float(sigma), params.layout)
 
 
+def common_layout(families: list[GaussianFamily]) -> MlpArchitecture:
+    """The layout every family shares; LayoutMismatchError if they differ."""
+    layout = families[0].layout
+    if any(f.layout != layout for f in families):
+        raise LayoutMismatchError("families have different layouts")
+    return layout
+
+
 def shared_draws(families: list[GaussianFamily], seed: int, count: int):
     """Yield draws 0..count-1 as lists holding draw i of each family.
 
@@ -113,12 +125,10 @@ def shared_draws(families: list[GaussianFamily], seed: int, count: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    layout = families[0].layout
-    if any(f.layout != layout for f in families):
-        raise LayoutMismatchError("families have different layouts")
+    layout = common_layout(families)
     for i in range(count):
         z = standard_normal(seed, i, layout.param_count())
-        yield [ParamVector(f.mean + f.stddev * z, layout) for f in families]
+        yield [f.draw(z) for f in families]
 
 
 def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:

