@@ -108,7 +108,8 @@ def test_spec_validation_errors():
             SweepSpec(experiment="loss-vs-variance", data_seed=bad_seed)
         with pytest.raises(ConfigError):
             _spec_from_sources("loss-vs-variance", {}, {"seed": bad_seed})
-    assert _spec_from_sources("loss-vs-variance", {}, {"seed": 2**64 - 1}).data_seed == 2**64 - 1
+    top = _spec_from_sources("loss-vs-variance", {}, {"seed": 2**64 - 1})
+    assert top.data_seed == top.estimator.seed == top.train.seed == 2**64 - 1
     spec = SweepSpec(experiment="loss-vs-variance", variance_grid=(1, np.float64(0.5)),
                      lambda_grid=(2,), sigma_q=np.float64(0.1),
                      estimator=bd.EstimatorConfig(loss_bound_slack=1))
