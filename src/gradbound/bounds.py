@@ -18,7 +18,9 @@ Estimator conventions
   at once (a depth's prior scales, say) and loops draw-outer,
   family-inner, so each draw's standard normals are generated once and
   shared (:func:`gradbound.gaussians.shared_draws`).  Its first layers
-  run as one stacked GEMM per chunk of columns; in gradient passes all
+  run as one stacked GEMM per chunk of columns, every chunk written into
+  one buffer per call, and each pass overwrites its column with its first
+  ReLU; in gradient passes all
   of a draw's zero-mean families share one column, the unit draw's,
   scaled by each sigma (the scale path of :mod:`gradbound.nets`), and
   every other (draw, family) pair is a column.  Draws come from the
@@ -161,8 +163,10 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     on the other families in the call.  The columns, draw-outer, are taken
     in chunks of as many as fit one (n, columns * fan_out) float64 block
     in ``FIRST_LAYER_BLOCK_BYTES`` (at least one).  Each chunk's first
-    layer is one GEMM (:func:`gradbound.nets.first_layer_block`), and each
-    pair continues from its column with one pass over ``data``: a forward
+    layer is one GEMM (:func:`gradbound.nets.first_layer_block`) into one
+    block buffer allocated per call and sized for the largest chunk (never
+    more than the call's columns).  Each pair continues from its column,
+    which its pass overwrites as scratch, with one pass over ``data``: a forward
     pass, or with ``grads`` one forward+backward pass that yields the
     squared norms without forming the input gradient where the first
     layer narrows (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers
@@ -187,6 +191,10 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     # The sigma = 1 zero-mean family gives z_i itself: 0 + 1.0 * z = z.
     unit = [prior_family(layout, 1.0)] if scaled else []
     buf = np.empty((data.m, fan_out)) if scaled else None
+    # One block buffer for every chunk, capped at the call's columns so a
+    # large budget never asks for more than the call can use.
+    total = cfg.n_weight_samples * (len(unit) + len(own))
+    block = np.empty(min(per_chunk, total) * data.m * fan_out)
 
     def columns():
         """(draw index, first-layer weights, indices of the families using them)"""
@@ -198,7 +206,7 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
 
     cols = columns()
     while chunk := list(itertools.islice(cols, per_chunk)):
-        bases = first_layer_block([first for _, first, _ in chunk], data.inputs)
+        bases = first_layer_block([first for _, first, _ in chunk], data.inputs, block)
         for (i, first, users), base in zip(chunk, bases):
             for j in users:
                 w, z1 = first, base

@@ -40,8 +40,8 @@ JITTER_STREAM = RESERVED_STREAM_BASE + 0xD1
 MAX_SYNTH_CLASSES = SUBSET_STREAM - SYNTH_STREAM - 1
 MAX_EPOCHS = CHECK_STREAM - SHUFFLE_STREAM
 
-# A seed keys Philox as one uint64, so seeds outside [0, SEED_LIMIT) would
-# alias seeds inside it (-1 and 2**64 - 1 give the same draws).
+# A seed keys Philox as one uint64; stream_rng refuses seeds outside
+# [0, SEED_LIMIT), which would alias seeds inside it (-1 and 2**64 - 1).
 SEED_LIMIT = 1 << 64
 
 _U52 = np.uint64(1) << np.uint64(52)
@@ -57,7 +57,11 @@ def is_seed(value) -> bool:
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(stream & (2**64 - 1))])
+    """The Philox generator keyed by (seed, stream); ValueError unless
+    :func:`is_seed` holds for ``seed``."""
+    if not is_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    key = np.array([seed, stream & (2**64 - 1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -6,8 +6,10 @@ the weight matrix in row-major order followed by the bias vector (when the
 architecture uses biases).  Labels are 1-based: y ranges over {1..k}.
 The loss is the negative log-likelihood (NLL) of the softmax of the logits.
 
-All public operations are pure functions of their arguments; arrays are
-treated as read-only.
+All public operations are pure functions of their arguments; inputs and
+weights are treated as read-only.  A pass writes only arrays it owns: each
+hidden ReLU overwrites its own pre-activation, and the backward pass masks
+its gradient in place, so no layer allocates a second (n, h) array.
 
 Weight stacks
 -------------
@@ -28,12 +30,13 @@ First-layer block
 -----------------
 Many weight draws of one layout on one input batch share the batch's
 first GEMM: :func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T``
-once, adds every draw's first-layer bias in place, and hands back one
-(n, fan_out) column slice per draw.  :func:`batch_losses` and
-:func:`loss_and_sq_grad_norms` take a first-layer pre-activation as
-``z1`` and continue the pass from it, reading it and never writing it;
-without ``z1`` the kernel computes it for their one draw, so there is one
-forward/backward kernel either way.  A column of the block can differ
+once into a buffer its caller owns and reuses, adds every draw's
+first-layer bias in place, and hands back one (n, fan_out) column slice
+per draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take a
+first-layer pre-activation as ``z1`` and continue the pass from it; ``z1``
+is the pass's scratch, overwritten by the first ReLU, so a caller hands
+each column to one pass.  Without ``z1`` the kernel computes it for their
+one draw, so there is one forward/backward kernel either way.  A column of the block can differ
 from the per-draw product in its last bits, because the BLAS may block
 the wider GEMM differently; on the desk shapes with OpenBLAS on x86-64
 they agree bit for bit.
@@ -181,16 +184,20 @@ def _check_label(arch: MlpArchitecture, y: int) -> int:
     return y
 
 
-def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray) -> list[np.ndarray]:
+def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray,
+                      out: np.ndarray) -> list[np.ndarray]:
     """First-layer pre-activations of several draws from one GEMM.
 
     ``params_list`` shares one layout.  Computes x @ [W1_1; W1_2; ...]^T
-    as one (n, len(params_list) * fan_out) block, adds each draw's
-    first-layer bias into its columns in place, and returns the per-draw
-    (n, fan_out) column views, in order.
+    as one (n, len(params_list) * fan_out) block written into the front
+    of ``out``, a flat float64 buffer the caller owns and reuses across
+    blocks, adds each draw's first-layer bias into its columns in place,
+    and returns the per-draw (n, fan_out) column views, in order.
     """
     firsts = [_layers(p.layout, p.values)[0] for p in params_list]
-    block = x_batch @ np.concatenate([w for w, _ in firsts]).T
+    w1 = np.concatenate([w for w, _ in firsts])
+    block = out[:x_batch.shape[0] * w1.shape[0]].reshape(x_batch.shape[0], w1.shape[0])
+    np.matmul(x_batch, w1.T, out=block)
     fan_out = firsts[0][0].shape[0]
     views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
     for z1, (_, b) in zip(views, firsts):
@@ -209,13 +216,16 @@ def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.nd
     stack's layers run as batched matmuls over (F, n, h), so each row
     gets the bits of its one-vector pass.  ``z1`` is the first layer's
     pre-activation from :func:`first_layer_block` (computed here when
-    omitted); it is read, never written.
+    omitted); it is the pass's scratch, overwritten by the first ReLU.
+    Each hidden ReLU is written into the pre-activation array the pass
+    owns (its own GEMM's result, or ``z1``), so no layer allocates a
+    second (n, h) array; ``x_batch`` is never written.
     """
     acts = []
     a = x_batch
     for i, (w, b) in enumerate(_layers(layout, weights)):
         if i:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
         acts.append(a)
         if i == 0 and z1 is not None:
             z = z1
@@ -264,7 +274,7 @@ def logit_loss(logits: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
 
 def batch_losses(params: ParamVector, x_batch, y_batch,
                  z1: np.ndarray | None = None) -> np.ndarray:
-    """Per-example losses; ``z1`` as in :func:`_forward_cached`."""
+    """Per-example losses; ``z1`` as in :func:`_forward_cached` (overwritten)."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
     logits = _forward_cached(params.layout, params.values, x_batch, z1)[1]
     return logit_loss(logits, y_batch)
@@ -314,7 +324,8 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
         if i == 0:
             return losses, w, g, grads
         # ReLU subgradient, 0 at the kink: acts[i] = max(z, 0) > 0 iff z > 0.
-        g = (g @ w) * (acts[i] > 0.0)
+        g = g @ w
+        g *= acts[i] > 0.0
 
 
 def loss_and_param_grads(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch
@@ -338,7 +349,7 @@ def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch,
     in Gram form as rowsum((g1 @ (W1 W1^T)) * g1), so the (n, d) input
     gradient is never formed; otherwise the gradient is formed and its
     rows are squared and summed.  The choice depends only on the layout.
-    ``z1`` as in :func:`_forward_cached`.
+    ``z1`` as in :func:`_forward_cached`: the pass's scratch, overwritten.
     """
     losses, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, False, z1)
     if w1.shape[0] < w1.shape[1]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gradbound.nets import (
     loss_and_sq_grad_norms,
 )
 from gradbound.numerics import logmeanexp
+from gradbound.training import TrainConfig, evaluate, train
 
 CFG = bd.EstimatorConfig(n_weight_samples=8, seed=11)
 
@@ -159,38 +161,47 @@ def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
 
 
 def _record_chunks(monkeypatch):
-    """(columns, block bytes) of every first-layer block draw_stats makes."""
-    chunks = []
+    """(columns, block bytes) of every first-layer block draw_stats makes,
+    and the buffer each block was written into."""
+    chunks, buffers = [], []
 
-    def recording(params_list, x):
-        views = first_layer_block(params_list, x)
-        chunks.append((len(params_list), views[0].base.nbytes))
+    def recording(params_list, x, out):
+        views = first_layer_block(params_list, x, out)
+        rows, fan_out = views[0].shape
+        chunks.append((len(params_list), 8 * rows * len(views) * fan_out))
+        assert all(np.shares_memory(v, out) for v in views)
+        buffers.append(out)
         return views
 
     monkeypatch.setattr(bd, "first_layer_block", recording)
-    return chunks
+    return chunks, buffers
 
 
 def test_draw_stats_chunks_stay_within_budget(monkeypatch):
     """The budget counts first-layer columns: with gradients, one per draw
     for the zero-mean families, plus one per (draw, family) pair of the
-    others; without, one per pair."""
+    others; without, one per pair.  Every block of a call is written into
+    one buffer, sized for the call's largest chunk."""
     data = small_synth(n=24)
     arch = MlpArchitecture(data.dim, data.class_count, (6,))
     posterior = GaussianFamily(np.random.default_rng(3).normal(size=arch.param_count()),
                                0.2, arch)
     families = [prior_family(arch, s) for s in (0.1, 0.3, 0.5)] + [posterior]
     column_bytes = 8 * data.m * 6
-    chunks = _record_chunks(monkeypatch)
+    chunks, buffers = _record_chunks(monkeypatch)
     for grads, columns in ((True, 8 * 2), (False, 8 * 4)):
-        for budget, per_chunk in [(3 * column_bytes + 100, 3), (column_bytes - 1, 1)]:
+        for budget, per_chunk in [(3 * column_bytes + 100, 3), (column_bytes - 1, 1),
+                                  (1 << 40, columns)]:
             chunks.clear()
+            buffers.clear()
             monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
             bd.draw_stats(families, data, CFG, grads)
             full, rest = divmod(columns, per_chunk)
             assert [cols for cols, _ in chunks] == [per_chunk] * full + [rest] * (rest > 0)
             assert all(nbytes <= budget or cols == 1 for cols, nbytes in chunks)
             assert all(nbytes == cols * column_bytes for cols, nbytes in chunks)
+            assert all(b is buffers[0] for b in buffers)
+            assert buffers[0].nbytes <= min(max(column_bytes, budget), columns * column_bytes)
 
 
 def test_draw_stats_takes_one_column_per_chunk_past_the_budget(monkeypatch):
@@ -200,10 +211,70 @@ def test_draw_stats_takes_one_column_per_chunk_past_the_budget(monkeypatch):
     data = small_synth(n=24)
     arch = MlpArchitecture(data.dim, data.class_count, (40, 40))
     column_bytes = 8 * data.m * 40
-    chunks = _record_chunks(monkeypatch)
+    chunks, buffers = _record_chunks(monkeypatch)
     monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", column_bytes // 2)
     bd.draw_stats([prior_family(arch, s) for s in (0.01, 0.1, 0.5)], data, CFG, True)
     assert chunks == [(1, column_bytes)] * CFG.n_weight_samples
+    assert all(b is buffers[0] for b in buffers)
+    assert buffers[0].nbytes == column_bytes
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("hidden", [(), (3, 4), (9,)], ids=["linear", "narrowing", "widening"])
+def test_kernel_never_writes_caller_data(hidden):
+    """The passes overwrite their own scratch (each hidden ReLU goes into
+    its pre-activation), never the dataset or the weights: on read-only
+    inputs, labels and family means every result is the writeable run's."""
+    data = small_synth(n=24, d=6, k=3)
+    frozen = LabeledDataset(_read_only(data.inputs), _read_only(data.labels), 3)
+    assert not (frozen.inputs.flags.writeable or frozen.labels.flags.writeable)
+    arch = MlpArchitecture(6, 3, hidden)
+    mean = np.random.default_rng(3).normal(size=arch.param_count())
+
+    def results(d, mean):
+        families = [prior_family(arch, 0.4), GaussianFamily(mean, 0.2, arch)]
+        trained = train(arch, d, TrainConfig(epochs=2, batch_size=8, seed=1), [0.3, 0.5])
+        return (bd.draw_stats(families, d, CFG, False), bd.draw_stats(families, d, CFG, True),
+                [p.values for p in trained], [evaluate(p, d) for p in trained],
+                bd.log_sobolev_check(trained[0], d, 0.5))
+
+    expected = results(data, mean)
+    got = results(frozen, _read_only(mean))
+    assert np.array_equal(frozen.inputs, data.inputs)
+    for (e_losses, e_sq), (g_losses, g_sq) in zip(expected[0] + expected[1], got[0] + got[1]):
+        assert np.array_equal(e_losses, g_losses)
+        assert (e_sq is None and g_sq is None) or np.array_equal(e_sq, g_sq)
+    assert all(np.array_equal(e, g) for e, g in zip(expected[2], got[2]))
+    assert expected[3:] == got[3:]
+
+
+def test_draw_stats_wide_layer_peak_memory():
+    """Past the chunk budget each first-layer column is its own block, all
+    written into one buffer, and each hidden ReLU overwrites its own
+    pre-activation: a forward pass holds about one column of (n, h)
+    float64 arrays, and a gradient pass adds the scaled buffer and the
+    backward pass's gradient (the gauss-wide depth-2 shape, scaled down)."""
+    n, h = 512, 2000
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.normal(size=(n, 8)), 1 + np.arange(n) % 3, 3)
+    arch = MlpArchitecture(8, 3, (h,))
+    assert 8 * n * h > bd.FIRST_LAYER_BLOCK_BYTES
+    families = [prior_family(arch, s) for s in (0.1, 0.5)]
+    cfg = bd.EstimatorConfig(n_weight_samples=4, seed=1)
+    for grads, columns in ((False, 1.5), (True, 3.5)):
+        bd.draw_stats(families, data, cfg, grads)  # warm call
+        tracemalloc.start()
+        try:
+            bd.draw_stats(families, data, cfg, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= columns * 8 * n * h, (grads, peak / (8 * n * h))
 
 
 # --------------------------------------------------------- naive complexity

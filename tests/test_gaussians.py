@@ -96,6 +96,24 @@ def test_standard_normal_draws_are_finite_and_symmetricish():
     assert abs(z.std() - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, True, 3.0])
+def test_seeds_outside_the_key_range_are_refused(seed):
+    """A seed keys Philox as one uint64, so -1 or 2**64 would alias a seed
+    inside [0, 2**64) rather than draw its own numbers."""
+    with pytest.raises(ValueError, match="seed"):
+        standard_normal(seed, 0, 5)
+    with pytest.raises(ValueError, match="seed"):
+        sample(prior_family(ARCH2, 1.0), seed, 1)
+
+
+def test_seeds_at_the_ends_of_the_key_range_draw():
+    top, zero = standard_normal(2**64 - 1, 0, 5), standard_normal(0, 0, 5)
+    assert np.all(np.isfinite(top)) and np.all(np.isfinite(zero))
+    assert not np.array_equal(top, zero)
+    [w] = sample(prior_family(ARCH2, 1.0), 2**64 - 1, 1)
+    assert np.array_equal(w.values, top[:2])
+
+
 def test_kl_self_is_zero():
     fam = GaussianFamily(np.array([0.3, -1.0, 2.0, 0.0]), 2.5, ARCH4)
     assert kl_divergence(fam, fam) == 0.0
