@@ -36,10 +36,10 @@ per draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take a
 first-layer pre-activation as ``z1`` and continue the pass from it; ``z1``
 is the pass's scratch, overwritten by the first ReLU, so a caller hands
 each column to one pass.  Without ``z1`` the kernel computes it for their
-one draw, so there is one forward/backward kernel either way.  A column of the block can differ
-from the per-draw product in its last bits, because the BLAS may block
-the wider GEMM differently; on the desk shapes with OpenBLAS on x86-64
-they agree bit for bit.
+one draw, so there is one forward/backward kernel either way.  A column
+of the block can differ from the per-draw product in its last bits,
+because the BLAS may block the wider GEMM differently; on the desk shapes
+with OpenBLAS on x86-64 they agree bit for bit.
 
 The scale path
 --------------
