@@ -196,8 +196,8 @@ def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray,
     """
     firsts = [_layers(p.layout, p.values)[0] for p in params_list]
     w1 = np.concatenate([w for w, _ in firsts])
-    block = out[:x_batch.shape[0] * w1.shape[0]].reshape(x_batch.shape[0], w1.shape[0])
-    np.matmul(x_batch, w1.T, out=block)
+    n, cols = x_batch.shape[0], w1.shape[0]
+    block = np.matmul(x_batch, w1.T, out=out[:n * cols].reshape(n, cols))
     fan_out = firsts[0][0].shape[0]
     views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
     for z1, (_, b) in zip(views, firsts):
