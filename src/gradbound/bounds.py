@@ -46,7 +46,7 @@ import numpy as np
 from .datasets import LabeledDataset
 from .gaussians import GaussianFamily, common_layout, is_seed, prior_family, shared_draws
 from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
-from .numerics import logmeanexp, trapezoid_weights
+from .numerics import logmeanexp
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
 
@@ -262,17 +262,18 @@ def gradnorm_integral_bound(losses: np.ndarray, sq_grad_norms: np.ndarray, lam: 
         I = integral over [0, lam/m] of exp(-alpha loss) / M(alpha) d alpha,
 
     with M(alpha) the empirical MGF of the loss and the integral evaluated
-    by composite trapezoid quadrature on ``n_nodes`` uniform nodes.
+    by composite trapezoid quadrature on ``n_nodes`` >= 2 uniform nodes.
     """
     if lam <= 0 or m < 1:
         raise ValueError("lambda must be positive and m >= 1")
+    if n_nodes < 2:
+        raise ValueError("trapezoid quadrature needs at least 2 nodes")
     nodes = np.linspace(0.0, lam / m, n_nodes)
-    weights = trapezoid_weights(nodes)
     exponents = np.empty(losses.shape[0])
     for i, (lo, gg) in enumerate(zip(losses, sq_grad_norms)):
         log_m = logmeanexp(-nodes[:, None] * lo[None, :], axis=1)
         integrand = np.exp(-nodes[:, None] * lo[None, :] - log_m[:, None])
-        integral = weights @ integrand
+        integral = np.trapezoid(integrand, nodes, axis=0)
         exponents[i] = 2.0 * lam * float(np.mean(gg * integral))
     return _finalize(exponents, n_data=losses.shape[1])
 
@@ -347,7 +348,9 @@ def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, alpha:
     Uses the first n examples of ``gaussian_data`` (all by default).  The
     lhs standard error comes from the delta method for f(u, v) =
     alpha*u - v log v over the sample means of u = -loss * exp(-alpha loss)
-    and v = exp(-alpha loss).
+    and v = exp(-alpha loss): with (du, dv) the gradient of f there, it is
+    the standard error of the mean of du*u + dv*v, whose variance is the
+    quadratic form du^2 Var u + dv^2 Var v + 2 du dv Cov(u, v).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -367,9 +370,7 @@ def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, alpha:
 
     du = alpha
     dv = -(1.0 + math.log(m_hat))
-    cov = np.cov(u, v, ddof=1) if n > 1 else np.zeros((2, 2))
-    lhs_var = (du**2 * cov[0, 0] + dv**2 * cov[1, 1] + 2 * du * dv * cov[0, 1]) / n
-    lhs_se = math.sqrt(max(lhs_var, 0.0))
+    lhs_se = float((du * u + dv * v).std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     rhs_se = 2.0 * float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EntropyCheck(lhs=lhs, rhs=rhs, lhs_std_error=lhs_se, rhs_std_error=rhs_se)
 
@@ -422,6 +423,6 @@ def herbst_identity_check(losses, lam: float, m: int) -> tuple[float, float]:
     kprime = np.empty(HERBST_NODES)
     kprime[0] = float(losses.var()) / 2.0
     kprime[1:] = (nodes[1:] * mprime_a - m_a * np.log(m_a)) / (nodes[1:] ** 2 * m_a)
-    integral = float(trapezoid_weights(nodes) @ kprime)
+    integral = float(np.trapezoid(kprime, nodes))
     rhs = math.exp(-upper * l_d + upper * integral)
     return lhs, rhs

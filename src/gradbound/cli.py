@@ -170,8 +170,11 @@ def parse_synthetic_spec(text: str) -> dict:
     if out["k"] > min(out["d"], MAX_SYNTH_CLASSES):
         raise ConfigError("synthetic spec needs k <= d (class means are sep * e_y) "
                           f"and k <= {MAX_SYNTH_CLASSES}")
-    if min(out["k"], out["d"], out["n_per_class"]) < 1 or not out["sigma"] > 0:
-        raise ConfigError("synthetic spec needs k, d and n_per_class >= 1 and sigma > 0")
+    if min(out["k"], out["d"], out["n_per_class"]) < 1 or not 0 < out["sigma"] < math.inf:
+        raise ConfigError("synthetic spec needs k, d and n_per_class >= 1 "
+                          "and a finite sigma > 0")
+    if not math.isfinite(out["sep"]):
+        raise ConfigError("synthetic spec needs a finite sep")
     return out
 
 
@@ -179,7 +182,13 @@ def build_synthetic(spec_text: str, seed: int) -> LabeledDataset:
     p = parse_synthetic_spec(spec_text)
     means = np.zeros((p["k"], p["d"]))
     means[np.arange(p["k"]), np.arange(p["k"])] = p["sep"]
-    return synth_gaussian(p["k"], p["d"], means, p["sigma"], p["n_per_class"], seed)
+    # A finite spec can still overflow its draws (sigma=1e308, say), which
+    # the dataset refuses as non-finite inputs.
+    try:
+        with np.errstate(over="ignore"):
+            return synth_gaussian(p["k"], p["d"], means, p["sigma"], p["n_per_class"], seed)
+    except ValueError as exc:
+        raise ConfigError(f"synthetic spec {spec_text!r}: {exc}") from exc
 
 
 def resolve_dataset(spec: SweepSpec) -> tuple[LabeledDataset, LabeledDataset]:

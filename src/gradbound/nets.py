@@ -16,10 +16,10 @@ Weight stacks
 The forward/backward kernel (``_forward_cached``, ``_backward``) takes
 flat weights of shape (P,) or a stack (F, P) of one layout, and every
 array past the input then carries the stack's leading axis.  A stack's
-layers run as batched matmuls over (F, n, h), one BLAS product per row
-with the shapes of the one-vector pass, and its first-layer weight
-gradient is one ``[g1_1 ... g1_F]^T @ x`` GEMM; with OpenBLAS on x86-64
-each row gets the bits of its one-vector pass.  SGD passes a stack
+layers and weight gradients run as batched matmuls over (F, n, h), one
+BLAS product per row with the shapes and operands of the one-vector
+pass, so each row gets the bits of its one-vector pass by construction,
+whatever the BLAS kernel or thread count.  SGD passes a stack
 (:func:`loss_and_param_grads`); the ParamVector functions pass one
 vector.  The forward pass caches one array per layer, the activation
 entering it; the backward pass takes the loss and its logit gradient
@@ -311,14 +311,7 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
         w, b = layers[i]
         if want_params:
             gw, gb = grad_layers[i]
-            if i == 0:
-                # [g1_1 ... g1_F] as (n, F * fan_out), so the stack's
-                # first-layer weight gradients are one GEMM (g1 itself
-                # for one vector).
-                g_cols = np.moveaxis(g, -2, 0).reshape(n, -1)
-                gw[...] = (g_cols.T @ x_batch / n).reshape(gw.shape)
-            else:
-                gw[...] = np.swapaxes(g, -1, -2) @ acts[i] / n
+            gw[...] = np.swapaxes(g, -1, -2) @ acts[i] / n
             if gb is not None:
                 gb[...] = g.mean(axis=-2)
         if i == 0:

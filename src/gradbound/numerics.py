@@ -1,4 +1,8 @@
-"""Small shift-stabilized log-space primitives used throughout the package."""
+"""Small shift-stabilized log-space primitives used throughout the package.
+
+Quadrature is ``np.trapezoid``, which sums in numpy rather than in a BLAS
+dot product, so its bits do not depend on the BLAS thread count or kernel.
+"""
 
 from __future__ import annotations
 
@@ -26,14 +30,3 @@ def logmeanexp(a, axis=None):
     n = a.size if axis is None else a.shape[axis]
     return logsumexp(a, axis=axis) - np.log(n)
 
-
-def trapezoid_weights(nodes):
-    """Composite-trapezoid quadrature weights for sorted 1-D nodes."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if nodes.size < 2:
-        raise ValueError("trapezoid rule needs at least 2 nodes")
-    w = np.zeros_like(nodes)
-    gaps = np.diff(nodes)
-    w[:-1] += 0.5 * gaps
-    w[1:] += 0.5 * gaps
-    return w

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import trapezoid_weights
-
 C_CANDIDATES = 50
 C_MIN = 1e-8
 # Multiplicative pad on the fitted v so the envelope weakly dominates the
@@ -79,12 +77,11 @@ def fit(grid, c_max: float | None = None) -> SubGammaFit:
     candidates = np.geomspace(C_MIN, upper, C_CANDIDATES + 1)[:-1]
 
     mesh = np.linspace(float(lams.min()), lam_max, 512)
-    mesh_w = trapezoid_weights(mesh) if mesh[0] < mesh[-1] else np.zeros_like(mesh)
     best = None
     for c in candidates:
         v = float(np.max(2.0 * cs * (1.0 - lams * c) / lams**2))
         v = max(v, 0.0) * _V_PAD
-        area = float(mesh_w @ _envelope(v, c, mesh))
+        area = float(np.trapezoid(_envelope(v, c, mesh), mesh))
         if best is None or area < best[0]:
             best = (area, v, float(c))
     _, v, c = best

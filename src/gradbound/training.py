@@ -16,8 +16,9 @@ standard normals times that scale, so they train together: their weights
 and momenta are the rows of (F, P) arrays, and each step is one stacked
 forward+backward pass (:func:`gradbound.nets.loss_and_param_grads`) on
 one gathered batch, followed by the same elementwise update and per-row
-finiteness checks, so each row gets the bits that training its scale
-alone gives (with OpenBLAS on x86-64; see :mod:`gradbound.nets`).
+finiteness checks.  Each row's BLAS products are those of a one-vector
+pass (see :mod:`gradbound.nets`), so by construction each row gets the
+bits that training its scale alone gives.
 """
 
 from __future__ import annotations

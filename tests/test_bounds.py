@@ -338,6 +338,15 @@ def test_integral_bound_zero_gradient_prior():
     assert abs(est.log_space_value) < 1e-9
 
 
+@pytest.mark.parametrize("n_nodes", [0, 1])
+def test_integral_bound_refuses_fewer_than_two_nodes(n_nodes):
+    # the trapezoid rule on 0 or 1 nodes integrates to 0, which would read
+    # as a bound of 0
+    losses, sq_norms = np.ones((2, 3)), np.ones((2, 3))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        bd.gradnorm_integral_bound(losses, sq_norms, 1.0, 3, n_nodes)
+
+
 def dense_quadrature_oracle(prior, data, lam, m, seed, n_weight, nodes_n):
     """Straight-loop reimplementation with its own dense trapezoid rule."""
     exps = []

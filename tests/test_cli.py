@@ -462,6 +462,9 @@ BAD_CONFIGS = {
     "synthetic n_per_class 0": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=0"),
     "synthetic sigma 0": ("loss-vs-variance", {}, "k=2,d=4,sigma=0,n_per_class=64"),
     "synthetic k 0": ("loss-vs-variance", {}, "k=0,d=4,n_per_class=64"),
+    "synthetic sigma inf": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=64,sigma=inf"),
+    "synthetic sep nan": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=64,sep=nan"),
+    "synthetic sep inf": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=64,sep=inf"),
     "fractional train_size": ("loss-vs-variance", {"train_size": 2.5}, None),
     "removed subgamma_c_max": ("fit-subgamma", {"subgamma_c_max": 1e-3}, None),
     # json.dumps writes NaN and Infinity, which JSON itself does not have
@@ -527,6 +530,18 @@ def test_bad_config_fails_before_any_work(case, passes, tmp_path, capsys):
     assert passes == {}
     assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
     assert os.listdir(out_dir) == []
+
+
+def test_synthetic_spec_whose_draws_overflow_is_a_config_error(passes, tmp_path, capsys):
+    # sigma is finite, but sigma * z overflows, so the dataset is refused
+    out = tmp_path / "o.csv"
+    code = main(["loss-vs-variance", "--synthetic", "k=2,d=4,n_per_class=64,sigma=1e308",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "non-finite" in err["message"]
+    assert "forward" not in passes
+    assert os.listdir(tmp_path) == []
 
 
 # ------------------------------------------------------ every knob is read

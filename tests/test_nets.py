@@ -317,8 +317,9 @@ def test_sq_grad_norms_match_formed_gradients(name):
     assert np.all(loss_and_sq_grad_norms(zero, x, y)[1] == 0.0)
 
 
-# plus a width where one wide first-layer GEMM over the stack rounds some
-# columns differently from the per-vector product
+# plus a width where one wide first-layer GEMM over the stack would round
+# some columns differently from the per-vector product; the stack's weight
+# gradients are per-row products, so they match it anyway
 STACK_ARCHS = {**SQ_NORM_ARCHS, "mlp-wide": MlpArchitecture(4, 2, (78,))}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradbound.numerics import logmeanexp, logsumexp, trapezoid_weights
+from gradbound.numerics import logmeanexp, logsumexp
 
 finite_floats = st.floats(min_value=-50, max_value=50)
 
@@ -44,11 +44,3 @@ def test_axis_handling():
         assert row[i] == pytest.approx(logsumexp(x[i]))
     assert logmeanexp(x, axis=1)[0] == pytest.approx(logsumexp(x[0]) - math.log(4))
 
-
-def test_trapezoid_weights_integrate_quadratics():
-    nodes = np.linspace(0.0, 2.0, 2001)
-    w = trapezoid_weights(nodes)
-    assert w @ nodes**2 == pytest.approx(8.0 / 3.0, rel=1e-6)
-    assert w.sum() == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        trapezoid_weights(np.array([1.0]))
