@@ -16,17 +16,17 @@ Estimator conventions
   Callers compute them once per family and hand them to every estimator
   that needs them.  ``draw_stats`` takes all the families of one layout
   at once (a depth's prior scales, say) and loops draw-outer,
-  family-inner, so each draw's standard normals are generated once and
-  shared (:func:`gradbound.gaussians.shared_draws`).  Its first layers
-  run as one stacked GEMM per chunk of columns, every chunk written into
-  one buffer per call, and each pass overwrites its column with its first
-  ReLU; in gradient passes all
-  of a draw's zero-mean families share one column, the unit draw's,
-  scaled by each sigma (the scale path of :mod:`gradbound.nets`), and
-  every other (draw, family) pair is a column.  Draws come from the
-  prefix-stable streams in :mod:`gradbound.gaussians`; given a config
-  seed, results are bitwise reproducible and reductions run in
-  draw-index order.
+  family-inner: each draw's standard normals z_i are generated once
+  (:func:`gradbound.gaussians.standard_normal`) and mapped into every
+  family by :meth:`gradbound.gaussians.GaussianFamily.draw`.  Its first
+  layers run as one stacked GEMM per chunk of columns, every chunk written
+  into one buffer per call, and each pass overwrites its column with its
+  first ReLU; in gradient passes all of a draw's zero-mean families share
+  one column, that of z_i itself, scaled by each sigma (the scale path of
+  :mod:`gradbound.nets`), and every other (draw, family) pair is a column.
+  Draws come from the prefix-stable streams in :mod:`gradbound.gaussians`;
+  given a config seed, results are bitwise reproducible and reductions
+  run in draw-index order.
 * The m in a bound is the training-sample size of the certificate being
   priced; the dataset the matrices were computed on serves as the proxy
   for the unknown data distribution (callers typically pass a held-out
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, common_layout, is_seed, prior_family, shared_draws
+from .gaussians import GaussianFamily, common_layout, is_seed, standard_normal
 from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
 from .numerics import logmeanexp
 
@@ -155,7 +155,7 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
 
     The first layer is taken in columns.  With ``grads``, a zero-mean
     family's draw is sigma * z_i, so its first-layer pre-activation is
-    sigma * base_i, base_i = x @ Z1_i^T + b_i from the unit draw z_i: all
+    sigma * base_i, base_i = x @ Z1_i^T + b_i from the normals z_i: all
     of draw i's zero-mean families share that one column, each scaling it
     into one reused (n, fan_out) buffer (the scale path of
     :mod:`gradbound.nets`).  Every other (draw, family) pair is a column
@@ -188,21 +188,19 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
     scaled = [j for j, f in enumerate(families) if grads and not f.mean.any()]
     own = [j for j in range(len(families)) if j not in scaled]
-    # The sigma = 1 zero-mean family gives z_i itself: 0 + 1.0 * z = z.
-    unit = [prior_family(layout, 1.0)] if scaled else []
     buf = np.empty((data.m, fan_out)) if scaled else None
     # One block buffer for every chunk, capped at the call's columns so a
     # large budget never asks for more than the call can use.
-    total = cfg.n_weight_samples * (len(unit) + len(own))
+    total = cfg.n_weight_samples * (bool(scaled) + len(own))
     block = np.empty(min(per_chunk, total) * data.m * fan_out)
 
     def columns():
         """(draw index, first-layer weights, indices of the families using them)"""
-        draws = shared_draws(unit + [families[j] for j in own], cfg.seed, cfg.n_weight_samples)
-        for i, ws in enumerate(draws):
+        for i in range(cfg.n_weight_samples):
+            z = standard_normal(cfg.seed, i, layout.param_count())
             if scaled:
-                yield i, ws[0], scaled
-            yield from ((i, w, [j]) for j, w in zip(own, ws[len(unit):]))
+                yield i, ParamVector(z, layout), scaled
+            yield from ((i, families[j].draw(z), [j]) for j in own)
 
     cols = columns()
     while chunk := list(itertools.islice(cols, per_chunk)):

@@ -53,7 +53,7 @@ from .datasets import (IdxFormatError, LabeledDataset, load_idx, split, stratifi
                        synth_gaussian)
 from .gaussians import (CHECK_STREAM, MAX_SYNTH_CLASSES, is_seed, kl_divergence,
                         posterior_family, prior_family, sample, stream_rng)
-from .nets import LIPSCHITZ_BOUND, MlpArchitecture, equal_param_hidden_widths
+from .nets import LIPSCHITZ_BOUND, MlpArchitecture, arch_for_depth
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train
 
@@ -140,15 +140,6 @@ _DEFAULTS = {
 }
 
 
-def arch_for_depth(depth: int, input_dim: int, class_count: int,
-                   target_params: int) -> MlpArchitecture:
-    """Depth 1 is the bias-free linear model; deeper nets share ~equal size."""
-    if depth == 1:
-        return MlpArchitecture(input_dim, class_count)
-    widths = equal_param_hidden_widths(depth, input_dim, class_count, target_params)
-    return MlpArchitecture(input_dim, class_count, widths)
-
-
 def parse_synthetic_spec(text: str) -> dict:
     """Parse "k=2,d=16,sigma=1.0,n_per_class=2560,sep=3.0" style specs."""
     fields = {"k": int, "d": int, "sigma": float, "n_per_class": int, "sep": float}
@@ -185,8 +176,7 @@ def build_synthetic(spec_text: str, seed: int) -> LabeledDataset:
     # A finite spec can still overflow its draws (sigma=1e308, say), which
     # the dataset refuses as non-finite inputs.
     try:
-        with np.errstate(over="ignore"):
-            return synth_gaussian(p["k"], p["d"], means, p["sigma"], p["n_per_class"], seed)
+        return synth_gaussian(p["k"], p["d"], means, p["sigma"], p["n_per_class"], seed)
     except ValueError as exc:
         raise ConfigError(f"synthetic spec {spec_text!r}: {exc}") from exc
 
@@ -234,6 +224,10 @@ def _trained_posteriors(spec, arch, train_set, heldout):
     for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
         train_loss, train_acc = evaluate(weights, train_set)
         test_loss, test_acc = evaluate(weights, heldout)
+        if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
+            # The last update left finite weights whose logits overflow.
+            last_batch = math.ceil(train_set.m / spec.train.batch_size) - 1
+            raise TrainingDiverged(spec.train.epochs - 1, last_batch, sigma_p)
         posterior = posterior_family(weights, spec.sigma_q)
         kl = kl_divergence(posterior, prior_family(arch, sigma_p))
         points.append((posterior, {
@@ -263,7 +257,7 @@ def _naive_rows(spec, m, arch, point, losses, sq_norms):
 def _gradnorm_rows(spec, m, arch, point, losses, sq_norms):
     mean, se = bd.expected_grad_norm_mc(sq_norms)
     worst = (LIPSCHITZ_BOUND**2 * point["sigma_p"]**2 * arch.param_count()
-             if arch.is_linear else None)
+             if arch.depth == 1 else None)
     return [{**point, "grad_norm_sq_mean": mean, "grad_norm_sq_std_error": se,
              "linear_worst_case": worst}]
 
@@ -477,8 +471,6 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
             elif key == "train":
                 tr.update(value)
             elif key == "seed":
-                if not is_seed(value):
-                    raise ConfigError("seed must be an integer in [0, 2**64)")
                 est["seed"] = tr["seed"] = merged["data_seed"] = value
             else:
                 merged[key] = value
@@ -521,7 +513,10 @@ def main(argv=None) -> int:
     try:
         file_config = _read_config(args.config) if args.config else {}
         spec = _spec_from_sources(args.experiment, file_config, flags)
-        return run(spec)
+        # Overflow is reported in the rows (overflowed, inf) or as an exit
+        # status, so stderr carries at most the one JSON error record.
+        with np.errstate(all="ignore"):
+            return run(spec)
     except ConfigError as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG

@@ -8,10 +8,12 @@ inverse Gaussian CDF applied to 52-bit uniforms.  Weight sample ``i`` of a
 family is ``mean + stddev * z_i`` with z_i the standard normals of stream
 ``i``, so draw i is a pure function of (seed, i): sample streams are
 prefix-stable (the i-th draw does not depend on how many draws are
-requested) and may be generated in parallel.  Families with one layout
-share z_i: :func:`shared_draws` generates each stream once and maps it
-into every family, which gives each family the same bits as sampling it
-alone.  Streams at and above ``RESERVED_STREAM_BASE`` are reserved for
+requested) and may be generated in parallel.  :meth:`GaussianFamily.draw`
+is the one place that maps z_i to weights.  Families with one layout
+share z_i: a caller that needs draw i of several families generates
+stream i once with :func:`standard_normal` and maps it through each
+family's ``draw``, which gives each family the bits of :func:`sample`.
+Streams at and above ``RESERVED_STREAM_BASE`` are reserved for
 non-sampling uses (batch shuffling, synthetic data) so they never collide
 with weight draws; the constants below list them.
 """
@@ -120,24 +122,12 @@ def common_layout(families: list[GaussianFamily]) -> MlpArchitecture:
     return layout
 
 
-def shared_draws(families: list[GaussianFamily], seed: int, count: int):
-    """Yield draws 0..count-1 as lists holding draw i of each family.
-
-    The families must share one layout; stream i is generated once and
-    scaled into each of them, so only one weight vector per family is
-    alive at a time.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    layout = common_layout(families)
-    for i in range(count):
-        z = standard_normal(seed, i, layout.param_count())
-        yield [f.draw(z) for f in families]
-
-
 def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:
     """``count`` deterministic draws; draw i depends only on (seed, i)."""
-    return [w for (w,) in shared_draws([family], seed, count)]
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    n = family.layout.param_count()
+    return [family.draw(standard_normal(seed, i, n)) for i in range(count)]
 
 
 def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:

@@ -45,7 +45,7 @@ The scale path
 --------------
 A draw of a zero-mean family N(0, sigma^2 I) is sigma * z, so its
 first-layer pre-activation is sigma * (x @ Z1^T + b_z): one column of the
-unit draw z serves every zero-mean family of that draw, scaled into a
+normals z serves every zero-mean family of that draw, scaled into a
 buffer that is passed as ``z1``, while layers 2+ and the Gram-form norm
 use the family's own weights sigma * z.  ``bounds.draw_stats`` takes this
 path for gradient passes only.  sigma * (x @ Z1^T + b_z) rounds
@@ -90,10 +90,6 @@ class MlpArchitecture:
     def bias(self) -> bool:
         """No bias on the linear model (exactly k*d parameters), biases on an MLP."""
         return bool(self.hidden_widths)
-
-    @property
-    def is_linear(self) -> bool:
-        return not self.hidden_widths
 
     @property
     def depth(self) -> int:
@@ -147,16 +143,19 @@ def _layers(layout: MlpArchitecture, weights: np.ndarray):
     return out
 
 
-def equal_param_hidden_widths(depth: int, input_dim: int, class_count: int,
-                              target_params: int) -> tuple[int, ...]:
-    """Uniform hidden width giving roughly ``target_params`` parameters.
+def arch_for_depth(depth: int, input_dim: int, class_count: int,
+                   target_params: int) -> MlpArchitecture:
+    """The architecture of depth ``depth`` (its count of weight matrices).
 
-    ``depth`` counts weight matrices, so depth d uses d-1 hidden layers.
-    Used by variance/depth sweeps so that models of different depth are
-    comparable in size.
+    Depth 1 is the bias-free linear model.  Depth d >= 2 has d-1 hidden
+    layers of one width, the width whose parameter count is nearest
+    ``target_params`` (the narrower on a tie), so that the depths of a
+    sweep are comparable in size.
     """
-    if depth < 2:
-        raise ValueError("equal-parameter widths only apply to depth >= 2")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth == 1:
+        return MlpArchitecture(input_dim, class_count)
 
     def count(h: int) -> int:
         arch = MlpArchitecture(input_dim, class_count, (h,) * (depth - 1))
@@ -167,7 +166,7 @@ def equal_param_hidden_widths(depth: int, input_dim: int, class_count: int,
         h += 1
     if h > 1 and abs(count(h - 1) - target_params) <= abs(count(h) - target_params):
         h -= 1
-    return (h,) * (depth - 1)
+    return MlpArchitecture(input_dim, class_count, (h,) * (depth - 1))
 
 
 def _check_input(arch: MlpArchitecture, x: np.ndarray) -> np.ndarray:

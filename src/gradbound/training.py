@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import (MAX_EPOCHS, SHUFFLE_STREAM, is_seed, prior_family, shared_draws,
+from .gaussians import (MAX_EPOCHS, SHUFFLE_STREAM, is_seed, prior_family, standard_normal,
                         stream_rng)
 from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_param_grads
 
@@ -80,10 +80,10 @@ def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
     raise: that of the first scale, in order, that diverges, at its own
     step.
     """
-    inits = next(shared_draws([prior_family(arch, s) for s in init_scales], cfg.seed, 1))
+    z = standard_normal(cfg.seed, 0, arch.param_count())
     # The loop owns these rows and updates weights and momenta in place;
     # the one finiteness scan per step keeps every row a valid weight vector.
-    w = np.stack([p.values for p in inits])
+    w = np.stack([prior_family(arch, s).draw(z).values for s in init_scales])
     u = np.zeros_like(w)
     diverged = None
 

@@ -13,12 +13,12 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from gradbound import bounds as bd
-from gradbound.cli import SweepSpec, arch_for_depth, run
+from gradbound.cli import SweepSpec, run
 from gradbound.datasets import synth_gaussian
 from gradbound.gaussians import (GaussianFamily, kl_divergence, prior_family,
                                  sample, stream_rng)
 from gradbound.nets import (LIPSCHITZ_BOUND, MlpArchitecture, ParamVector, _layers,
-                            grad_input, grad_params, logit_loss, loss)
+                            arch_for_depth, grad_input, grad_params, logit_loss, loss)
 from gradbound.subgamma import check as subgamma_check
 from gradbound.subgamma import envelope, fit
 from gradbound.training import TrainConfig

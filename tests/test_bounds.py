@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gradbound import bounds as bd
 from gradbound.datasets import LabeledDataset, synth_gaussian
-from gradbound.gaussians import GaussianFamily, prior_family, sample
+from gradbound.gaussians import GaussianFamily, LayoutMismatchError, prior_family, sample
 from gradbound.nets import (
     LIPSCHITZ_BOUND,
     MlpArchitecture,
@@ -94,8 +94,8 @@ def test_log_mgf_monotone_on_model_draws():
 def test_draw_stats_matches_per_draw_passes():
     """Forward-only rows and a non-zero-mean family's rows are a one-draw
     pass bit for bit.  A zero-mean family's gradient rows take their first
-    layer as sigma times the unit draw's product, so they match the
-    one-draw pass to rounding."""
+    layer as sigma times the product of the raw normals z_i, so they match
+    the one-draw pass to rounding."""
     data = small_synth(n=24)
     arch = MlpArchitecture(data.dim, data.class_count, (5,))
     posterior = GaussianFamily(np.random.default_rng(3).normal(size=arch.param_count()),
@@ -130,6 +130,15 @@ def test_draw_stats_shares_draws_between_families():
             alone = bd.draw_stats([family], data, CFG, grads)[0]
             assert np.array_equal(losses, alone[0])
             assert np.array_equal(sq_norms, alone[1]) if grads else sq_norms is None
+
+
+def test_draw_stats_refuses_families_of_different_layouts():
+    data = small_synth(n=8)
+    narrow = MlpArchitecture(data.dim, data.class_count)
+    wide = MlpArchitecture(data.dim, data.class_count, (3,))
+    for grads in (False, True):
+        with pytest.raises(LayoutMismatchError):
+            bd.draw_stats([prior_family(narrow, 1.0), prior_family(wide, 1.0)], data, CFG, grads)
 
 
 def test_draw_stats_is_prefix_stable():

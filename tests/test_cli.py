@@ -18,12 +18,12 @@ from gradbound.cli import (
     ConfigError,
     SweepSpec,
     _spec_from_sources,
-    arch_for_depth,
     main,
     parse_synthetic_spec,
     resolve_dataset,
     run,
 )
+from gradbound.nets import arch_for_depth
 from gradbound.training import TrainConfig
 
 SYNTH = "k=2,d=16,sigma=1.0,n_per_class=640,sep=3.0"
@@ -156,9 +156,11 @@ def test_resolve_dataset_errors(tmp_path):
 
 def test_arch_for_depth():
     lin = arch_for_depth(1, 784, 10, 20_000)
-    assert lin.is_linear and lin.bias is False
+    assert lin.hidden_widths == () and lin.bias is False
     deep = arch_for_depth(3, 784, 10, 20_000)
     assert deep.depth == 3 and deep.bias is True
+    with pytest.raises(ValueError):
+        arch_for_depth(0, 784, 10, 20_000)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -310,7 +312,9 @@ def count_calls(monkeypatch, module, name, counts, key):
 def passes(monkeypatch):
     """Counts of standard-normal streams, forward passes and backward passes."""
     counts = {}
-    count_calls(monkeypatch, gaussians, "standard_normal", counts, "streams")
+    # counted where each module binds it: ``from .gaussians import`` copies it
+    for module in (gaussians, bd, training):
+        count_calls(monkeypatch, module, "standard_normal", counts, "streams")
     count_calls(monkeypatch, nets, "_forward_cached", counts, "forward")
     count_calls(monkeypatch, bd, "loss_and_sq_grad_norms", counts, "backward")
     count_calls(monkeypatch, training, "loss_and_param_grads", counts, "sgd_step")
@@ -607,3 +611,48 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == EXIT_DATA  # 128 examples < default 4096+1024
     err = json.loads(proc.stderr)
     assert err["error"] == "data"
+
+
+_SMALL = {"train_size": 64, "heldout_size": 32, "train": {"epochs": 1}}
+# experiment, config, --synthetic spec, exit status, error kind (None: no error)
+NOISY_RUNS = {
+    # logits overflow in the forward passes; the rows report it
+    "sweep with overflowing logits": (
+        "loss-vs-variance", _SMALL, "k=2,d=4,n_per_class=64,sigma=1e306", 0, None),
+    # the weights after the last update are finite, their logits are not
+    "train-report whose last update overflows": (
+        "train-report", _SMALL, "k=2,d=4,n_per_class=64,sigma=1e200", 4, "diverged"),
+    "train-report diverging in SGD": (
+        "train-report", {**_SMALL, "depth_grid": [2],
+                         "train": {"epochs": 3, "learning_rate": 1e200}},
+        "k=2,d=4,n_per_class=64", 4, "diverged"),
+    "synthetic draws overflow": (
+        "loss-vs-variance", _SMALL, "k=2,d=4,n_per_class=64,sigma=1e308", EXIT_CONFIG, "config"),
+}
+
+
+@pytest.mark.parametrize("case", NOISY_RUNS)
+def test_stderr_holds_at_most_one_json_record(case, tmp_path):
+    """Floating-point overflow prints no numpy warning: a run that succeeds
+    leaves stderr empty, and a failed one writes one JSON line and no output."""
+    experiment, config, synthetic, code, kind = NOISY_RUNS[case]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(gradbound.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradbound", experiment, "--config", str(config_path),
+         "--synthetic", synthetic, "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        # Warnings shown as a plain interpreter shows them.
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+             "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == code, proc.stderr
+    if kind is None:
+        assert proc.stderr == ""
+        assert out.exists()
+    else:
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == kind
+        assert not out.exists()

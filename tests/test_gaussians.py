@@ -15,7 +15,6 @@ from gradbound.gaussians import (
     posterior_family,
     prior_family,
     sample,
-    shared_draws,
     standard_normal,
 )
 from gradbound.nets import MlpArchitecture, ParamVector
@@ -67,18 +66,6 @@ def test_sample_determinism_and_prefix_stability():
         assert np.array_equal(a[i].values, longer[i].values)
     other = sample(fam, 1235, 4)
     assert not np.array_equal(a[0].values, other[0].values)
-
-
-def test_shared_draws_match_sampling_each_family_alone():
-    families = [prior_family(ARCH4, 0.3), prior_family(ARCH4, 2.0),
-                GaussianFamily(np.array([1.0, -2.0, 0.5, 3.0]), 0.4, ARCH4)]
-    alone = [sample(fam, 77, 5) for fam in families]
-    for i, draw in enumerate(shared_draws(families, 77, 5)):
-        assert len(draw) == len(families)
-        for j, w in enumerate(draw):
-            assert np.array_equal(w.values, alone[j][i].values)
-    with pytest.raises(LayoutMismatchError):
-        next(shared_draws([prior_family(ARCH4, 1.0), prior_family(ARCH2, 1.0)], 0, 1))
 
 
 def test_sample_variance_law_of_large_numbers():

@@ -11,8 +11,8 @@ from gradbound.nets import (
     ParamVector,
     _layers,
     batch_input_grads,
+    arch_for_depth,
     batch_losses,
-    equal_param_hidden_widths,
     forward,
     grad_input,
     grad_params,
@@ -50,8 +50,8 @@ def test_param_counts():
 
 def test_equal_param_widths_land_near_target():
     for depth in (2, 3, 4, 5):
-        widths = equal_param_hidden_widths(depth, 784, 10, 20_000)
-        arch = MlpArchitecture(784, 10, widths)
+        arch = arch_for_depth(depth, 784, 10, 20_000)
+        widths = arch.hidden_widths
         assert abs(arch.param_count() - 20_000) < 2_000
         assert len(set(widths)) == 1 and len(widths) == depth - 1
 
