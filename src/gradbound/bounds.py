@@ -14,19 +14,8 @@ Estimator conventions
   from :func:`draw_stats`, the one place that samples weights: the losses
   and the squared input-gradient norms of each weight draw on a dataset.
   Callers compute them once per family and hand them to every estimator
-  that needs them.  ``draw_stats`` takes all the families of one layout
-  at once (a depth's prior scales, say) and loops draw-outer,
-  family-inner: each draw's standard normals z_i are generated once
-  (:func:`gradbound.gaussians.standard_normal`) and mapped into every
-  family by :meth:`gradbound.gaussians.GaussianFamily.draw`.  Its first
-  layers run as one stacked GEMM per chunk of columns, every chunk written
-  into one buffer per call, and each pass overwrites its column with its
-  first ReLU; in gradient passes all of a draw's zero-mean families share
-  one column, that of z_i itself, scaled by each sigma (the scale path of
-  :mod:`gradbound.nets`), and every other (draw, family) pair is a column.
-  Draws come from the prefix-stable streams in :mod:`gradbound.gaussians`;
-  given a config seed, results are bitwise reproducible and reductions
-  run in draw-index order.
+  that needs them.  How ``draw_stats`` shares draws and first-layer GEMMs
+  between families is described there.
 * The m in a bound is the training-sample size of the certificate being
   priced; the dataset the matrices were computed on serves as the proxy
   for the unknown data distribution (callers typically pass a held-out
@@ -46,7 +35,6 @@ import numpy as np
 from .datasets import LabeledDataset
 from .gaussians import GaussianFamily, common_layout, is_seed, standard_normal
 from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
-from .numerics import logmeanexp
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
 
@@ -99,6 +87,28 @@ class BoundEstimate:
             raise ValueError("overflowed flag must match value == +inf")
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) computed with the usual max-shift trick.
+
+    Returns -inf for an all -inf input instead of producing NaN.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
+    if axis is None:
+        return float(out)
+    return out
+
+
+def logmeanexp(a, axis=None):
+    """log(mean(exp(a))); exact 0.0 for an all-zeros input."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.size if axis is None else a.shape[axis]
+    return logsumexp(a, axis=axis) - np.log(n)
 
 
 def _log_mc_std_error(exponents: np.ndarray) -> float:
@@ -157,28 +167,28 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     family's draw is sigma * z_i, so its first-layer pre-activation is
     sigma * base_i, base_i = x @ Z1_i^T + b_i from the normals z_i: all
     of draw i's zero-mean families share that one column, each scaling it
-    into one reused (n, fan_out) buffer (the scale path of
-    :mod:`gradbound.nets`).  Every other (draw, family) pair is a column
-    of its own.  The path depends only on the family and ``grads``, never
-    on the other families in the call.  The columns, draw-outer, are taken
-    in chunks of as many as fit one (n, columns * fan_out) float64 block
-    in ``FIRST_LAYER_BLOCK_BYTES`` (at least one).  Each chunk's first
-    layer is one GEMM (:func:`gradbound.nets.first_layer_block`) into one
-    block buffer allocated per call and sized for the largest chunk (never
-    more than the call's columns).  Each pair continues from its column,
-    which its pass overwrites as scratch, with one pass over ``data``: a forward
-    pass, or with ``grads`` one forward+backward pass that yields the
-    squared norms without forming the input gradient where the first
+    into one reused (n, fan_out) buffer (the scale path).  Every other
+    (draw, family) pair is a column of its own.  The path depends only on
+    the family and ``grads``, never on the other families in the call.
+    The columns, draw-outer, are taken in chunks of as many as fit one
+    (n, columns * fan_out) float64 block in ``FIRST_LAYER_BLOCK_BYTES``
+    (at least one).  Each chunk's first layer is one GEMM
+    (:func:`gradbound.nets.first_layer_block`) into one block buffer
+    allocated per call and sized for the largest chunk (never more than
+    the call's columns).  Each pair continues from its column,
+    which its pass overwrites as scratch, with one pass over ``data``: a
+    forward pass, or with ``grads`` one forward+backward pass that yields
+    the squared norms without forming the input gradient where the first
     layer narrows (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers
     2+ and the norms use the family's own weights.  Chunk boundaries
     depend only on the column index, so fewer draws
     (S = ``cfg.n_weight_samples``) give a prefix of the rows.
 
-    A scaled row can differ from a one-draw pass in its last bits; on the
-    golden and benchmark configurations the outputs moved by at most
-    7.6e-15 relative.  Forward-only passes stay per pair because the
-    naive estimator's exponent cancels about five digits: the scale path
-    moved naive-vs-lambda by 2.1e-10 relative on desk data.
+    A scaled row can differ from a one-draw pass in its last bits, since
+    sigma * (x @ Z1^T + b) rounds differently from x @ (sigma Z1)^T +
+    sigma b.  Forward-only passes stay one column per (draw, family) pair
+    because the naive estimator's exponent amplifies last-bit loss changes
+    1e5-1e6 times.
     """
     shape = (cfg.n_weight_samples, data.m)
     losses = [np.empty(shape) for _ in families]

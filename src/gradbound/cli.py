@@ -143,7 +143,7 @@ _DEFAULTS = {
 def parse_synthetic_spec(text: str) -> dict:
     """Parse "k=2,d=16,sigma=1.0,n_per_class=2560,sep=3.0" style specs."""
     fields = {"k": int, "d": int, "sigma": float, "n_per_class": int, "sep": float}
-    out = {"sigma": 1.0, "sep": 3.0}
+    out = {}
     for chunk in text.split(","):
         if not chunk.strip():
             continue
@@ -151,10 +151,13 @@ def parse_synthetic_spec(text: str) -> dict:
         key = key.strip()
         if key not in fields:
             raise ConfigError(f"unknown synthetic field {key!r}")
+        if key in out:
+            raise ConfigError(f"synthetic field {key!r} is given twice")
         try:
             out[key] = fields[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad synthetic value for {key}: {value!r}") from exc
+    out = {"sigma": 1.0, "sep": 3.0, **out}
     missing = {"k", "d", "n_per_class"} - out.keys()
     if missing:
         raise ConfigError(f"synthetic spec is missing {sorted(missing)}")

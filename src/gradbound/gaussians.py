@@ -136,9 +136,9 @@ def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:
     Per coordinate: log(sp/sq) + (sq^2 + (mq - mp)^2) / (2 sp^2) - 1/2.
     Each scale is one number, but the terms stay elementwise arrays: a
     scalar closed form would round differently from the per-coordinate sum.
+    LayoutMismatchError unless q and p share a layout.
     """
-    if q.layout != p.layout or q.mean.shape != p.mean.shape:
-        raise LayoutMismatchError("families have different layouts")
+    common_layout([q, p])
     sq = np.full(q.mean.shape, q.stddev)
     sp = np.full(p.mean.shape, p.stddev)
     terms = np.log(sp / sq) + (sq**2 + (q.mean - p.mean) ** 2) / (2.0 * sp**2) - 0.5

@@ -38,22 +38,8 @@ is the pass's scratch, overwritten by the first ReLU, so a caller hands
 each column to one pass.  Without ``z1`` the kernel computes it for their
 one draw, so there is one forward/backward kernel either way.  A column
 of the block can differ from the per-draw product in its last bits,
-because the BLAS may block the wider GEMM differently; on the desk shapes
-with OpenBLAS on x86-64 they agree bit for bit.
-
-The scale path
---------------
-A draw of a zero-mean family N(0, sigma^2 I) is sigma * z, so its
-first-layer pre-activation is sigma * (x @ Z1^T + b_z): one column of the
-normals z serves every zero-mean family of that draw, scaled into a
-buffer that is passed as ``z1``, while layers 2+ and the Gram-form norm
-use the family's own weights sigma * z.  ``bounds.draw_stats`` takes this
-path for gradient passes only.  sigma * (x @ Z1^T + b_z) rounds
-differently from x @ (sigma Z1)^T + sigma b_z; the gradient sweeps'
-outputs move by at most 7.6e-15 relative on the golden and benchmark
-configurations, but the naive estimator's exponent amplifies last-bit
-loss changes 1e5-1e6 times, so forward-only passes keep one column per
-(draw, family) pair.
+because the BLAS may block the wider GEMM differently.
+:func:`gradbound.bounds.draw_stats` describes how it shares columns.
 """
 
 from __future__ import annotations
@@ -340,12 +326,16 @@ def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch,
     When the first layer narrows (fan_out < fan_in), ||g1 W1||^2 is taken
     in Gram form as rowsum((g1 @ (W1 W1^T)) * g1), so the (n, d) input
     gradient is never formed; otherwise the gradient is formed and its
-    rows are squared and summed.  The choice depends only on the layout.
+    rows are squared and summed.  The choice depends only on the layout,
+    except that huge finite weights whose Gram matrix overflows take the
+    formed gradient, where a zero of g1 times inf would give nan.
     ``z1`` as in :func:`_forward_cached`: the pass's scratch, overwritten.
     """
     losses, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, False, z1)
     if w1.shape[0] < w1.shape[1]:
-        return losses, np.einsum("ij,ij->i", g @ (w1 @ w1.T), g)
+        gram = w1 @ w1.T
+        if np.isfinite(gram).all():
+            return losses, np.einsum("ij,ij->i", g @ gram, g)
     g = g @ w1
     return losses, np.einsum("ij,ij->i", g, g)
 

@@ -23,7 +23,6 @@ bits that training its scale alone gives.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .datasets import LabeledDataset
 from .gaussians import (MAX_EPOCHS, SHUFFLE_STREAM, is_seed, prior_family, standard_normal,
                         stream_rng)
 from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_param_grads
-
-log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
@@ -89,7 +86,6 @@ def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
 
     for epoch in range(cfg.epochs):
         perm = stream_rng(cfg.seed, SHUFFLE_STREAM + epoch).permutation(data.m)
-        epoch_loss = np.zeros(len(w))
         for bi, start in enumerate(range(0, data.m, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             losses, grad = loss_and_param_grads(arch, w, data.inputs[idx], data.labels[idx])
@@ -106,11 +102,6 @@ def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
                 if first == 0:
                     raise diverged
                 w, u = w[:first], u[:first]
-                batch_loss = batch_loss[:first]
-                epoch_loss = epoch_loss[:first]
-            epoch_loss += batch_loss * idx.size
-        for s, total in zip(init_scales, epoch_loss):
-            log.info("epoch %d (init scale %g): train loss %.6f", epoch, s, total / data.m)
 
     if diverged is not None:
         raise diverged
@@ -119,8 +110,6 @@ def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
 
 def evaluate(params: ParamVector, data: LabeledDataset) -> tuple[float, float]:
     """(mean loss, accuracy); argmax ties resolve to the lowest class index."""
-    if data.m < 1:
-        raise ValueError("dataset is empty")
     logits = batch_forward(params, data.inputs)
     losses = logit_loss(logits, data.labels)
     pred = logits.argmax(axis=1) + 1

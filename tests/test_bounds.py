@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradbound import bounds as bd
+from gradbound.bounds import logmeanexp
 from gradbound.datasets import LabeledDataset, synth_gaussian
 from gradbound.gaussians import GaussianFamily, LayoutMismatchError, prior_family, sample
 from gradbound.nets import (
@@ -17,7 +18,6 @@ from gradbound.nets import (
     first_layer_block,
     loss_and_sq_grad_norms,
 )
-from gradbound.numerics import logmeanexp
 from gradbound.training import TrainConfig, evaluate, train
 
 CFG = bd.EstimatorConfig(n_weight_samples=8, seed=11)

@@ -63,6 +63,8 @@ def test_synthetic_spec_parsing():
         parse_synthetic_spec("k=3,bogus=1")
     with pytest.raises(ConfigError):
         parse_synthetic_spec("k=3")
+    with pytest.raises(ConfigError, match="'k' is given twice"):
+        parse_synthetic_spec("k=2,d=4,n_per_class=7,k=3")
     for empty in ("k=0,d=4,n_per_class=7", "k=0,d=0,n_per_class=7"):
         with pytest.raises(ConfigError):
             parse_synthetic_spec(empty)
@@ -506,6 +508,7 @@ BAD_CONFIGS = {
     "bool momentum": ("train-report", {"train": {"momentum": False}}, None),
     "experiment key": ("loss-vs-variance", {"experiment": "bogus"}, None),
     "synthetic k 13": ("loss-vs-variance", {}, "k=13,d=13,n_per_class=64"),
+    "synthetic k repeated": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=64,k=3"),
     "epochs 67": ("train-report", {"train": {"epochs": 67}}, None),
     # a seed keys Philox as one uint64: -1 would alias 2**64 - 1
     "negative seed": ("loss-vs-variance", {"seed": -1}, None),
@@ -611,6 +614,24 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == EXIT_DATA  # 128 examples < default 4096+1024
     err = json.loads(proc.stderr)
     assert err["error"] == "data"
+
+
+def test_train_report_with_huge_trained_weights_writes_no_nan(tmp_path):
+    # One step at this rate leaves finite weights near 1e305, whose Gram
+    # matrix W1 W1^T overflows; the squared norms are then 0 or inf.
+    config = {"train_size": 64, "heldout_size": 32,
+              "train": {"epochs": 1, "learning_rate": 1e307}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    assert main(["train-report", "--config", str(config_path),
+                 "--synthetic", "k=2,d=4,n_per_class=64", "--out", str(out)]) == 0
+    _, _, rows = read_rows(out)
+    for row in rows:
+        for lam in ("sqrt_m", "m"):
+            value, log_value = float(row[f"bound_{lam}"]), float(row[f"bound_{lam}_log"])
+            # value is inf exactly when the estimate overflowed
+            assert (value, log_value) in {(0.0, 0.0), (math.inf, math.inf)}, row
 
 
 _SMALL = {"train_size": 64, "heldout_size": 32, "train": {"epochs": 1}}

@@ -317,6 +317,21 @@ def test_sq_grad_norms_match_formed_gradients(name):
     assert np.all(loss_and_sq_grad_norms(zero, x, y)[1] == 0.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sq_grad_norms_of_weights_whose_gram_matrix_overflows():
+    # W1 W1^T overflows to inf, and a row of g1 holding a 0 would turn the
+    # Gram form into nan; the formed gradient gives 0 or inf instead.
+    arch = SQ_NORM_ARCHS["linear-narrowing"]
+    rng = np.random.default_rng(7)
+    p = ParamVector(rng.normal(size=arch.param_count()) * 1e305, arch)
+    x = rng.normal(size=(40, arch.input_dim))
+    y = rng.integers(1, arch.class_count + 1, size=40)
+    g = batch_input_grads(p, x, y)
+    sq = loss_and_sq_grad_norms(p, x, y)[1]
+    assert np.array_equal(sq, np.einsum("ij,ij->i", g, g))
+    assert set(sq.tolist()) == {0.0, math.inf}
+
+
 # plus a width where one wide first-layer GEMM over the stack would round
 # some columns differently from the per-vector product; the stack's weight
 # gradients are per-row products, so they match it anyway

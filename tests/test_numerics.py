@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradbound.numerics import logmeanexp, logsumexp
+from gradbound.bounds import logmeanexp, logsumexp
 
 finite_floats = st.floats(min_value=-50, max_value=50)
 
