@@ -14,8 +14,9 @@ from .bounds import (
     mgf_decomposition_check,
     naive_complexity_curve,
 )
-from .datasets import LabeledDataset, load_idx, split, synth_gaussian
-from .gaussians import GaussianFamily, kl_divergence, posterior_family, prior_family, sample
+from .datasets import LabeledDataset, load_idx, split, synth_gaussian, take
+from .gaussians import (GaussianFamily, kl_divergence, normal_rows, posterior_family,
+                        prior_family, sample)
 from .nets import (
     LIPSCHITZ_BOUND,
     MlpArchitecture,

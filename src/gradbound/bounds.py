@@ -11,9 +11,12 @@ Estimator conventions
   precision is the reference because that is where naive pipelines die;
   the saturation is a reported result, not an error.
 * Every Monte-Carlo estimator is a reduction over two per-draw matrices
-  from :func:`draw_stats`, the one place that samples weights: the losses
-  and the squared input-gradient norms of each weight draw on a dataset.
-  Callers compute them once per family and hand them to every estimator
+  from :func:`draw_stats`: the losses and the squared input-gradient
+  norms of each weight draw on a dataset.  ``draw_stats`` maps standard
+  normals its caller supplies to weights; the sweep in
+  :mod:`gradbound.cli` is the one place that samples them, once per run
+  for all its depths (:func:`gradbound.gaussians.normal_rows`).  Callers
+  compute the matrices once per family and hand them to every estimator
   that needs them.  How ``draw_stats`` shares draws and first-layer GEMMs
   between families is described there.
 * The m in a bound is the training-sample size of the certificate being
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, common_layout, is_seed, standard_normal
+from .gaussians import GaussianFamily, common_layout, is_seed
 from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
@@ -154,14 +157,17 @@ def _finalize(exponents: np.ndarray, n_data: int,
         overflowed=overflowed)
 
 
-def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: EstimatorConfig,
+def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np.ndarray,
                grads: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per family and weight draw: losses[S, n] and sq_grad_norms[S, n].
 
-    ``families`` share one layout.  Returns one (losses, sq_grad_norms)
-    pair per family, in order; sq_grad_norms is None without ``grads``.
-    Row i belongs to draw i, a function of (cfg.seed, i) alone.  Draw i's
-    normals z_i are generated once and shared by every family.
+    ``families`` share one layout of P parameters.  ``normals`` holds one
+    row of at least P standard normals per weight draw, S rows in all;
+    draw i's normals z_i are the first P entries of row i, shared by every
+    family.  Returns one (losses, sq_grad_norms) pair per family, in
+    order; sq_grad_norms is None without ``grads``.  Row i of each belongs
+    to draw i, a function of (seed, i) alone when ``normals`` comes from
+    :func:`gradbound.gaussians.normal_rows`.
 
     The first layer is taken in columns.  With ``grads``, a zero-mean
     family's draw is sigma * z_i, so its first-layer pre-activation is
@@ -175,14 +181,17 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     (at least one).  Each chunk's first layer is one GEMM
     (:func:`gradbound.nets.first_layer_block`) into one block buffer
     allocated per call and sized for the largest chunk (never more than
-    the call's columns).  Each pair continues from its column,
-    which its pass overwrites as scratch, with one pass over ``data``: a
-    forward pass, or with ``grads`` one forward+backward pass that yields
-    the squared norms without forming the input gradient where the first
-    layer narrows (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers
-    2+ and the norms use the family's own weights.  Chunk boundaries
-    depend only on the column index, so fewer draws
-    (S = ``cfg.n_weight_samples``) give a prefix of the rows.
+    the call's columns).  ``normals`` is only read, so one matrix serves
+    every layout of at most its width: a sweep holds one (S, P_max)
+    float64 matrix, S x P_max x 8 bytes, for all its depths.  Each pair
+    continues from its column, which its pass overwrites as scratch, with
+    one pass over ``data``: a forward pass, or with ``grads`` one
+    forward+backward pass that yields the squared norms without forming
+    the input gradient where the first layer narrows
+    (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers 2+ and the
+    norms use the family's own weights.  Chunk boundaries depend only on
+    the column index, so fewer draws (a prefix of the rows of ``normals``)
+    give a prefix of the rows.
 
     A scaled row can differ from a one-draw pass in its last bits, since
     sigma * (x @ Z1^T + b) rounds differently from x @ (sigma Z1)^T +
@@ -190,10 +199,13 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     because the naive estimator's exponent amplifies last-bit loss changes
     1e5-1e6 times.
     """
-    shape = (cfg.n_weight_samples, data.m)
-    losses = [np.empty(shape) for _ in families]
-    sq_norms = [np.empty(shape) if grads else None for _ in families]
     layout = common_layout(families)
+    p = layout.param_count()
+    if normals.ndim != 2 or normals.shape[1] < p:
+        raise ValueError(f"normals must be an (S, >= {p}) matrix, got {normals.shape}")
+    n_draws = normals.shape[0]
+    losses = [np.empty((n_draws, data.m)) for _ in families]
+    sq_norms = [np.empty((n_draws, data.m)) if grads else None for _ in families]
     fan_out = layout.layer_dims()[0][1]
     per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
     scaled = [j for j, f in enumerate(families) if grads and not f.mean.any()]
@@ -201,13 +213,13 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, cfg: Estima
     buf = np.empty((data.m, fan_out)) if scaled else None
     # One block buffer for every chunk, capped at the call's columns so a
     # large budget never asks for more than the call can use.
-    total = cfg.n_weight_samples * (bool(scaled) + len(own))
+    total = n_draws * (bool(scaled) + len(own))
     block = np.empty(min(per_chunk, total) * data.m * fan_out)
 
     def columns():
         """(draw index, first-layer weights, indices of the families using them)"""
-        for i in range(cfg.n_weight_samples):
-            z = standard_normal(cfg.seed, i, layout.param_count())
+        for i, row in enumerate(normals):
+            z = row[:p]
             if scaled:
                 yield i, ParamVector(z, layout), scaled
             yield from ((i, families[j].draw(z), [j]) for j in own)
@@ -293,7 +305,9 @@ def linear_gradnorm_bound(k: int, d: int, m: int, lip: float, sigma_p: float,
     Equals k*d*log(m / (m - 8 L^2 lam^2 sigma_p^2)); +inf at and beyond the
     pole 8 L^2 lam^2 sigma_p^2 >= m.
     """
-    q = 8.0 * lip**2 * lam**2 * sigma_p**2
+    # Squares by multiplication: a float's ** raises OverflowError where
+    # the product rounds to +inf.
+    q = 8.0 * (lip * lip) * (lam * lam) * (sigma_p * sigma_p)
     if q >= m:
         return float("inf")
     return k * d * math.log(m / (m - q))

@@ -18,10 +18,13 @@ identity-checks      exact MGF factorization, cumulant reconstruction, and
 Every experiment but identity-checks is one depth x variance loop: each
 depth builds one weight family per grid point (the priors, or for
 train-report the posteriors around the SGD-trained weights, the depth's
-variances trained in lockstep by one ``training.train`` call).  One
-``bounds.draw_stats`` call per depth computes the per-draw losses and
-squared input-gradient norms of all that depth's families, sharing each
-draw's standard normals between them, and each grid point's matrices go
+variances trained in lockstep by one ``training.train`` call).  The loop
+samples the weight draws' standard normals once for all its depths:
+row i of one (draws, largest parameter count) matrix is stream i, and a
+depth of P parameters reads the first P entries of each row, which are
+that depth's own stream i.  One ``bounds.draw_stats`` call per depth
+computes the per-draw losses and squared input-gradient norms of all
+that depth's families from the matrix, and each grid point's matrices go
 to the experiment's row builder, which applies the estimator reductions
 the experiment reports.
 
@@ -50,9 +53,9 @@ import numpy as np
 
 from . import bounds as bd
 from .datasets import (IdxFormatError, LabeledDataset, load_idx, split, stratified_sample,
-                       synth_gaussian)
+                       synth_gaussian, take)
 from .gaussians import (CHECK_STREAM, MAX_SYNTH_CLASSES, is_seed, kl_divergence,
-                        posterior_family, prior_family, sample, stream_rng)
+                        normal_rows, posterior_family, prior_family, sample, stream_rng)
 from .nets import LIPSCHITZ_BOUND, MlpArchitecture, arch_for_depth
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train
@@ -185,28 +188,35 @@ def build_synthetic(spec_text: str, seed: int) -> LabeledDataset:
 
 
 def resolve_dataset(spec: SweepSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """(train, heldout) splits of the configured source."""
+    """(train, heldout) splits of the configured source.
+
+    Both sources take one path: the subset and the split are picked from
+    the labels alone, and each side's rows are gathered once from the
+    source's rows (u8 pixels for IDX files) by ``take``.
+    """
     if spec.images_path or spec.labels_path:
         if not (spec.images_path and spec.labels_path):
             raise DataSourceError("both --data-images and --data-labels are required")
         try:
-            data = load_idx(spec.images_path, spec.labels_path)
+            rows, labels, k = load_idx(spec.images_path, spec.labels_path)
         except FileNotFoundError as exc:
             raise DataSourceError(f"missing data file: {exc}") from exc
         except IdxFormatError as exc:
             raise DataSourceError(str(exc)) from exc
     elif spec.synthetic:
         data = build_synthetic(spec.synthetic, spec.data_seed)
+        rows, labels, k = data.inputs, data.labels, data.class_count
     else:
         raise DataSourceError(
             "no dataset source: pass --data-images/--data-labels or --synthetic")
 
     n_need = spec.train_size + spec.heldout_size
-    if data.m < n_need:
+    if labels.size < n_need:
         raise DataSourceError(
-            f"dataset has {data.m} examples, need {n_need} (train + heldout)")
-    subset = stratified_sample(data, n_need, spec.data_seed)
-    return split(subset, spec.train_size / n_need, spec.data_seed)
+            f"dataset has {labels.size} examples, need {n_need} (train + heldout)")
+    keep = stratified_sample(labels, n_need, spec.data_seed)
+    sides = split(labels[keep], spec.train_size / n_need, spec.data_seed)
+    return tuple(take(rows, labels, k, keep[idx]) for idx in sides)
 
 
 def _bound_cells(est: bd.BoundEstimate) -> dict:
@@ -259,7 +269,8 @@ def _naive_rows(spec, m, arch, point, losses, sq_norms):
 
 def _gradnorm_rows(spec, m, arch, point, losses, sq_norms):
     mean, se = bd.expected_grad_norm_mc(sq_norms)
-    worst = (LIPSCHITZ_BOUND**2 * point["sigma_p"]**2 * arch.param_count()
+    sigma = point["sigma_p"]  # sigma**2 would raise OverflowError, not give inf
+    worst = (LIPSCHITZ_BOUND**2 * (sigma * sigma) * arch.param_count()
              if arch.depth == 1 else None)
     return [{**point, "grad_norm_sq_mean": mean, "grad_norm_sq_std_error": se,
              "linear_worst_case": worst}]
@@ -320,15 +331,18 @@ EXPERIMENTS = (*_SWEEPS, "identity-checks")
 
 
 def _sweep(spec, train_set, heldout):
-    """The depth x variance grid: one family per point, one draw_stats per depth."""
+    """The depth x variance grid: one family per point, one draw_stats per
+    depth, and one matrix of standard normals for every depth."""
     families_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
     data = train_set if on_train else heldout
+    archs = [arch_for_depth(depth, train_set.dim, train_set.class_count,
+                            spec.mlp_target_params) for depth in spec.depth_grid]
+    normals = normal_rows(spec.estimator.seed, spec.estimator.n_weight_samples,
+                          max(arch.param_count() for arch in archs))
     rows = []
-    for depth in spec.depth_grid:
-        arch = arch_for_depth(depth, train_set.dim, train_set.class_count,
-                              spec.mlp_target_params)
+    for depth, arch in zip(spec.depth_grid, archs):
         points = families_at(spec, arch, train_set, heldout)
-        stats = bd.draw_stats([family for family, _ in points], data, spec.estimator, grads)
+        stats = bd.draw_stats([family for family, _ in points], data, normals, grads)
         for (_, cells), (losses, sq_norms) in zip(points, stats):
             rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells},
                             losses, sq_norms)

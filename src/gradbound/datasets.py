@@ -2,10 +2,16 @@
 
 IDX is the big-endian binary container used by MNIST-style datasets:
 images carry magic 0x00000803 followed by count/rows/cols and a u8 payload,
-labels carry magic 0x00000801 followed by count and a u8 payload.  Pixels
-are scaled by 1/255 into [0,1] and flattened row-major; no mean centering
-is applied.  Labels are stored 1-based: raw IDX byte b becomes label b+1,
-so labels always lie in {1..k}.
+labels carry magic 0x00000801 followed by count and a u8 payload.  Images
+are flattened row-major and kept as u8 pixels until rows are gathered
+into a dataset (:func:`take`), which scales them by 1/255 into [0,1]; no
+mean centering is applied.  Labels are stored 1-based: raw IDX byte b
+becomes label b+1, so labels always lie in {1..k}.
+
+Subsets and splits are picked from the labels alone, as sorted row
+indices, so a source's rows are gathered once per side whatever their
+type: an IDX set is never held as float64 in full, only its gathered
+sides are.
 """
 
 from __future__ import annotations
@@ -76,8 +82,13 @@ def _read_header(raw: bytes, path, n_fields: int) -> tuple[int, ...]:
     return struct.unpack(f">{n_fields}I", raw[:size])
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Parse an IDX image/label file pair into a dataset."""
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse an IDX image/label file pair: (pixels, labels, class count).
+
+    ``pixels`` is the (count, rows * cols) u8 payload as stored (a
+    read-only view of the file's bytes), ``labels`` the 1-based labels and
+    the class count one more than the largest raw label byte.
+    """
     with open(images_path, "rb") as f:
         raw_images = f.read()
     with open(labels_path, "rb") as f:
@@ -107,11 +118,20 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     if count < 1:
         raise IdxFormatError("dataset is empty")
 
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    inputs = pixels.reshape(count, rows * cols)
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
     raw = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
-    labels = raw + 1
-    return LabeledDataset(inputs, labels, class_count=int(raw.max()) + 1)
+    return pixels, raw + 1, int(raw.max()) + 1
+
+
+def take(rows: np.ndarray, labels: np.ndarray, class_count: int,
+         idx: np.ndarray) -> LabeledDataset:
+    """The dataset of rows ``idx`` of a source: float64 inputs as they are,
+    or u8 IDX pixels scaled by 1/255 after the gather, which gives the bits
+    of scaling the whole set first."""
+    inputs = rows[idx]
+    if inputs.dtype == np.uint8:
+        inputs = np.divide(inputs, 255.0, dtype=np.float64)
+    return LabeledDataset(inputs, labels[idx], class_count)
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, raw_labels: np.ndarray) -> None:
@@ -160,19 +180,19 @@ def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _stratified_pick(data: LabeledDataset, seed: int, stream: int, allocate
+def _stratified_pick(labels: np.ndarray, seed: int, stream: int, allocate
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (picked, rest) row indices: each class, in label order,
     shuffles its rows on one Philox stream of ``seed`` and picks its share
     of ``allocate(counts)``, the counts being those of the classes present."""
     rng = stream_rng(seed, stream)
-    counts = np.bincount(data.labels, minlength=data.class_count + 1)[1:].astype(np.float64)
+    counts = np.bincount(labels)[1:].astype(np.float64)
     present = counts > 0
-    alloc = np.zeros(data.class_count, dtype=np.int64)
+    alloc = np.zeros(counts.size, dtype=np.int64)
     alloc[present] = allocate(counts[present])
     picked, rest = [], []
     for y, n_y in enumerate(alloc, start=1):
-        idx = np.flatnonzero(data.labels == y)
+        idx = np.flatnonzero(labels == y)
         if idx.size == 0:
             continue
         idx = idx[rng.permutation(idx.size)]
@@ -181,31 +201,33 @@ def _stratified_pick(data: LabeledDataset, seed: int, stream: int, allocate
     return np.sort(np.concatenate(picked)), np.sort(np.concatenate(rest))
 
 
-def split(data: LabeledDataset, train_fraction: float, seed: int
-          ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified, seed-deterministic partition into (train, heldout).
+def split(labels: np.ndarray, train_fraction: float, seed: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified, seed-deterministic partition of the rows with 1-based
+    ``labels`` into sorted (train, heldout) row indices.
 
     Class counts on the train side stay within +-1 of the exact fraction.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    n_train_total = int(round(train_fraction * data.m))
+    n_train_total = int(round(train_fraction * labels.size))
     train_idx, held_idx = _stratified_pick(
-        data, seed, SPLIT_STREAM,
+        labels, seed, SPLIT_STREAM,
         lambda counts: _largest_remainder(train_fraction * counts, n_train_total))
     if train_idx.size == 0 or held_idx.size == 0:
         raise ValueError("split would leave one side empty")
-
-    return tuple(LabeledDataset(data.inputs[idx], data.labels[idx], data.class_count)
-                 for idx in (train_idx, held_idx))
+    return train_idx, held_idx
 
 
-def stratified_sample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset:
-    """Seed-deterministic stratified subset of size n (proportional classes)."""
-    if not 1 <= n <= data.m:
-        raise ValueError(f"subset size must lie in 1..{data.m}")
-    if n == data.m:
-        return data
+def stratified_sample(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Sorted row indices of a seed-deterministic stratified subset of size
+    n (proportional classes) of the rows with 1-based ``labels``; every
+    row when n is their count."""
+    m = labels.size
+    if not 1 <= n <= m:
+        raise ValueError(f"subset size must lie in 1..{m}")
+    if n == m:
+        return np.arange(m)
     keep, _ = _stratified_pick(
-        data, seed, SUBSET_STREAM, lambda counts: _largest_remainder(n * counts / data.m, n))
-    return LabeledDataset(data.inputs[keep], data.labels[keep], data.class_count)
+        labels, seed, SUBSET_STREAM, lambda counts: _largest_remainder(n * counts / m, n))
+    return keep

@@ -8,11 +8,16 @@ inverse Gaussian CDF applied to 52-bit uniforms.  Weight sample ``i`` of a
 family is ``mean + stddev * z_i`` with z_i the standard normals of stream
 ``i``, so draw i is a pure function of (seed, i): sample streams are
 prefix-stable (the i-th draw does not depend on how many draws are
-requested) and may be generated in parallel.  :meth:`GaussianFamily.draw`
-is the one place that maps z_i to weights.  Families with one layout
-share z_i: a caller that needs draw i of several families generates
-stream i once with :func:`standard_normal` and maps it through each
-family's ``draw``, which gives each family the bits of :func:`sample`.
+requested) and may be generated in parallel.  Streams are prefix-stable
+in their length too: the first P normals of a stream are the stream of
+length P, because the 52-bit integers behind them are drawn on a
+power-of-two range, which never rejects.  :meth:`GaussianFamily.draw` is
+the one place that maps z_i to weights.  Families share z_i: a caller
+that needs draw i of several families, of one layout or of layouts with
+different parameter counts (the depths of a sweep), generates stream i
+once, at the largest count, with :func:`normal_rows`, and maps the
+first P entries of row i through each family's ``draw``, which gives
+each family the bits of :func:`sample`.
 Streams at and above ``RESERVED_STREAM_BASE`` are reserved for
 non-sampling uses (batch shuffling, synthetic data) so they never collide
 with weight draws; the constants below list them.
@@ -79,6 +84,18 @@ def standard_normal(seed: int, stream: int, n: int) -> np.ndarray:
     return ndtri(u)
 
 
+def normal_rows(seed: int, count: int, n: int) -> np.ndarray:
+    """(count, n) standard normals whose row i is the (seed, i) stream.
+
+    The first P entries of row i are ``standard_normal(seed, i, P)`` for
+    any P <= n, so one matrix serves every layout of at most n parameters.
+    """
+    rows = np.empty((count, n))
+    for i, row in enumerate(rows):
+        row[:] = standard_normal(seed, i, n)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianFamily:
     """Isotropic Gaussian N(mean, stddev^2 I) over the flat parameter
@@ -126,8 +143,7 @@ def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:
     """``count`` deterministic draws; draw i depends only on (seed, i)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = family.layout.param_count()
-    return [family.draw(standard_normal(seed, i, n)) for i in range(count)]
+    return [family.draw(z) for z in normal_rows(seed, count, family.layout.param_count())]
 
 
 def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradbound.datasets import load_idx, split, synth_gaussian
+from gradbound.datasets import load_idx, split, synth_gaussian, take
 from gradbound.deskdata import build_desk_idx
 
 
@@ -13,15 +13,10 @@ def desk_idx(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def desk_data(desk_idx):
-    """The desk-scale digit dataset."""
-    return load_idx(*desk_idx)
-
-
-@pytest.fixture(scope="session")
-def desk_splits(desk_data):
+def desk_splits(desk_idx):
     """(train, heldout) = (4096, 1024) stratified split of the desk data."""
-    return split(desk_data, 4096 / 5120, seed=0)
+    pixels, labels, k = load_idx(*desk_idx)
+    return tuple(take(pixels, labels, k, idx) for idx in split(labels, 4096 / 5120, seed=0))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from scipy.stats import norm
 from gradbound import bounds as bd
 from gradbound.cli import SweepSpec, run
 from gradbound.datasets import synth_gaussian
-from gradbound.gaussians import (GaussianFamily, kl_divergence, prior_family,
+from gradbound.gaussians import (GaussianFamily, kl_divergence, normal_rows, prior_family,
                                  sample, stream_rng)
 from gradbound.nets import (LIPSCHITZ_BOUND, MlpArchitecture, ParamVector, _layers,
                             arch_for_depth, grad_input, grad_params, logit_loss, loss)
@@ -95,7 +95,8 @@ def test_criterion_4_naive_estimator_instability(train_set):
     details = []
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count, TARGET_PARAMS)
-        losses, _ = bd.draw_stats([prior_family(arch, 0.1)], train_set, cfg, grads=False)[0]
+        z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
+        losses, _ = bd.draw_stats([prior_family(arch, 0.1)], train_set, z, grads=False)[0]
         ests = bd.naive_complexity_curve(losses, lambdas)
         for lam, est in zip(lambdas, ests):
             if lam >= 50.0 and not est.overflowed:
@@ -113,7 +114,8 @@ def test_criterion_5_depth_monotonicity(heldout):
     means = {}
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
-        _, sq_norms = bd.draw_stats([prior_family(arch, 0.1)], heldout, cfg, grads=True)[0]
+        z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
+        _, sq_norms = bd.draw_stats([prior_family(arch, 0.1)], heldout, z, grads=True)[0]
         means[depth], _ = bd.expected_grad_norm_mc(sq_norms)
     decreasing = all(means[d] > means[d + 1] for d in (2, 3, 4))
     lin = arch_for_depth(1, heldout.dim, heldout.class_count, TARGET_PARAMS)
@@ -133,10 +135,11 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
     notes = []
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
+        z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
         values = []
         for sigma in SIGMA_GRID:
             prior = prior_family(arch, sigma)
-            losses, sq_norms = bd.draw_stats([prior], heldout, cfg, grads=True)[0]
+            losses, sq_norms = bd.draw_stats([prior], heldout, z, grads=True)[0]
             b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
             est = bd.gradnorm_bound_curve(sq_norms, [lam], m, b)[0]
             values.append(math.inf if est.overflowed else est.log_space_value)
@@ -151,9 +154,9 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
     bs = []
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, synth2.dim, synth2.class_count, 2_000)
+        z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
         for sigma in (0.0004, 0.01, 0.05, 0.1):
-            losses, _ = bd.draw_stats([prior_family(arch, sigma)], synth2, cfg,
-                                      grads=False)[0]
+            losses, _ = bd.draw_stats([prior_family(arch, sigma)], synth2, z, grads=False)[0]
             bs.append(bd.estimate_loss_bound(losses, cfg.loss_bound_slack))
     if max(bs) > 2.0:
         ok = False
@@ -171,7 +174,8 @@ def test_criterion_7_subgamma_certification(heldout, train_set):
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
         prior = prior_family(arch, 0.1)
-        losses, sq_norms = bd.draw_stats([prior], heldout, cfg, grads=True)[0]
+        z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
+        losses, sq_norms = bd.draw_stats([prior], heldout, z, grads=True)[0]
         b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
         ests = bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
         grid = [(float(l), e.log_space_value) for l, e in zip(lambdas, ests)

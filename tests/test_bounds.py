@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from gradbound import bounds as bd
 from gradbound.bounds import logmeanexp
 from gradbound.datasets import LabeledDataset, synth_gaussian
-from gradbound.gaussians import GaussianFamily, LayoutMismatchError, prior_family, sample
+from gradbound.gaussians import (GaussianFamily, LayoutMismatchError, normal_rows, prior_family,
+                                 sample)
 from gradbound.nets import (
     LIPSCHITZ_BOUND,
     MlpArchitecture,
@@ -23,12 +24,17 @@ from gradbound.training import TrainConfig, evaluate, train
 CFG = bd.EstimatorConfig(n_weight_samples=8, seed=11)
 
 
+def normals(cfg, arch):
+    """cfg's weight draws for ``arch``, as the sweep hands them to draw_stats."""
+    return normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
+
+
 def losses_of(family, data, cfg=CFG):
-    return bd.draw_stats([family], data, cfg, grads=False)[0][0]
+    return bd.draw_stats([family], data, normals(cfg, family.layout), grads=False)[0][0]
 
 
 def stats_of(family, data, cfg=CFG):
-    return bd.draw_stats([family], data, cfg, grads=True)[0]
+    return bd.draw_stats([family], data, normals(cfg, family.layout), grads=True)[0]
 
 
 def small_synth(seed=5, n=32, d=4, k=2, sigma=1.0):
@@ -103,7 +109,8 @@ def test_draw_stats_matches_per_draw_passes():
     for family, scaled in ((prior_family(arch, 0.4), True), (posterior, False)):
         losses, sq_norms = stats_of(family, data)
         assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
-        [(forward_only, none)] = bd.draw_stats([family], data, CFG, grads=False)
+        [(forward_only, none)] = bd.draw_stats([family], data, normals(CFG, arch),
+                                               grads=False)
         assert none is None
         for i, w in enumerate(sample(family, CFG.seed, CFG.n_weight_samples)):
             assert np.array_equal(forward_only[i], batch_losses(w, data.inputs, data.labels))
@@ -125,9 +132,9 @@ def test_draw_stats_shares_draws_between_families():
     families = [prior_family(arch, 0.4), prior_family(arch, 0.05),
                 GaussianFamily(rng.normal(size=arch.param_count()), 0.2, arch)]
     for grads in (False, True):
-        together = bd.draw_stats(families, data, CFG, grads)
+        together = bd.draw_stats(families, data, normals(CFG, arch), grads)
         for family, (losses, sq_norms) in zip(families, together):
-            alone = bd.draw_stats([family], data, CFG, grads)[0]
+            alone = bd.draw_stats([family], data, normals(CFG, arch), grads)[0]
             assert np.array_equal(losses, alone[0])
             assert np.array_equal(sq_norms, alone[1]) if grads else sq_norms is None
 
@@ -138,7 +145,8 @@ def test_draw_stats_refuses_families_of_different_layouts():
     wide = MlpArchitecture(data.dim, data.class_count, (3,))
     for grads in (False, True):
         with pytest.raises(LayoutMismatchError):
-            bd.draw_stats([prior_family(narrow, 1.0), prior_family(wide, 1.0)], data, CFG, grads)
+            bd.draw_stats([prior_family(narrow, 1.0), prior_family(wide, 1.0)], data,
+                          normals(CFG, wide), grads)
 
 
 def test_draw_stats_is_prefix_stable():
@@ -148,6 +156,24 @@ def test_draw_stats_is_prefix_stable():
     five = stats_of(prior, data, bd.EstimatorConfig(n_weight_samples=5, seed=4))
     for small, big in zip(three, five):
         assert np.array_equal(small, big[:3])
+
+
+def test_draw_stats_reads_a_prefix_of_each_row_of_wider_normals():
+    """A sweep hands every depth one matrix at its largest parameter count:
+    a layout of P parameters reads the first P entries of each row, which
+    are its own stream i, so its rows are those of a matrix of width P."""
+    data = small_synth(n=16)
+    narrow = MlpArchitecture(data.dim, data.class_count)
+    wide = MlpArchitecture(data.dim, data.class_count, (7, 7))
+    families = [prior_family(narrow, 0.3), prior_family(narrow, 0.05)]
+    for grads in (False, True):
+        exact = bd.draw_stats(families, data, normals(CFG, narrow), grads)
+        shared = bd.draw_stats(families, data, normals(CFG, wide), grads)
+        for (l1, s1), (l2, s2) in zip(exact, shared):
+            assert np.array_equal(l1, l2)
+            assert (s1 is None and s2 is None) or np.array_equal(s1, s2)
+        with pytest.raises(ValueError, match="normals"):
+            bd.draw_stats(families, data, normals(CFG, narrow)[:, :-1], grads)
 
 
 @pytest.mark.parametrize("arch", [
@@ -162,7 +188,7 @@ def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
         runs = []
         for budget in (1, 1 << 40):  # one pair per chunk, every pair in one
             monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-            runs.append(bd.draw_stats(families, data, CFG, grads))
+            runs.append(bd.draw_stats(families, data, normals(CFG, arch), grads))
         for one, everything in zip(*runs):
             np.testing.assert_allclose(one[0], everything[0], rtol=1e-12)
             if grads:
@@ -204,7 +230,7 @@ def test_draw_stats_chunks_stay_within_budget(monkeypatch):
             chunks.clear()
             buffers.clear()
             monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-            bd.draw_stats(families, data, CFG, grads)
+            bd.draw_stats(families, data, normals(CFG, arch), grads)
             full, rest = divmod(columns, per_chunk)
             assert [cols for cols, _ in chunks] == [per_chunk] * full + [rest] * (rest > 0)
             assert all(nbytes <= budget or cols == 1 for cols, nbytes in chunks)
@@ -222,7 +248,8 @@ def test_draw_stats_takes_one_column_per_chunk_past_the_budget(monkeypatch):
     column_bytes = 8 * data.m * 40
     chunks, buffers = _record_chunks(monkeypatch)
     monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", column_bytes // 2)
-    bd.draw_stats([prior_family(arch, s) for s in (0.01, 0.1, 0.5)], data, CFG, True)
+    bd.draw_stats([prior_family(arch, s) for s in (0.01, 0.1, 0.5)], data, normals(CFG, arch),
+                  True)
     assert chunks == [(1, column_bytes)] * CFG.n_weight_samples
     assert all(b is buffers[0] for b in buffers)
     assert buffers[0].nbytes == column_bytes
@@ -237,23 +264,25 @@ def _read_only(a):
 @pytest.mark.parametrize("hidden", [(), (3, 4), (9,)], ids=["linear", "narrowing", "widening"])
 def test_kernel_never_writes_caller_data(hidden):
     """The passes overwrite their own scratch (each hidden ReLU goes into
-    its pre-activation), never the dataset or the weights: on read-only
-    inputs, labels and family means every result is the writeable run's."""
+    its pre-activation), never the dataset, the normals or the weights: on
+    read-only inputs, labels, normals and family means every result is the
+    writeable run's."""
     data = small_synth(n=24, d=6, k=3)
     frozen = LabeledDataset(_read_only(data.inputs), _read_only(data.labels), 3)
     assert not (frozen.inputs.flags.writeable or frozen.labels.flags.writeable)
     arch = MlpArchitecture(6, 3, hidden)
     mean = np.random.default_rng(3).normal(size=arch.param_count())
+    z = normals(CFG, arch)
 
-    def results(d, mean):
+    def results(d, mean, z):
         families = [prior_family(arch, 0.4), GaussianFamily(mean, 0.2, arch)]
         trained = train(arch, d, TrainConfig(epochs=2, batch_size=8, seed=1), [0.3, 0.5])
-        return (bd.draw_stats(families, d, CFG, False), bd.draw_stats(families, d, CFG, True),
+        return (bd.draw_stats(families, d, z, False), bd.draw_stats(families, d, z, True),
                 [p.values for p in trained], [evaluate(p, d) for p in trained],
                 bd.log_sobolev_check(trained[0], d, 0.5))
 
-    expected = results(data, mean)
-    got = results(frozen, _read_only(mean))
+    expected = results(data, mean, z)
+    got = results(frozen, _read_only(mean), _read_only(z))
     assert np.array_equal(frozen.inputs, data.inputs)
     for (e_losses, e_sq), (g_losses, g_sq) in zip(expected[0] + expected[1], got[0] + got[1]):
         assert np.array_equal(e_losses, g_losses)
@@ -274,12 +303,13 @@ def test_draw_stats_wide_layer_peak_memory():
     arch = MlpArchitecture(8, 3, (h,))
     assert 8 * n * h > bd.FIRST_LAYER_BLOCK_BYTES
     families = [prior_family(arch, s) for s in (0.1, 0.5)]
-    cfg = bd.EstimatorConfig(n_weight_samples=4, seed=1)
+    # held by the sweep for the whole run, so not counted against one call
+    z = normals(bd.EstimatorConfig(n_weight_samples=4, seed=1), arch)
     for grads, columns in ((False, 1.5), (True, 3.5)):
-        bd.draw_stats(families, data, cfg, grads)  # warm call
+        bd.draw_stats(families, data, z, grads)  # warm call
         tracemalloc.start()
         try:
-            bd.draw_stats(families, data, cfg, grads)
+            bd.draw_stats(families, data, z, grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,6 +440,12 @@ def test_linear_bound_limits_and_pole():
     assert lam_pole == pytest.approx(math.sqrt(2) * lam_log2)
     assert bd.linear_gradnorm_bound(2, 3, 100, 1.0, 1.0, lam_pole * 0.999) < math.inf
     assert bd.linear_gradnorm_bound(2, 3, 100, 1.0, 1.0, lam_pole) == math.inf
+
+
+def test_linear_bound_is_inf_where_a_square_overflows():
+    # sigma_p**2 on a Python float raises OverflowError past ~1.3e154
+    assert bd.linear_gradnorm_bound(2, 4, 64, math.sqrt(2), 1e200, 1.0) == math.inf
+    assert bd.linear_gradnorm_bound(2, 4, 64, math.sqrt(2), 1.0, 1e200) == math.inf
 
 
 @given(st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.01, 2.0),

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -312,11 +314,31 @@ def count_calls(monkeypatch, module, name, counts, key):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts of standard-normal streams, forward passes and backward passes."""
+    """Counts of standard-normal streams, forward passes and backward passes.
+
+    Weight streams (below ``RESERVED_STREAM_BASE``) count as "streams", and
+    the reserved ones that make data as "reserved_streams".
+    """
     counts = {}
-    # counted where each module binds it: ``from .gaussians import`` copies it
-    for module in (gaussians, bd, training):
-        count_calls(monkeypatch, module, "standard_normal", counts, "streams")
+    original = gaussians.standard_normal
+
+    def counted(seed, stream, n):
+        key = "streams" if stream < gaussians.RESERVED_STREAM_BASE else "reserved_streams"
+        counts[key] = counts.get(key, 0) + 1
+        return original(seed, stream, n)
+
+    # Counted at every module of the package that binds it (cli included,
+    # should it ever import it): ``from .gaussians import`` copies the
+    # binding, so patching gaussians alone would miss those callers.
+    bound = []
+    for info in pkgutil.iter_modules(gradbound.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gradbound.{info.name}")
+        if getattr(module, "standard_normal", None) is original:
+            monkeypatch.setattr(module, "standard_normal", counted)
+            bound.append(module)
+    assert gaussians in bound and training in bound
     count_calls(monkeypatch, nets, "_forward_cached", counts, "forward")
     count_calls(monkeypatch, bd, "loss_and_sq_grad_norms", counts, "backward")
     count_calls(monkeypatch, training, "loss_and_param_grads", counts, "sgd_step")
@@ -334,8 +356,10 @@ def test_sweeps_sample_once_and_pass_once_per_draw(experiment, grads, passes, tm
     assert run(spec) == 0
     points = len(spec.depth_grid) * len(spec.variance_grid)
     draws = points * spec.estimator.n_weight_samples
-    # one stream per (depth, draw index), shared by the depth's prior scales
-    assert passes.get("streams") == len(spec.depth_grid) * spec.estimator.n_weight_samples
+    # one stream per draw index, shared by every depth and prior scale
+    assert passes.get("streams") == spec.estimator.n_weight_samples
+    # and the data's: one per synthetic class
+    assert passes.get("reserved_streams") == 2
     assert passes.get("forward") == draws
     assert passes.get("backward", 0) == (draws if grads else 0)
 
@@ -348,10 +372,9 @@ def test_train_report_passes(passes, tmp_path):
     draws = points * spec.estimator.n_weight_samples
     # one stacked SGD pass per (depth, step), shared by the depth's variances
     steps = depths * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
-    # one stream per (depth, draw index), shared by the depth's posteriors,
-    # plus one initialization stream per depth, shared by its variances
-    streams = depths * spec.estimator.n_weight_samples
-    assert passes.get("streams") == streams + depths
+    # one stream per draw index, shared by every depth and posterior, plus
+    # one initialization stream per depth, shared by its variances
+    assert passes.get("streams") == spec.estimator.n_weight_samples + depths
     assert passes.get("backward") == draws
     assert passes.get("sgd_step") == steps
     # one forward per stacked SGD step and per posterior draw, plus two
@@ -632,6 +655,20 @@ def test_train_report_with_huge_trained_weights_writes_no_nan(tmp_path):
             value, log_value = float(row[f"bound_{lam}"]), float(row[f"bound_{lam}_log"])
             # value is inf exactly when the estimate overflowed
             assert (value, log_value) in {(0.0, 0.0), (math.inf, math.inf)}, row
+
+
+def test_linear_worst_case_of_a_huge_prior_scale_is_inf(tmp_path):
+    # sigma_p**2 on a Python float raises OverflowError past ~1.3e154;
+    # the worst case L^2 sigma_p^2 P rounds to +inf instead.
+    config = {"depth_grid": [1, 2], "variance_grid": [1e200], "train_size": 64,
+              "heldout_size": 32, "estimator": {"n_weight_samples": 4}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    assert main(["gradnorm-vs-variance", "--config", str(config_path),
+                 "--synthetic", "k=2,d=4,n_per_class=64", "--out", str(out)]) == 0
+    _, _, rows = read_rows(out)
+    assert [row["linear_worst_case"] for row in rows] == ["inf", ""]
 
 
 _SMALL = {"train_size": 64, "heldout_size": 32, "train": {"epochs": 1}}

@@ -1,10 +1,12 @@
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gradbound.cli import SweepSpec, resolve_dataset
 from gradbound.datasets import (
     MAX_SYNTH_CLASSES,
     IdxBadMagicError,
@@ -16,6 +18,7 @@ from gradbound.datasets import (
     split,
     stratified_sample,
     synth_gaussian,
+    take,
     write_idx,
 )
 from gradbound.deskdata import build_desk_idx
@@ -32,7 +35,9 @@ def test_hand_built_fixture_scales_pixels(tmp_path):
     images = np.array([[[0, 255], [128, 7]], [[1, 2], [3, 4]]], dtype=np.uint8)
     labels = np.array([3, 9], dtype=np.uint8)
     ip, lp = write_fixture(tmp_path, images, labels)
-    data = load_idx(ip, lp)
+    pixels, raw_plus_one, k = load_idx(ip, lp)
+    assert pixels.dtype == np.uint8  # scaled only when rows are gathered
+    data = take(pixels, raw_plus_one, k, np.arange(2))
     assert data.m == 2 and data.dim == 4
     assert np.allclose(data.inputs[0], [0.0, 1.0, 128 / 255, 7 / 255])
     assert data.labels.tolist() == [4, 10]  # raw byte b stored as label b+1
@@ -44,7 +49,7 @@ def test_roundtrip_identity_on_random_fixture(tmp_path):
     images = rng.integers(0, 256, size=(10, 5, 3), dtype=np.uint8)
     labels = rng.integers(0, 4, size=10, dtype=np.uint8)
     ip, lp = write_fixture(tmp_path, images, labels)
-    data = load_idx(ip, lp)
+    data = take(*load_idx(ip, lp), np.arange(10))
     assert np.array_equal(np.rint(data.inputs * 255).astype(np.uint8),
                           images.reshape(10, 15))
     assert np.array_equal(data.labels - 1, labels)
@@ -86,11 +91,11 @@ def test_truncated_and_mismatched_files(tmp_path):
                     reason="set GRADBOUND_MNIST_DIR to a directory with real MNIST")
 def test_real_mnist_files():
     root = os.environ["GRADBOUND_MNIST_DIR"]
-    data = load_idx(os.path.join(root, "train-images-idx3-ubyte"),
-                    os.path.join(root, "train-labels-idx1-ubyte"))
-    assert data.m == 60_000
-    assert data.dim == 784
-    assert data.class_count == 10
+    pixels, labels, k = load_idx(os.path.join(root, "train-images-idx3-ubyte"),
+                                 os.path.join(root, "train-labels-idx1-ubyte"))
+    assert pixels.shape == (60_000, 784)
+    assert labels.shape == (60_000,)
+    assert k == 10
 
 
 def test_synth_degenerate_sigma_hits_means():
@@ -131,7 +136,8 @@ def test_synth_class_streams_stop_short_of_the_subset_and_split_streams():
 def test_split_partitions_and_stratifies():
     means = np.zeros((10, 4))
     data = synth_gaussian(10, 4, means, 1.0, 50, seed=4)
-    train, held = split(data, 0.8, seed=5)
+    train, held = (take(data.inputs, data.labels, 10, idx)
+                   for idx in split(data.labels, 0.8, seed=5))
     assert train.m + held.m == data.m
     assert train.m == round(0.8 * data.m)
     for y in range(1, 11):
@@ -145,27 +151,77 @@ def test_split_partitions_and_stratifies():
 def test_split_determinism_and_empty_side_error():
     means = np.zeros((2, 3))
     data = synth_gaussian(2, 3, means, 1.0, 20, seed=6)
-    a1, b1 = split(data, 0.5, seed=1)
-    a2, b2 = split(data, 0.5, seed=1)
-    assert np.array_equal(a1.inputs, a2.inputs)
-    assert np.array_equal(b1.labels, b2.labels)
-    a3, _ = split(data, 0.5, seed=2)
-    assert not np.array_equal(a1.inputs, a3.inputs)
+    a1, b1 = split(data.labels, 0.5, seed=1)
+    a2, b2 = split(data.labels, 0.5, seed=1)
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(b1, b2)
+    a3, _ = split(data.labels, 0.5, seed=2)
+    assert not np.array_equal(a1, a3)
 
     tiny = synth_gaussian(2, 3, means, 1.0, 1, seed=6)
     with pytest.raises(ValueError):
-        split(tiny, 0.01, seed=0)
+        split(tiny.labels, 0.01, seed=0)
     with pytest.raises(ValueError):
-        split(data, 1.0, seed=0)
+        split(data.labels, 1.0, seed=0)
 
 
 def test_stratified_sample_keeps_proportions():
     means = np.zeros((4, 3))
     data = synth_gaussian(4, 3, means, 1.0, 100, seed=8)
-    sub = stratified_sample(data, 100, seed=9)
-    assert sub.m == 100
+    keep = stratified_sample(data.labels, 100, seed=9)
+    assert keep.size == 100 and np.all(np.diff(keep) > 0)
     for y in range(1, 5):
-        assert (sub.labels == y).sum() == 25
+        assert (data.labels[keep] == y).sum() == 25
+    assert np.array_equal(stratified_sample(data.labels, 400, seed=9), np.arange(400))
+
+
+def _idx_spec(images, labels, train_size, heldout_size, seed=4):
+    return SweepSpec(experiment="loss-vs-variance", images_path=str(images),
+                     labels_path=str(labels), train_size=train_size,
+                     heldout_size=heldout_size, data_seed=seed)
+
+
+@pytest.mark.parametrize("train_size,heldout_size", [(200, 100), (150, 60)],
+                         ids=["every-row", "stratified-subset"])
+def test_idx_sides_match_the_float64_route(tmp_path, train_size, heldout_size):
+    """Each side gathered from the u8 pixels and scaled once has the bits
+    of scaling the whole set to float64 first, then gathering the subset
+    and each side from it."""
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, size=(300, 8, 8), dtype=np.uint8)
+    images[0].flat[:256] = np.arange(256)  # every pixel value
+    raw = rng.integers(0, 4, size=300, dtype=np.uint8)
+    ip, lp = write_fixture(tmp_path, images, raw)
+    spec = _idx_spec(ip, lp, train_size, heldout_size)
+
+    x = images.reshape(300, 64).astype(np.float64) / 255.0
+    labels = raw.astype(np.int64) + 1
+    n = train_size + heldout_size
+    keep = stratified_sample(labels, n, spec.data_seed)
+    assert (keep.size == 300) == (n == 300)
+    sub_x, sub_y = x[keep], labels[keep]
+    expected = [(sub_x[idx], sub_y[idx])
+                for idx in split(sub_y, train_size / n, spec.data_seed)]
+
+    got = resolve_dataset(spec)
+    assert [side.m for side in got] == [train_size, heldout_size]
+    for side, (ex, ey) in zip(got, expected):
+        assert side.inputs.dtype == np.float64 and side.class_count == 4
+        assert np.array_equal(side.inputs, ex) and np.array_equal(side.labels, ey)
+
+
+def test_desk_setup_peak_memory(desk_idx):
+    """Desk set-up holds the file's u8 pixels and the two float64 sides:
+    about 4 + 32 MiB, where scaling the full set first peaked at 62 MiB."""
+    spec = _idx_spec(*desk_idx, 4096, 1024)
+    resolve_dataset(spec)  # warm call
+    tracemalloc.start()
+    try:
+        resolve_dataset(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20, peak / 2**20
 
 
 def test_dataset_validation():
@@ -179,13 +235,13 @@ def test_dataset_validation():
         LabeledDataset(np.array([[np.inf, 0.0]]), np.array([1]), 1)
 
 
-def test_desk_surrogate_shape(desk_data):
-    assert desk_data.m == 5120
-    assert desk_data.dim == 784
-    assert desk_data.class_count == 10
-    assert desk_data.inputs.min() >= 0.0 and desk_data.inputs.max() <= 1.0
-    counts = [(desk_data.labels == y).sum() for y in range(1, 11)]
+def test_desk_surrogate_shape(desk_idx, desk_splits):
+    pixels, labels, k = load_idx(*desk_idx)
+    assert pixels.shape == (5120, 784) and pixels.dtype == np.uint8
+    assert k == 10
+    counts = [(labels == y).sum() for y in range(1, 11)]
     assert counts == [512] * 10
+    assert all(0.0 <= side.inputs.min() and side.inputs.max() <= 1.0 for side in desk_splits)
 
 
 def test_desk_surrogate_is_a_function_of_seed(tmp_path):

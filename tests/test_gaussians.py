@@ -12,6 +12,7 @@ from gradbound.gaussians import (
     GaussianFamily,
     LayoutMismatchError,
     kl_divergence,
+    normal_rows,
     posterior_family,
     prior_family,
     sample,
@@ -81,6 +82,22 @@ def test_standard_normal_draws_are_finite_and_symmetricish():
     assert np.all(np.isfinite(z))
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_stream_prefixes_are_the_shorter_streams(seed):
+    """The first k normals of a stream are the stream of length k, because
+    its 52-bit integers come from a power-of-two range, which never
+    rejects.  So one matrix of normals at a sweep's largest parameter
+    count serves every depth with the bits of its own streams."""
+    n = 20_290
+    rows = normal_rows(seed, 3, n)
+    for i, row in enumerate(rows):
+        full = standard_normal(seed, i, n)
+        assert np.array_equal(row, full)
+        # one entry, all but one, and the desk linear model's 784 x 10
+        for k in (1, n - 1, 7_840):
+            assert np.array_equal(full[:k], standard_normal(seed, i, k)), k
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, True, 3.0])
