@@ -21,7 +21,6 @@ from .nets import (
     LIPSCHITZ_BOUND,
     MlpArchitecture,
     ParamVector,
-    forward,
     grad_input,
     grad_params,
     loss,

@@ -114,6 +114,17 @@ def logmeanexp(a, axis=None):
     return logsumexp(a, axis=axis) - np.log(n)
 
 
+def _std_error(x: np.ndarray) -> float:
+    """Standard error of the mean of ``x``: 0 for one value, inf when any
+    value is non-finite (whose spread is undefined)."""
+    n = x.size
+    if n < 2:
+        return 0.0
+    if not np.all(np.isfinite(x)):
+        return float("inf")
+    return float(x.std(ddof=1) / math.sqrt(n))
+
+
 def _log_mc_std_error(exponents: np.ndarray) -> float:
     """Delta-method standard error of log-mean-exp over MC exponents."""
     n = exponents.size
@@ -314,10 +325,10 @@ def linear_gradnorm_bound(k: int, d: int, m: int, lip: float, sigma_p: float,
 
 
 def expected_grad_norm_mc(sq_grad_norms: np.ndarray) -> tuple[float, float]:
-    """MC mean and standard error of the per-draw mean squared input-gradient norm."""
+    """MC mean and standard error of the per-draw mean squared input-gradient
+    norm; the error is inf when a draw's mean is."""
     vals = sq_grad_norms.mean(axis=1)
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(vals.mean()), se
+    return float(vals.mean()), _std_error(vals)
 
 
 def estimate_loss_bound(losses: np.ndarray, slack: float) -> float:
@@ -392,9 +403,8 @@ def log_sobolev_check(params: ParamVector, gaussian_data: LabeledDataset, alpha:
 
     du = alpha
     dv = -(1.0 + math.log(m_hat))
-    lhs_se = float((du * u + dv * v).std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    rhs_se = 2.0 * float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EntropyCheck(lhs=lhs, rhs=rhs, lhs_std_error=lhs_se, rhs_std_error=rhs_se)
+    return EntropyCheck(lhs=lhs, rhs=rhs, lhs_std_error=_std_error(du * u + dv * v),
+                        rhs_std_error=2.0 * _std_error(w))
 
 
 def mgf_decomposition_check(losses, lam: float, m: int) -> tuple[float, float]:

@@ -30,10 +30,11 @@ the experiment reports.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
-The output is written to a temporary file beside it and renamed into
-place, so a failed run leaves no partial file.
+The output is JSON when its path ends in ".json" and CSV otherwise
+(default <experiment>.csv); it is written to a temporary file beside it
+and renamed into place, so a failed run leaves no partial file.
 Grids and sizes come from the JSON config file; the command-line flags
---seed/--out/--format/--data-images/--data-labels/--synthetic override it
+--seed/--out/--data-images/--data-labels/--synthetic override it
 (flags > file > defaults).  Infinities are serialized as the string "inf".
 """
 
@@ -94,14 +95,11 @@ class SweepSpec:
     estimator: bd.EstimatorConfig = field(default_factory=bd.EstimatorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     out: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
         if not self.variance_grid or not self.depth_grid:
             raise ConfigError("variance_grid and depth_grid must be nonempty")
         # A bool compares as 0 or 1, but it is not a real.
@@ -404,14 +402,15 @@ def _csv_cell(value) -> str:
 def write_output(path: str, spec: SweepSpec, rows) -> None:
     """Write beside ``path`` and rename over it: a failed write leaves no output.
 
-    The first row's keys are the columns; every row has the same keys."""
+    JSON when ``path`` ends in ".json", else CSV.  The first row's keys are
+    the columns; every row has the same keys."""
     columns = list(rows[0])
     config = dataclasses.asdict(spec)
     stamp = datetime.now(timezone.utc).isoformat()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as f:
-            if spec.format == "json":
+            if path.endswith(".json"):
                 doc = {"config": config, "timestamp": stamp, "columns": columns,
                        "rows": [{k: _json_safe(v) for k, v in row.items()}
                                 for row in rows]}
@@ -432,7 +431,7 @@ def write_output(path: str, spec: SweepSpec, rows) -> None:
 
 def run(spec: SweepSpec) -> int:
     """Execute one sweep; returns the process exit status."""
-    out = spec.out or f"{spec.experiment}.{spec.format}"
+    out = spec.out or f"{spec.experiment}.csv"
     out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
@@ -516,15 +515,15 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file with grids and settings")
     parser.add_argument("--seed", type=int, help="override every seed in the run")
-    parser.add_argument("--out", help="output path (default <experiment>.<format>)")
-    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--out", help="output path, JSON if it ends in .json, else CSV "
+                                      "(default <experiment>.csv)")
     parser.add_argument("--data-images", dest="images_path", help="IDX image file")
     parser.add_argument("--data-labels", dest="labels_path", help="IDX label file")
     parser.add_argument("--synthetic",
                         help="inline synthetic source, e.g. k=2,d=16,n_per_class=2560")
     args = parser.parse_args(argv)
 
-    flags = {"seed": args.seed, "out": args.out, "format": args.format,
+    flags = {"seed": args.seed, "out": args.out,
              "images_path": args.images_path, "labels_path": args.labels_path,
              "synthetic": args.synthetic}
     try:

@@ -29,19 +29,7 @@ LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Base class for malformed IDX input."""
-
-
-class IdxBadMagicError(IdxFormatError):
-    pass
-
-
-class IdxTruncatedError(IdxFormatError):
-    pass
-
-
-class IdxCountMismatchError(IdxFormatError):
-    pass
+    """Malformed IDX input: a wrong magic, a truncated file or mismatched counts."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +66,7 @@ class LabeledDataset:
 def _read_header(raw: bytes, path, n_fields: int) -> tuple[int, ...]:
     size = 4 * n_fields
     if len(raw) < size:
-        raise IdxTruncatedError(f"{path}: header truncated ({len(raw)} bytes)")
+        raise IdxFormatError(f"{path}: header truncated ({len(raw)} bytes)")
     return struct.unpack(f">{n_fields}I", raw[:size])
 
 
@@ -96,25 +84,24 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
 
     magic, count, rows, cols = _read_header(raw_images, images_path, 4)
     if magic != IMAGES_MAGIC:
-        raise IdxBadMagicError(
+        raise IdxFormatError(
             f"{images_path}: wrong magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
     payload = raw_images[16:]
     if len(payload) != count * rows * cols:
-        raise IdxTruncatedError(
+        raise IdxFormatError(
             f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(payload)}")
 
     lmagic, lcount = _read_header(raw_labels, labels_path, 2)
     if lmagic != LABELS_MAGIC:
-        raise IdxBadMagicError(
+        raise IdxFormatError(
             f"{labels_path}: wrong magic 0x{lmagic:08x}, expected 0x{LABELS_MAGIC:08x}")
     lpayload = raw_labels[8:]
     if len(lpayload) != lcount:
-        raise IdxTruncatedError(
+        raise IdxFormatError(
             f"{labels_path}: expected {lcount} label bytes, got {len(lpayload)}")
 
     if count != lcount:
-        raise IdxCountMismatchError(
-            f"image count {count} != label count {lcount}")
+        raise IdxFormatError(f"image count {count} != label count {lcount}")
     if count < 1:
         raise IdxFormatError("dataset is empty")
 
@@ -226,8 +213,6 @@ def stratified_sample(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
     m = labels.size
     if not 1 <= n <= m:
         raise ValueError(f"subset size must lie in 1..{m}")
-    if n == m:
-        return np.arange(m)
     keep, _ = _stratified_pick(
         labels, seed, SUBSET_STREAM, lambda counts: _largest_remainder(n * counts / m, n))
     return keep

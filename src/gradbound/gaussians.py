@@ -54,10 +54,6 @@ SEED_LIMIT = 1 << 64
 _U52 = np.uint64(1) << np.uint64(52)
 
 
-class LayoutMismatchError(ValueError):
-    """Raised when two families disagree on architecture or shape."""
-
-
 def is_seed(value) -> bool:
     """A seed is an int (a bool is not one) in [0, SEED_LIMIT)."""
     return type(value) is int and 0 <= value < SEED_LIMIT
@@ -132,10 +128,10 @@ def posterior_family(params: ParamVector, sigma: float) -> GaussianFamily:
 
 
 def common_layout(families: list[GaussianFamily]) -> MlpArchitecture:
-    """The layout every family shares; LayoutMismatchError if they differ."""
+    """The layout every family shares; ValueError if they differ."""
     layout = families[0].layout
     if any(f.layout != layout for f in families):
-        raise LayoutMismatchError("families have different layouts")
+        raise ValueError("families have different layouts")
     return layout
 
 
@@ -152,7 +148,7 @@ def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:
     Per coordinate: log(sp/sq) + (sq^2 + (mq - mp)^2) / (2 sp^2) - 1/2.
     Each scale is one number, but the terms stay elementwise arrays: a
     scalar closed form would round differently from the per-coordinate sum.
-    LayoutMismatchError unless q and p share a layout.
+    ValueError unless q and p share a layout.
     """
     common_layout([q, p])
     sq = np.full(q.mean.shape, q.stddev)

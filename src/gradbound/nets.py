@@ -226,12 +226,6 @@ def batch_forward(params: ParamVector, x_batch: np.ndarray) -> np.ndarray:
     return _forward_cached(params.layout, params.values, x_batch)[1]
 
 
-def forward(params: ParamVector, x) -> np.ndarray:
-    """Logits for a single input vector."""
-    x = _check_input(params.layout, x)
-    return batch_forward(params, x[None, :])[0]
-
-
 def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per-example NLL and its gradient with respect to the logits

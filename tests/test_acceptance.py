@@ -206,7 +206,7 @@ def test_criterion_8_train_report_direction(desk_idx, tmp_path):
         variance_grid=(0.1,), depth_grid=(1,),
         estimator=bd.EstimatorConfig(n_weight_samples=64, seed=7),
         train=TrainConfig(epochs=15, seed=1),
-        out=str(out), format="csv",
+        out=str(out),
     )
     assert run(spec) == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from gradbound import bounds as bd
 from gradbound.bounds import logmeanexp
 from gradbound.datasets import LabeledDataset, synth_gaussian
-from gradbound.gaussians import (GaussianFamily, LayoutMismatchError, normal_rows, prior_family,
-                                 sample)
+from gradbound.gaussians import GaussianFamily, normal_rows, prior_family, sample
 from gradbound.nets import (
     LIPSCHITZ_BOUND,
     MlpArchitecture,
@@ -144,7 +143,7 @@ def test_draw_stats_refuses_families_of_different_layouts():
     narrow = MlpArchitecture(data.dim, data.class_count)
     wide = MlpArchitecture(data.dim, data.class_count, (3,))
     for grads in (False, True):
-        with pytest.raises(LayoutMismatchError):
+        with pytest.raises(ValueError, match="different layouts"):
             bd.draw_stats([prior_family(narrow, 1.0), prior_family(wide, 1.0)], data,
                           normals(CFG, wide), grads)
 
@@ -446,6 +445,11 @@ def test_linear_bound_is_inf_where_a_square_overflows():
     # sigma_p**2 on a Python float raises OverflowError past ~1.3e154
     assert bd.linear_gradnorm_bound(2, 4, 64, math.sqrt(2), 1e200, 1.0) == math.inf
     assert bd.linear_gradnorm_bound(2, 4, 64, math.sqrt(2), 1.0, 1e200) == math.inf
+
+
+def test_std_error_of_infinite_gradient_norms_is_inf():
+    # std(ddof=1) of infinite values forms inf - inf, which is nan
+    assert bd.expected_grad_norm_mc(np.full((4, 3), np.inf)) == (math.inf, math.inf)
 
 
 @given(st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.01, 2.0),

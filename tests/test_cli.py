@@ -73,11 +73,11 @@ def test_synthetic_spec_parsing():
 
 
 def test_spec_merge_precedence():
-    file_config = {"variance_grid": [0.1], "format": "json", "seed": 1,
+    file_config = {"variance_grid": [0.1], "out": "file.json", "seed": 1,
                    "estimator": {"n_weight_samples": 3}}
-    flags = {"seed": 9, "format": "csv", "out": None}
+    flags = {"seed": 9, "out": "flag.csv", "synthetic": None}
     spec = _spec_from_sources("loss-vs-variance", file_config, flags)
-    assert spec.format == "csv"  # flag beats file
+    assert spec.out == "flag.csv"  # flag beats file
     assert spec.variance_grid == (0.1,)
     assert spec.estimator.seed == 9 and spec.train.seed == 9 and spec.data_seed == 9
     assert spec.estimator.n_weight_samples == 3
@@ -88,8 +88,6 @@ def test_spec_validation_errors():
         SweepSpec(experiment="nope")
     with pytest.raises(ConfigError):
         SweepSpec(experiment="loss-vs-variance", variance_grid=())
-    with pytest.raises(ConfigError):
-        SweepSpec(experiment="loss-vs-variance", format="yaml")
     with pytest.raises(ConfigError):
         _spec_from_sources("loss-vs-variance", {"bogus_key": 1}, {})
     # a JSON number such as 1e999 parses to inf: the checks refuse it too
@@ -244,7 +242,7 @@ def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):
 
 def test_json_output_tags_infinities(tmp_path):
     spec = small_spec("naive-vs-lambda", tmp_path, variance_grid=(3.0,),
-                      depth_grid=(1,), lambda_grid=(2000.0,), format="json",
+                      depth_grid=(1,), lambda_grid=(2000.0,),
                       out=str(tmp_path / "out.json"))
     assert run(spec) == 0
     doc = json.loads((tmp_path / "out.json").read_text())
@@ -252,6 +250,27 @@ def test_json_output_tags_infinities(tmp_path):
     assert isinstance(doc["rows"][0]["log_space_value"], float)
     assert doc["config"]["experiment"] == "naive-vs-lambda"
     assert "timestamp" in doc
+
+
+def test_output_format_follows_the_out_suffix(tmp_path, capsys):
+    # JSON exactly when the path ends in .json; the bench writes suffix-less outs
+    for name, is_json in (("x.json", True), ("x.csv", False), ("x", False)):
+        out = tmp_path / name
+        spec = small_spec("loss-vs-variance", tmp_path, depth_grid=(1,),
+                          variance_grid=(0.1,), out=str(out))
+        assert run(spec) == 0
+        text = out.read_text()
+        if is_json:
+            assert json.loads(text)["columns"] == GOLDEN_HEADERS["loss-vs-variance"]
+        else:
+            comments, header, rows = read_rows(out)
+            assert comments[0].startswith("# config: ") and len(rows) == 1
+            assert header == GOLDEN_HEADERS["loss-vs-variance"]
+    # the retired flag is refused by the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["loss-vs-variance", "--format", "json"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--format" in capsys.readouterr().err
 
 
 GOLDEN_HEADERS = {
@@ -290,7 +309,7 @@ def test_golden_column_schemas(tmp_path):
 def test_every_row_has_exactly_the_columns(experiment, tmp_path):
     # The columns are the first row's keys, and a CSV would drop any other.
     out = tmp_path / "out.json"
-    spec = small_spec(experiment, tmp_path, variance_grid=(0.1, 3.0), format="json",
+    spec = small_spec(experiment, tmp_path, variance_grid=(0.1, 3.0),
                       lambda_grid=(1.0, 2000.0) if experiment == "naive-vs-lambda" else (),
                       out=str(out))
     assert run(spec) == 0
@@ -411,7 +430,7 @@ def test_failed_write_leaves_no_partial_output(fmt, module, name, failing, tmp_p
                                                monkeypatch):
     out = tmp_path / f"out.{fmt}"
     spec = small_spec("loss-vs-variance", tmp_path, depth_grid=(1,),
-                      variance_grid=(0.1,), format=fmt, out=str(out))
+                      variance_grid=(0.1,), out=str(out))
     with monkeypatch.context() as patch:
         patch.setattr(module, name, failing)
         with pytest.raises(OSError):
@@ -487,6 +506,7 @@ BAD_CONFIGS = {
     "heldout_size 0": ("loss-vs-variance", {"heldout_size": 0}, None),
     "sigma_q 0": ("train-report", {"sigma_q": 0}, None),
     "removed loss_kind": ("loss-vs-variance", {"loss_kind": "nll"}, None),
+    "removed format": ("loss-vs-variance", {"format": "json"}, None),
     "fractional depth": ("loss-vs-variance", {"depth_grid": [1.5]}, None),
     "synthetic n_per_class 0": ("loss-vs-variance", {}, "k=2,d=4,n_per_class=0"),
     "synthetic sigma 0": ("loss-vs-variance", {}, "k=2,d=4,sigma=0,n_per_class=64"),
@@ -639,6 +659,20 @@ def test_module_entry_point(tmp_path):
     assert err["error"] == "data"
 
 
+def test_readme_library_imports_resolve():
+    # README's first python block lists the library API; a name deleted
+    # from the package must leave that list too.
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as f:
+        block = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("from gradbound import (")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(gradbound.__file__)))
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          timeout=300,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_train_report_with_huge_trained_weights_writes_no_nan(tmp_path):
     # One step at this rate leaves finite weights near 1e305, whose Gram
     # matrix W1 W1^T overflows; the squared norms are then 0 or inf.
@@ -657,9 +691,7 @@ def test_train_report_with_huge_trained_weights_writes_no_nan(tmp_path):
             assert (value, log_value) in {(0.0, 0.0), (math.inf, math.inf)}, row
 
 
-def test_linear_worst_case_of_a_huge_prior_scale_is_inf(tmp_path):
-    # sigma_p**2 on a Python float raises OverflowError past ~1.3e154;
-    # the worst case L^2 sigma_p^2 P rounds to +inf instead.
+def _huge_prior_scale_rows(tmp_path):
     config = {"depth_grid": [1, 2], "variance_grid": [1e200], "train_size": 64,
               "heldout_size": 32, "estimator": {"n_weight_samples": 4}}
     config_path = tmp_path / "config.json"
@@ -667,8 +699,20 @@ def test_linear_worst_case_of_a_huge_prior_scale_is_inf(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["gradnorm-vs-variance", "--config", str(config_path),
                  "--synthetic", "k=2,d=4,n_per_class=64", "--out", str(out)]) == 0
-    _, _, rows = read_rows(out)
+    return read_rows(out)[2]
+
+
+def test_linear_worst_case_of_a_huge_prior_scale_is_inf(tmp_path):
+    # sigma_p**2 on a Python float raises OverflowError past ~1.3e154;
+    # the worst case L^2 sigma_p^2 P rounds to +inf instead.
+    rows = _huge_prior_scale_rows(tmp_path)
     assert [row["linear_worst_case"] for row in rows] == ["inf", ""]
+
+
+def test_std_error_of_an_infinite_gradient_norm_is_inf(tmp_path):
+    # At depth 1 the squared norms reach inf; inf - inf in std gave nan.
+    depth_1 = _huge_prior_scale_rows(tmp_path)[0]
+    assert (depth_1["grad_norm_sq_mean"], depth_1["grad_norm_sq_std_error"]) == ("inf", "inf")
 
 
 _SMALL = {"train_size": 64, "heldout_size": 32, "train": {"epochs": 1}}

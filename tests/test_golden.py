@@ -43,8 +43,7 @@ CASES = {
     "bound-vs-variance.csv": ("bound-vs-variance", {
         **_BASE, "depth_grid": [1, 2, 3], "variance_grid": [0.01, 0.1, 0.5]}),
     "bound-vs-variance.json": ("bound-vs-variance", {
-        **_BASE, "depth_grid": [1, 2], "variance_grid": [0.05, 0.7],
-        "format": "json"}),
+        **_BASE, "depth_grid": [1, 2], "variance_grid": [0.05, 0.7]}),
     "fit-subgamma.csv": ("fit-subgamma", {
         **_BASE, "depth_grid": [1, 2, 3], "variance_grid": [0.05, 0.1, 3.0]}),
     "train-report.csv": ("train-report", {

@@ -12,8 +12,8 @@ from gradbound.nets import (
     _layers,
     batch_input_grads,
     arch_for_depth,
+    batch_forward,
     batch_losses,
-    forward,
     grad_input,
     grad_params,
     logit_loss_and_gradient,
@@ -59,7 +59,7 @@ def test_equal_param_widths_land_near_target():
 def test_forward_identity_linear():
     arch = MlpArchitecture(2, 2)
     p = ParamVector(np.eye(2).ravel(), arch)
-    assert np.allclose(forward(p, np.array([1.0, 2.0])), [1.0, 2.0])
+    assert np.allclose(batch_forward(p, np.array([1.0, 2.0])[None])[0], [1.0, 2.0])
 
 
 def test_forward_zero_weights_two_layer():
@@ -67,7 +67,7 @@ def test_forward_zero_weights_two_layer():
     p = ParamVector(np.zeros(arch.param_count()), arch)
     for _ in range(5):
         x = RNG.normal(size=3)
-        assert np.all(forward(p, x) == 0.0)
+        assert np.all(batch_forward(p, x[None])[0] == 0.0)
 
 
 def test_forward_matches_loop_oracle():
@@ -87,14 +87,14 @@ def test_forward_matches_loop_oracle():
         if li < arch.depth - 1:
             out = [max(v, 0.0) for v in out]
         a = out
-    assert np.allclose(forward(p, x), a, rtol=1e-12, atol=1e-12)
+    assert np.allclose(batch_forward(p, x[None])[0], a, rtol=1e-12, atol=1e-12)
 
 
 def test_dimension_and_label_errors():
     arch = MlpArchitecture(3, 2)
     p = ParamVector(np.zeros(6), arch)
-    with pytest.raises(ValueError):
-        forward(p, np.zeros(4))
+    with pytest.raises(ValueError, match="input has shape"):
+        loss(p, np.zeros(4), 1)
     with pytest.raises(ValueError):
         loss(p, np.zeros(3), 0)
     with pytest.raises(ValueError):
