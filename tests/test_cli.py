@@ -259,9 +259,8 @@ def test_output_format_follows_the_out_suffix(tmp_path, capsys):
         spec = small_spec("loss-vs-variance", tmp_path, depth_grid=(1,),
                           variance_grid=(0.1,), out=str(out))
         assert run(spec) == 0
-        text = out.read_text()
         if is_json:
-            assert json.loads(text)["columns"] == GOLDEN_HEADERS["loss-vs-variance"]
+            assert json.loads(out.read_text())["columns"] == GOLDEN_HEADERS["loss-vs-variance"]
         else:
             comments, header, rows = read_rows(out)
             assert comments[0].startswith("# config: ") and len(rows) == 1
