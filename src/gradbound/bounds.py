@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, common_layout, is_seed
-from .nets import ParamVector, batch_losses, first_layer_block, loss_and_sq_grad_norms
+from .gaussians import GaussianFamily, is_seed
+from .nets import (ParamVector, batch_losses, first_layer, first_layer_block,
+                   loss_and_sq_grad_norms)
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
 
@@ -172,86 +173,180 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
                grads: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per family and weight draw: losses[S, n] and sq_grad_norms[S, n].
 
-    ``families`` share one layout of P parameters.  ``normals`` holds one
-    row of at least P standard normals per weight draw, S rows in all;
-    draw i's normals z_i are the first P entries of row i, shared by every
-    family.  Returns one (losses, sq_grad_norms) pair per family, in
-    order; sq_grad_norms is None without ``grads``.  Row i of each belongs
-    to draw i, a function of (seed, i) alone when ``normals`` comes from
+    ``families`` share one input dimension d; their layouts may differ
+    (the depths of a sweep).  ``normals`` holds one row of standard
+    normals per weight draw, S rows in all, at least as long as the
+    largest layout's P; draw i's normals z_i for a layout of P parameters
+    are the first P entries of row i, shared by every family.  Returns one
+    (losses, sq_grad_norms) pair per family, in order; sq_grad_norms is
+    None without ``grads``.  Row i of each belongs to draw i, a function
+    of (seed, i) alone when ``normals`` comes from
     :func:`gradbound.gaussians.normal_rows`.
 
-    The first layer is taken in columns.  With ``grads``, a zero-mean
-    family's draw is sigma * z_i, so its first-layer pre-activation is
-    sigma * base_i, base_i = x @ Z1_i^T + b_i from the normals z_i: all
-    of draw i's zero-mean families share that one column, each scaling it
-    into one reused (n, fan_out) buffer (the scale path).  Every other
-    (draw, family) pair is a column of its own.  The path depends only on
-    the family and ``grads``, never on the other families in the call.
-    The columns, draw-outer, are taken in chunks of as many as fit one
-    (n, columns * fan_out) float64 block in ``FIRST_LAYER_BLOCK_BYTES``
-    (at least one).  Each chunk's first layer is one GEMM
-    (:func:`gradbound.nets.first_layer_block`) into one block buffer
-    allocated per call and sized for the largest chunk (never more than
-    the call's columns).  ``normals`` is only read, so one matrix serves
-    every layout of at most its width: a sweep holds one (S, P_max)
-    float64 matrix, S x P_max x 8 bytes, for all its depths.  Each pair
-    continues from its column, which its pass overwrites as scratch, with
+    The first layer is taken in columns, each the product of the data
+    with one first-layer matrix (:func:`gradbound.nets.first_layer_block`).
+    A layout's flat vector starts with W1 (fan_out, d), so draw i's W1 at
+    every layout is the first fan_out rows of one (h_max, d) matrix read
+    from row i, and a column of h_max rows can serve every layout:
+
+    * Zero-mean families whose first layer narrows (fan_out < d) share
+      their columns across layouts.  With ``grads`` a family's draw is
+      sigma * z_i, so its first-layer pre-activation is sigma * (x @ Z1_i^T
+      + b_i) from the raw normals (the scale path): draw i gets one
+      column, h_max wide, for all of them.  Without ``grads`` draw i gets
+      one column per sigma, x @ (sigma Z1_i)^T, h_max wide.  Each layout
+      takes the first fan_out columns, adds its own first-layer bias and
+      (with ``grads``) scales by each family's sigma into one reused pass
+      buffer.  A layout copies the column before adding its bias, so the
+      column survives for the next; the last one adds it in place.
+    * The other families keep one stream of columns per layout: with
+      ``grads`` one column per draw for the layout's zero-mean families
+      (scaled as above), and one column per (draw, family) pair for the
+      rest, each taking its own bias in place.
+
+    Only narrowing layouts share.  There the first GEMM, over d inputs,
+    is a pass's largest cost (d = 784 on desk digits), and one product
+    serves every depth.  Where the first layer widens (d = 16 under
+    1053-wide layers) the product is cheap, and a column padded to h_max
+    would cost memory and time.  A product over many inputs also rounds
+    each column alike whatever the block's width, as measured on
+    OpenBLAS at d = 784; over few (d = 16) it need not, so widening
+    layouts keep their own blocks and bits.
+
+    Each stream's columns, draw-outer, are taken in chunks of as many as
+    fit one (n, total width) float64 block in ``FIRST_LAYER_BLOCK_BYTES``
+    (at least one).  Each chunk is one GEMM into one block buffer
+    allocated per stream and sized for its largest chunk.  ``normals`` is
+    only read, so a sweep holds one (S, P_max) float64 matrix, S x P_max x
+    8 bytes, for all its depths.  Each pair continues from its column with
     one pass over ``data``: a forward pass, or with ``grads`` one
     forward+backward pass that yields the squared norms without forming
     the input gradient where the first layer narrows
     (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers 2+ and the
-    norms use the family's own weights.  Chunk boundaries depend only on
-    the column index, so fewer draws (a prefix of the rows of ``normals``)
-    give a prefix of the rows.
+    norms use the family's own weights.  Which path a family takes depends
+    only on the family and ``grads``; chunk boundaries depend only on the
+    column index, so fewer draws (a prefix of the rows of ``normals``) give
+    a prefix of the rows.
 
     A scaled row can differ from a one-draw pass in its last bits, since
     sigma * (x @ Z1^T + b) rounds differently from x @ (sigma Z1)^T +
-    sigma b.  Forward-only passes stay one column per (draw, family) pair
-    because the naive estimator's exponent amplifies last-bit loss changes
-    1e5-1e6 times.
+    sigma b.  Forward-only passes keep one column per sigma because the
+    naive estimator's exponent amplifies last-bit loss changes 1e5-1e6
+    times.
     """
-    layout = common_layout(families)
-    p = layout.param_count()
+    d = families[0].layout.input_dim
+    if any(f.layout.input_dim != d for f in families):
+        raise ValueError("families have different input dimensions")
+    p = max(f.layout.param_count() for f in families)
     if normals.ndim != 2 or normals.shape[1] < p:
         raise ValueError(f"normals must be an (S, >= {p}) matrix, got {normals.shape}")
-    n_draws = normals.shape[0]
-    losses = [np.empty((n_draws, data.m)) for _ in families]
-    sq_norms = [np.empty((n_draws, data.m)) if grads else None for _ in families]
-    fan_out = layout.layer_dims()[0][1]
-    per_chunk = max(1, FIRST_LAYER_BLOCK_BYTES // (8 * data.m * fan_out))
-    scaled = [j for j, f in enumerate(families) if grads and not f.mean.any()]
-    own = [j for j in range(len(families)) if j not in scaled]
-    buf = np.empty((data.m, fan_out)) if scaled else None
-    # One block buffer for every chunk, capped at the call's columns so a
-    # large budget never asks for more than the call can use.
-    total = n_draws * (bool(scaled) + len(own))
-    block = np.empty(min(per_chunk, total) * data.m * fan_out)
+    n_draws, m = normals.shape[0], data.m
+    losses = [np.empty((n_draws, m)) for _ in families]
+    sq_norms = [np.empty((n_draws, m)) if grads else None for _ in families]
 
-    def columns():
-        """(draw index, first-layer weights, indices of the families using them)"""
-        for i, row in enumerate(normals):
-            z = row[:p]
-            if scaled:
-                yield i, ParamVector(z, layout), scaled
-            yield from ((i, families[j].draw(z), [j]) for j in own)
+    zero_mean = [not f.mean.any() for f in families]
+    shared = [j for j, f in enumerate(families) if zero_mean[j] and _fan_out(f.layout) < d]
+    # A stream lists draw i's columns, each as (scaled, groups): groups are
+    # (layout, family indices) pairs, and the column is as wide as the
+    # widest layout's first layer.
+    streams = []
+    if shared and grads:
+        streams.append([(True, _by_layout(families, shared))])
+    elif shared:
+        sigmas = dict.fromkeys(families[j].stddev for j in shared)
+        streams.append([(False, [(families[j].layout, [j]) for j in shared
+                                 if families[j].stddev == s]) for s in sigmas])
+    rest = [j for j in range(len(families)) if j not in shared]
+    for layout, js in _by_layout(families, rest):
+        scaled = [j for j in js if grads and zero_mean[j]]
+        streams.append([(True, [(layout, scaled)])] * bool(scaled)
+                       + [(False, [(layout, [j])]) for j in js if j not in scaled])
 
-    cols = columns()
-    while chunk := list(itertools.islice(cols, per_chunk)):
-        bases = first_layer_block([first for _, first, _ in chunk], data.inputs, block)
-        for (i, first, users), base in zip(chunk, bases):
-            for j in users:
-                w, z1 = first, base
-                if j in scaled:
-                    # Formed here, not sampled, so a chunk holds one weight
-                    # vector per column rather than one per scaled family.
-                    w = families[j].draw(first.values)
-                    z1 = np.multiply(base, families[j].stddev, out=buf)
-                if grads:
-                    losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
-                        w, data.inputs, data.labels, z1)
-                else:
-                    losses[j][i] = batch_losses(w, data.inputs, data.labels, z1)
+    def run(stream):
+        widest = [max(groups, key=lambda g: _fan_out(g[0])) for _, groups in stream]
+        widths = [_fan_out(layout) for layout, _ in widest]
+        # Scratch for a pass's scaled first layer and for a column copied
+        # before a bias is added, each the front of one flat buffer.
+        scaled_buf = np.empty(m * max(widths)) if any(sc for sc, _ in stream) else None
+        copy_buf = np.empty(m * max(widths)) if any(len(g) > 1 for _, g in stream) else None
+
+        def columns():
+            """(draw index, W1, None or the (family, draw) W1 comes from, scaled, groups)"""
+            for i, row in enumerate(normals):
+                for (scaled, groups), (layout, js) in zip(stream, widest):
+                    drawn = None if scaled else (js[0], families[js[0]].draw(
+                        row[:layout.param_count()]))
+                    w1 = first_layer(layout, row if scaled else drawn[1].values)[0]
+                    yield i, w1, drawn, scaled, groups
+
+        for (i, _, drawn, scaled, groups), column in _in_blocks(
+                columns(), widths * n_draws, data.inputs):
+            row = normals[i]
+            for g, (layout, js) in enumerate(groups):
+                p = layout.param_count()
+                if not scaled:
+                    (j,) = js
+                    w = drawn[1] if drawn[0] == j else families[j].draw(row[:p])
+                z1 = column[:, :_fan_out(layout)]
+                if g < len(groups) - 1:  # a later layout reads the column too
+                    copy = _front(copy_buf, z1.shape)
+                    copy[...] = z1
+                    z1 = copy
+                b = first_layer(layout, row if scaled else w.values)[1]
+                if b is not None:
+                    z1 += b
+                for j in js:
+                    z = z1
+                    if scaled:
+                        # Formed here, not drawn with the column, so a chunk
+                        # holds no weight vector per scaled family.
+                        w = families[j].draw(row[:p])
+                        z = np.multiply(z1, families[j].stddev, out=_front(scaled_buf, z1.shape))
+                    if grads:
+                        losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
+                            w, data.inputs, data.labels, z)
+                    else:
+                        losses[j][i] = batch_losses(w, data.inputs, data.labels, z)
+
+    for stream in streams:
+        run(stream)  # a call of its own, so its buffers go before the next's come
     return list(zip(losses, sq_norms))
+
+
+def _fan_out(layout) -> int:
+    return layout.layer_dims()[0][1]
+
+
+def _by_layout(families, indices):
+    """(layout, indices of its families) pairs, in order of first use."""
+    layouts = dict.fromkeys(families[j].layout for j in indices)
+    return [(layout, [j for j in indices if families[j].layout == layout])
+            for layout in layouts]
+
+
+def _front(buf: np.ndarray, shape) -> np.ndarray:
+    """The front of a flat buffer as a contiguous array of ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _in_blocks(columns, widths, x):
+    """Each (draw index, W1, ...) column with its (n, width) view of a
+    first-layer block: the columns, of the given widths, are taken in
+    chunks of as many as fit ``FIRST_LAYER_BLOCK_BYTES`` (at least one),
+    one GEMM each into one buffer sized for the largest chunk."""
+    n = x.shape[0]
+    limit = FIRST_LAYER_BLOCK_BYTES // (8 * n)
+    chunks = []  # [columns, total width]
+    for width in widths:
+        if chunks and chunks[-1][1] + width <= limit:
+            chunks[-1][0] += 1
+            chunks[-1][1] += width
+        else:
+            chunks.append([1, width])
+    block = np.empty(n * max(total for _, total in chunks))
+    for count, _ in chunks:
+        chunk = list(itertools.islice(columns, count))
+        yield from zip(chunk, first_layer_block([c[1] for c in chunk], x, block))
 
 
 def naive_complexity_curve(losses: np.ndarray, lambdas) -> list[BoundEstimate]:

@@ -22,11 +22,12 @@ variances trained in lockstep by one ``training.train`` call).  The loop
 samples the weight draws' standard normals once for all its depths:
 row i of one (draws, largest parameter count) matrix is stream i, and a
 depth of P parameters reads the first P entries of each row, which are
-that depth's own stream i.  One ``bounds.draw_stats`` call per depth
-computes the per-draw losses and squared input-gradient norms of all
-that depth's families from the matrix, and each grid point's matrices go
-to the experiment's row builder, which applies the estimator reductions
-the experiment reports.
+that depth's own stream i.  One ``bounds.draw_stats`` call computes the
+per-draw losses and squared input-gradient norms of every depth's
+families from the matrix, so depths whose first layer narrows share
+their first-layer products, and each grid point's matrices go, in depth
+order, to the experiment's row builder, which applies the estimator
+reductions the experiment reports.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
@@ -55,8 +56,9 @@ import numpy as np
 from . import bounds as bd
 from .datasets import (IdxFormatError, LabeledDataset, load_idx, split, stratified_sample,
                        synth_gaussian, take)
-from .gaussians import (CHECK_STREAM, MAX_SYNTH_CLASSES, is_seed, kl_divergence,
-                        normal_rows, posterior_family, prior_family, sample, stream_rng)
+from .gaussians import (CHECK_STREAM, MAX_ABS_NORMAL, MAX_SYNTH_CLASSES, is_seed,
+                        kl_divergence, normal_rows, posterior_family, prior_family, sample,
+                        stream_rng)
 from .nets import LIPSCHITZ_BOUND, MlpArchitecture, arch_for_depth
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train
@@ -66,6 +68,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_CHECK_FAILED = 5
+_MAX_SCALE = sys.float_info.max / MAX_ABS_NORMAL
 
 
 class ConfigError(ValueError):
@@ -125,6 +128,13 @@ class SweepSpec:
                               "train_size (m)")
         if isinstance(self.sigma_q, bool) or not 0 < self.sigma_q < math.inf:
             raise ConfigError("sigma_q must be finite and positive")
+        # A weight draw scales standard normals, |z| <= MAX_ABS_NORMAL: the
+        # sweeps' by each sigma_p, train-report's posteriors by sigma_q.
+        scales = {"train-report": (self.sigma_q,), "identity-checks": ()}.get(
+            self.experiment, self.variance_grid)
+        if not all(math.isfinite(s * MAX_ABS_NORMAL) for s in scales):
+            raise ConfigError(f"a prior or posterior scale above {_MAX_SCALE:.6g} "
+                              "overflows its weight draws")
         if not all(v is None or isinstance(v, str)
                    for v in (self.images_path, self.labels_path, self.synthetic, self.out)):
             raise ConfigError("images_path, labels_path, synthetic and out must be strings")
@@ -329,21 +339,20 @@ EXPERIMENTS = (*_SWEEPS, "identity-checks")
 
 
 def _sweep(spec, train_set, heldout):
-    """The depth x variance grid: one family per point, one draw_stats per
-    depth, and one matrix of standard normals for every depth."""
+    """The depth x variance grid: one family per point, and one draw_stats
+    call and one matrix of standard normals for every depth."""
     families_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
     data = train_set if on_train else heldout
     archs = [arch_for_depth(depth, train_set.dim, train_set.class_count,
                             spec.mlp_target_params) for depth in spec.depth_grid]
     normals = normal_rows(spec.estimator.seed, spec.estimator.n_weight_samples,
                           max(arch.param_count() for arch in archs))
+    points = [(depth, arch, point) for depth, arch in zip(spec.depth_grid, archs)
+              for point in families_at(spec, arch, train_set, heldout)]
+    stats = bd.draw_stats([family for _, _, (family, _) in points], data, normals, grads)
     rows = []
-    for depth, arch in zip(spec.depth_grid, archs):
-        points = families_at(spec, arch, train_set, heldout)
-        stats = bd.draw_stats([family for family, _ in points], data, normals, grads)
-        for (_, cells), (losses, sq_norms) in zip(points, stats):
-            rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells},
-                            losses, sq_norms)
+    for (depth, arch, (_, cells)), (losses, sq_norms) in zip(points, stats):
+        rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells}, losses, sq_norms)
     return rows
 
 
@@ -508,8 +517,16 @@ def _error_record(kind: str, message: str) -> None:
     sys.stderr.write("\n")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit 2 with a JSON record)
+    rather than printing the usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gradbound",
         description="Generalization-bound experiments over linear models and MLPs")
     parser.add_argument("experiment", choices=EXPERIMENTS)
@@ -521,12 +538,11 @@ def main(argv=None) -> int:
     parser.add_argument("--data-labels", dest="labels_path", help="IDX label file")
     parser.add_argument("--synthetic",
                         help="inline synthetic source, e.g. k=2,d=16,n_per_class=2560")
-    args = parser.parse_args(argv)
-
-    flags = {"seed": args.seed, "out": args.out,
-             "images_path": args.images_path, "labels_path": args.labels_path,
-             "synthetic": args.synthetic}
     try:
+        args = parser.parse_args(argv)
+        flags = {"seed": args.seed, "out": args.out,
+                 "images_path": args.images_path, "labels_path": args.labels_path,
+                 "synthetic": args.synthetic}
         file_config = _read_config(args.config) if args.config else {}
         spec = _spec_from_sources(args.experiment, file_config, flags)
         # Overflow is reported in the rows (overflowed, inf) or as an exit

@@ -52,6 +52,8 @@ MAX_EPOCHS = CHECK_STREAM - SHUFFLE_STREAM
 SEED_LIMIT = 1 << 64
 
 _U52 = np.uint64(1) << np.uint64(52)
+# The largest |z| that standard_normal returns: |ndtri(0.5 / 2**52)| = 8.2095...
+MAX_ABS_NORMAL = float(-ndtri(0.5 / float(_U52)))
 
 
 def is_seed(value) -> bool:
@@ -72,7 +74,8 @@ def standard_normal(seed: int, stream: int, n: int) -> np.ndarray:
     """n deterministic N(0,1) draws from the (seed, stream) Philox stream.
 
     Uses u = (r + 1/2) / 2^52 with r a 52-bit integer, so u lies strictly
-    inside (0, 1) and ndtri(u) is always finite (|z| <= 8.13).
+    inside (0, 1) and ndtri(u) is always finite: |z| <= ``MAX_ABS_NORMAL``
+    (8.2095, at r = 0 and r = 2^52 - 1).
     """
     rng = stream_rng(seed, stream)
     r = rng.integers(0, _U52, size=n, dtype=np.uint64)
@@ -127,14 +130,6 @@ def posterior_family(params: ParamVector, sigma: float) -> GaussianFamily:
     return GaussianFamily(params.values, float(sigma), params.layout)
 
 
-def common_layout(families: list[GaussianFamily]) -> MlpArchitecture:
-    """The layout every family shares; ValueError if they differ."""
-    layout = families[0].layout
-    if any(f.layout != layout for f in families):
-        raise ValueError("families have different layouts")
-    return layout
-
-
 def sample(family: GaussianFamily, seed: int, count: int) -> list[ParamVector]:
     """``count`` deterministic draws; draw i depends only on (seed, i)."""
     if count < 1:
@@ -150,7 +145,8 @@ def kl_divergence(q: GaussianFamily, p: GaussianFamily) -> float:
     scalar closed form would round differently from the per-coordinate sum.
     ValueError unless q and p share a layout.
     """
-    common_layout([q, p])
+    if q.layout != p.layout:
+        raise ValueError("families have different layouts")
     sq = np.full(q.mean.shape, q.stddev)
     sp = np.full(p.mean.shape, p.stddev)
     terms = np.log(sp / sq) + (sq**2 + (q.mean - p.mean) ** 2) / (2.0 * sp**2) - 0.5

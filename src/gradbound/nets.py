@@ -28,17 +28,21 @@ off the cached activations.
 
 First-layer block
 -----------------
-Many weight draws of one layout on one input batch share the batch's
-first GEMM: :func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T``
-once into a buffer its caller owns and reuses, adds every draw's
-first-layer bias in place, and hands back one (n, fan_out) column slice
-per draw.  :func:`batch_losses` and :func:`loss_and_sq_grad_norms` take a
-first-layer pre-activation as ``z1`` and continue the pass from it; ``z1``
-is the pass's scratch, overwritten by the first ReLU, so a caller hands
-each column to one pass.  Without ``z1`` the kernel computes it for their
-one draw, so there is one forward/backward kernel either way.  A column
-of the block can differ from the per-draw product in its last bits,
-because the BLAS may block the wider GEMM differently.
+Many weight draws on one input batch share the batch's first GEMM:
+:func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T`` once into a
+buffer its caller owns and reuses, and hands back one (n, c_k) column
+slice per first-layer matrix W1_k (c_k, d); the caller adds any bias.
+Since a layout's flat vector starts with W1 stored row-major as
+(fan_out, d), the first h rows of a draw's wider W1 are the W1 of every
+narrower layout read from the same normals (:func:`first_layer` slices
+it), so one column can serve several depths.  :func:`batch_losses` and
+:func:`loss_and_sq_grad_norms` take a first-layer pre-activation as
+``z1`` and continue the pass from it; ``z1`` is the pass's scratch,
+overwritten by the first ReLU, so a caller hands each column to one pass
+or copies it first.  Without ``z1`` the kernel computes it for their one
+draw, so there is one forward/backward kernel either way.  A column of
+the block can differ from the per-draw product in its last bits, because
+the BLAS may block the wider GEMM differently.
 :func:`gradbound.bounds.draw_stats` describes how it shares columns.
 """
 
@@ -169,26 +173,29 @@ def _check_label(arch: MlpArchitecture, y: int) -> int:
     return y
 
 
-def first_layer_block(params_list: list[ParamVector], x_batch: np.ndarray,
-                      out: np.ndarray) -> list[np.ndarray]:
-    """First-layer pre-activations of several draws from one GEMM.
+def first_layer(layout: MlpArchitecture, weights: np.ndarray):
+    """Views (W1 (fan_out, d), b1 (fan_out,) or None) of the first layer of
+    flat weights that start with ``layout``'s; later entries are not read."""
+    d, h = layout.layer_dims()[0]
+    return (weights[:h * d].reshape(h, d),
+            weights[h * d:h * d + h] if layout.bias else None)
 
-    ``params_list`` shares one layout.  Computes x @ [W1_1; W1_2; ...]^T
-    as one (n, len(params_list) * fan_out) block written into the front
-    of ``out``, a flat float64 buffer the caller owns and reuses across
-    blocks, adds each draw's first-layer bias into its columns in place,
-    and returns the per-draw (n, fan_out) column views, in order.
+
+def first_layer_block(w1s: list[np.ndarray], x_batch: np.ndarray,
+                      out: np.ndarray) -> list[np.ndarray]:
+    """First-layer products of several weight matrices from one GEMM.
+
+    ``w1s`` holds first-layer matrices W1_k (c_k, d), of any widths c_k.
+    Computes x @ [W1_1; W1_2; ...]^T as one (n, sum c_k) block written
+    into the front of ``out``, a flat float64 buffer the caller owns and
+    reuses across blocks, and returns the (n, c_k) column views, in
+    order.  No bias is added.
     """
-    firsts = [_layers(p.layout, p.values)[0] for p in params_list]
-    w1 = np.concatenate([w for w, _ in firsts])
+    w1 = np.concatenate(w1s)
     n, cols = x_batch.shape[0], w1.shape[0]
     block = np.matmul(x_batch, w1.T, out=out[:n * cols].reshape(n, cols))
-    fan_out = firsts[0][0].shape[0]
-    views = [block[:, k * fan_out:(k + 1) * fan_out] for k in range(len(firsts))]
-    for z1, (_, b) in zip(views, firsts):
-        if b is not None:
-            z1 += b
-    return views
+    edges = np.cumsum([0] + [w.shape[0] for w in w1s])
+    return [block[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.ndarray,
@@ -234,7 +241,9 @@ def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray
     The loss is (max - t_y) + log sum exp(t - max), whose shift cancels
     before any large intermediate forms, so adding a constant to all
     logits leaves it unchanged to the last bit; the gradient
-    softmax(t) - e_y comes from the same shifted exponentials.
+    softmax(t) - e_y comes from the same shifted exponentials.  A row
+    whose largest logit is not finite (a logit is nan or +inf, or all are
+    -inf) has overflowed: its loss is +inf and its gradient row nan.
     """
     y0 = np.asarray(y_batch, dtype=np.int64) - 1
     rows = np.arange(logits.shape[-2])
@@ -243,7 +252,11 @@ def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray
     spread = e.sum(axis=-1)
     g = e / spread[..., None]
     g[..., rows, y0] -= 1.0
-    return (tmax - logits[..., rows, y0]) + np.log(spread), g
+    losses = (tmax - logits[..., rows, y0]) + np.log(spread)
+    overflowed = ~np.isfinite(tmax)
+    if overflowed.any():
+        losses[overflowed] = np.inf  # inf - inf would give nan
+    return losses, g
 
 
 def logit_loss(logits: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
@@ -322,16 +335,19 @@ def loss_and_sq_grad_norms(params: ParamVector, x_batch, y_batch,
     gradient is never formed; otherwise the gradient is formed and its
     rows are squared and summed.  The choice depends only on the layout,
     except that huge finite weights whose Gram matrix overflows take the
-    formed gradient, where a zero of g1 times inf would give nan.
+    formed gradient, where a zero of g1 times inf would give nan.  A
+    squared norm is never negative, so a nan one can only come from
+    overflow (a row whose logits overflowed has a nan gradient): it is
+    +inf, as that row's loss is.
     ``z1`` as in :func:`_forward_cached`: the pass's scratch, overwritten.
     """
     losses, w1, g, _ = _backward(params.layout, params.values, x_batch, y_batch, False, z1)
-    if w1.shape[0] < w1.shape[1]:
-        gram = w1 @ w1.T
-        if np.isfinite(gram).all():
-            return losses, np.einsum("ij,ij->i", g @ gram, g)
-    g = g @ w1
-    return losses, np.einsum("ij,ij->i", g, g)
+    if w1.shape[0] < w1.shape[1] and np.isfinite(gram := w1 @ w1.T).all():
+        sq = np.einsum("ij,ij->i", g @ gram, g)
+    else:
+        g = g @ w1
+        sq = np.einsum("ij,ij->i", g, g)
+    return losses, np.where(np.isnan(sq), np.inf, sq)
 
 
 def batch_input_grads(params: ParamVector, x_batch, y_batch) -> np.ndarray:

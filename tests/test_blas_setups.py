@@ -62,3 +62,12 @@ def test_lockstep_matches_one_vector_passes_under_haswell(tmp_path):
                  "tests/test_training.py::test_lockstep_matches_training_each_config_alone"],
                 "haswell", REPO_DIR)
     assert done.returncode == 0, done.stdout[-4000:]
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_shared_first_layer_columns_match_per_depth_calls(setup):
+    # the d = 256 case asserts the bits; each BLAS set-up must give them
+    done = _run(["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_bounds.py::"
+                 "test_draw_stats_over_several_narrowing_layouts_matches_per_layout_calls"],
+                setup, REPO_DIR)
+    assert done.returncode == 0, done.stdout[-4000:]

@@ -138,14 +138,74 @@ def test_draw_stats_shares_draws_between_families():
             assert np.array_equal(sq_norms, alone[1]) if grads else sq_norms is None
 
 
-def test_draw_stats_refuses_families_of_different_layouts():
+def test_draw_stats_refuses_families_of_different_input_dimensions():
     data = small_synth(n=8)
-    narrow = MlpArchitecture(data.dim, data.class_count)
-    wide = MlpArchitecture(data.dim, data.class_count, (3,))
+    four = MlpArchitecture(data.dim, data.class_count, (3,))
+    five = MlpArchitecture(data.dim + 1, data.class_count, (3,))
     for grads in (False, True):
-        with pytest.raises(ValueError, match="different layouts"):
-            bd.draw_stats([prior_family(narrow, 1.0), prior_family(wide, 1.0)], data,
-                          normals(CFG, wide), grads)
+        with pytest.raises(ValueError, match="different input dimensions"):
+            bd.draw_stats([prior_family(four, 1.0), prior_family(five, 1.0)], data,
+                          normals(CFG, five), grads)
+
+
+def _layouts_and_normals(d, k, hidden_list):
+    archs = [MlpArchitecture(d, k, hidden) for hidden in hidden_list]
+    return archs, normals(CFG, max(archs, key=MlpArchitecture.param_count))
+
+
+def _assert_stats_equal(one, other, rtol):
+    for (l1, s1), (l2, s2) in zip(one, other, strict=True):
+        if rtol == 0:
+            assert np.array_equal(l1, l2)
+            assert (s1 is None and s2 is None) or np.array_equal(s1, s2)
+        else:
+            np.testing.assert_allclose(l1, l2, rtol=rtol)
+            assert (s1 is None and s2 is None) or np.allclose(s1, s2, rtol=rtol, atol=0)
+
+
+# depths 1-3 on d inputs, all narrowing: fan_out 3, 5 and 4
+NARROWING = [(), (5,), (4, 4)]
+
+
+@pytest.mark.parametrize("d,rtol", [(12, 1e-12), (256, 0)], ids=["d12", "d256-bitwise"])
+def test_draw_stats_over_several_narrowing_layouts_matches_per_layout_calls(d, rtol):
+    """One call over the families of several depths, as a sweep makes it,
+    gives each family the rows of a call over its own depth: its first
+    layer is a slice of a wider column of the same normals.  Over many
+    inputs the BLAS rounds each column alike whatever the block's width,
+    so the rows are the same bits."""
+    data = small_synth(n=40, d=d, k=3)
+    archs, z = _layouts_and_normals(d, 3, NARROWING)
+    posterior = GaussianFamily(np.random.default_rng(3).normal(size=archs[1].param_count()),
+                               0.2, archs[1])
+    families = [prior_family(a, s) for a in archs for s in (0.05, 0.4)] + [posterior]
+    for grads in (False, True):
+        together = bd.draw_stats(families, data, z, grads)
+        alone = [bd.draw_stats([f], data, z, grads)[0] for f in families]
+        by_layout = [stats for a in archs
+                     for stats in bd.draw_stats([f for f in families[:-1] if f.layout == a],
+                                                data, z, grads)]
+        _assert_stats_equal(together, alone, rtol)
+        _assert_stats_equal(together[:-1], by_layout, rtol)
+
+
+def test_draw_stats_shares_one_column_per_draw_and_scale_key_across_narrowing_layouts(
+        monkeypatch):
+    """Zero-mean families of narrowing layouts share one h_max-wide column
+    per draw and scale key: the raw normals with gradients, each sigma
+    without.  A widening layout in the same call keeps its own columns,
+    fan_out wide and not padded to h_max."""
+    data = small_synth(n=24, d=12, k=3)
+    archs, z = _layouts_and_normals(12, 3, NARROWING + [(20,)])
+    families = [prior_family(a, s) for a in archs for s in (0.1, 0.5)]
+    chunks, _ = _record_chunks(monkeypatch)
+    s, h_max = CFG.n_weight_samples, 5
+    for grads, keys in ((True, 1), (False, 2)):
+        chunks.clear()
+        bd.draw_stats(families, data, z, grads)
+        # (columns, total width) per block: every stream fits one block here
+        widths = [(cols, nbytes // (8 * data.m)) for cols, nbytes in chunks]
+        assert widths == [(s * keys, s * keys * h_max), (s * keys, s * keys * 20)]
 
 
 def test_draw_stats_is_prefix_stable():
@@ -199,10 +259,9 @@ def _record_chunks(monkeypatch):
     and the buffer each block was written into."""
     chunks, buffers = [], []
 
-    def recording(params_list, x, out):
-        views = first_layer_block(params_list, x, out)
-        rows, fan_out = views[0].shape
-        chunks.append((len(params_list), 8 * rows * len(views) * fan_out))
+    def recording(w1s, x, out):
+        views = first_layer_block(w1s, x, out)
+        chunks.append((len(w1s), 8 * sum(v.size for v in views)))
         assert all(np.shares_memory(v, out) for v in views)
         buffers.append(out)
         return views

@@ -265,11 +265,10 @@ def test_output_format_follows_the_out_suffix(tmp_path, capsys):
             comments, header, rows = read_rows(out)
             assert comments[0].startswith("# config: ") and len(rows) == 1
             assert header == GOLDEN_HEADERS["loss-vs-variance"]
-    # the retired flag is refused by the parser
-    with pytest.raises(SystemExit) as exc:
-        main(["loss-vs-variance", "--format", "json"])
-    assert exc.value.code == 2  # argparse's usage error
-    assert "--format" in capsys.readouterr().err
+    # the retired flag is refused by the parser, as a config error
+    assert main(["loss-vs-variance", "--format", "json"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "--format" in err["message"]
 
 
 GOLDEN_HEADERS = {
@@ -558,6 +557,9 @@ BAD_CONFIGS = {
     "negative estimator seed": ("loss-vs-variance", {"estimator": {"seed": -1}}, None),
     "train seed 2**64": ("train-report", {"train": {"seed": 2**64}}, None),
     "negative data_seed": ("loss-vs-variance", {"data_seed": -1}, None),
+    # sigma * z overflows for the largest normals, |z| = 8.2095
+    "variance whose draws overflow": ("loss-vs-variance", {"variance_grid": [1e308]}, None),
+    "sigma_q whose draws overflow": ("train-report", {"sigma_q": 3e307}, None),
 }
 
 
@@ -690,13 +692,14 @@ def test_train_report_with_huge_trained_weights_writes_no_nan(tmp_path):
             assert (value, log_value) in {(0.0, 0.0), (math.inf, math.inf)}, row
 
 
-def _huge_prior_scale_rows(tmp_path):
+def _huge_prior_scale_rows(tmp_path, experiment="gradnorm-vs-variance"):
+    # At depth 1 the squared norms reach inf; at depth 2 the logits overflow.
     config = {"depth_grid": [1, 2], "variance_grid": [1e200], "train_size": 64,
               "heldout_size": 32, "estimator": {"n_weight_samples": 4}}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "o.csv"
-    assert main(["gradnorm-vs-variance", "--config", str(config_path),
+    assert main([experiment, "--config", str(config_path),
                  "--synthetic", "k=2,d=4,n_per_class=64", "--out", str(out)]) == 0
     return read_rows(out)[2]
 
@@ -712,6 +715,32 @@ def test_std_error_of_an_infinite_gradient_norm_is_inf(tmp_path):
     # At depth 1 the squared norms reach inf; inf - inf in std gave nan.
     depth_1 = _huge_prior_scale_rows(tmp_path)[0]
     assert (depth_1["grad_norm_sq_mean"], depth_1["grad_norm_sq_std_error"]) == ("inf", "inf")
+
+
+@pytest.mark.parametrize("experiment,columns", [
+    ("loss-vs-variance", ["avg_prior_loss", "loss_bound"]),
+    ("gradnorm-vs-variance", ["grad_norm_sq_mean", "grad_norm_sq_std_error"]),
+    ("bound-vs-variance", ["value", "log_space_value", "std_error", "loss_bound"]),
+])
+def test_overflowing_logits_give_inf_not_nan(experiment, columns, tmp_path):
+    # Depth 2's logits overflow, so each draw's losses and squared norms
+    # are +inf; inf - inf in the loss gave nan.
+    rows = _huge_prior_scale_rows(tmp_path, experiment)
+    depth_2 = [row for row in rows if row["depth"] == "2"]
+    assert depth_2 and all(row[c] == "inf" for row in depth_2 for c in columns), depth_2
+    assert all(row.get("overflowed", "true") == "true" for row in depth_2)
+
+
+def test_usage_errors_exit_2_with_a_json_record(capsys):
+    for argv, needle in ((["naive-vs-lambda", "--seed", "abc"], "--seed"),
+                         (["naive-vs-lambda", "--bogus"], "--bogus"),
+                         (["no-such-experiment"], "no-such-experiment")):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and needle in err["message"]
+        assert captured.out == ""
 
 
 _SMALL = {"train_size": 64, "heldout_size": 32, "train": {"epochs": 1}}

@@ -436,3 +436,31 @@ def test_nll_logit_gradient_rows_sum_to_zero_and_survive_shift():
     off[[0, 1], y - 1] = False
     assert np.all(g[off] >= 0) and np.all((-1 <= g[~off]) & (g[~off] <= 0))
     assert np.allclose(logit_loss_and_gradient(x + 123.0, y)[1], g)
+
+
+def test_non_finite_logits_give_an_infinite_loss():
+    """A row whose largest logit is not finite has overflowed: its loss is
+    +inf (not inf - inf = nan), in one row or a stack, and every other row
+    keeps its bits; so do the squared input-gradient norms of such a pass."""
+    inf, nan = math.inf, math.nan
+    logits = np.array([[inf, 0.0], [0.0, inf], [-inf, -inf], [nan, 1.0], [inf, -inf],
+                       [-inf, 0.0], [-inf, 0.0], [0.5, -1.5]])
+    y = np.array([1, 1, 2, 2, 2, 1, 2, 1])
+    with np.errstate(invalid="ignore"):
+        losses, g = logit_loss_and_gradient(logits, y)
+        stacked = logit_loss_and_gradient(np.stack([logits, logits]), y)[0]
+    finite_losses, finite_g = logit_loss_and_gradient(logits[6:], y[6:])
+    assert list(losses[:6]) == [inf] * 6
+    assert np.array_equal(losses[6:], finite_losses) and np.isfinite(finite_losses).all()
+    # a -inf logit alone is no overflow: the label's gives loss +inf, a finite gradient
+    assert np.isnan(g[:5]).all() and np.array_equal(g[5], [-1.0, 1.0])
+    assert np.array_equal(g[6:], finite_g)
+    assert np.array_equal(stacked, [losses, losses])
+
+    # Weights so large that the hidden layer's products overflow the logits.
+    arch = MlpArchitecture(4, 2, (3,))
+    p = ParamVector(np.full(arch.param_count(), 1e200), arch)
+    x = np.ones((5, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_losses, sq = loss_and_sq_grad_norms(p, x, np.array([1, 2, 1, 2, 1]))
+    assert np.isinf(sq_losses).all() and np.isinf(sq).all() and (sq > 0).all()
