@@ -186,32 +186,44 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
     The first layer is taken in columns, each the product of the data
     with one first-layer matrix (:func:`gradbound.nets.first_layer_block`).
     A layout's flat vector starts with W1 (fan_out, d), so draw i's W1 at
-    every layout is the first fan_out rows of one (h_max, d) matrix read
-    from row i, and a column of h_max rows can serve every layout:
+    every layout is the first fan_out rows of one wider W1 read from row
+    i, and one column can serve several layouts.  Each family reads the
+    column of its (stream, source) key, computed in one place:
 
-    * Zero-mean families whose first layer narrows (fan_out < d) share
-      their columns across layouts.  With ``grads`` a family's draw is
-      sigma * z_i, so its first-layer pre-activation is sigma * (x @ Z1_i^T
-      + b_i) from the raw normals (the scale path): draw i gets one
-      column, h_max wide, for all of them.  Without ``grads`` draw i gets
-      one column per sigma, x @ (sigma Z1_i)^T, h_max wide.  Each layout
-      takes the first fan_out columns, adds its own first-layer bias and
-      (with ``grads``) scales by each family's sigma into one reused pass
-      buffer.  A layout copies the column before adding its bias, so the
-      column survives for the next; the last one adds it in place.
-    * The other families keep one stream of columns per layout: with
-      ``grads`` one column per draw for the layout's zero-mean families
-      (scaled as above), and one column per (draw, family) pair for the
-      rest, each taking its own bias in place.
+    * stream: one shared stream for the zero-mean families whose first
+      layer narrows (fan_out < d); otherwise the family's layout.
+    * source: for a zero-mean family with ``grads``, the raw normals.  Its
+      draw is sigma * z_i, so its first-layer pre-activation is
+      sigma * (x @ Z1_i^T + b_i) (the scale path).  For a zero-mean family
+      without ``grads``, its sigma, x @ (sigma Z1_i)^T.  Otherwise the
+      family itself.
 
-    Only narrowing layouts share.  There the first GEMM, over d inputs,
-    is a pass's largest cost (d = 784 on desk digits), and one product
-    serves every depth.  Where the first layer widens (d = 16 under
-    1053-wide layers) the product is cheap, and a column padded to h_max
-    would cost memory and time.  A product over many inputs also rounds
-    each column alike whatever the block's width, as measured on
-    OpenBLAS at d = 784; over few (d = 16) it need not, so widening
-    layouts keep their own blocks and bits.
+    A stream has one column per draw and source: the scale path's first,
+    then the others in order of first use.  A column is as wide as the
+    widest first layer among its readers, and comes from that reader's
+    draw.  The scale path's readers are grouped by layout; every other
+    reader is a group of its own.  Each group takes the column's first
+    fan_out entries and adds its own first-layer bias; on the scale path
+    each family then scales them by its sigma into one reused pass
+    buffer.  A group that is not the column's last copies the column
+    before it adds its bias, so the column survives for the next.
+
+    Only narrowing layouts share a stream.  There the first GEMM, over d
+    inputs, is a pass's largest cost (d = 784 on desk digits), and one
+    product serves every depth.  Where the first layer widens (d = 16
+    under 1053-wide layers) the product is cheap, a column padded to the
+    widest layer would cost memory and time, and a block's width can
+    change a column's last bits, so widening layouts keep their own
+    blocks and bits.  Whether a shared column gives a family the bits of
+    a call over its own depth depends on the GEMM's shape.  Under
+    OpenBLAS 0.3.31 (SkylakeX kernel, 1 or 2 threads) at d = 784, over
+    the depths 1-5 of a 20 000-parameter sweep, the 23-25 wide first
+    layers kept their bits at every n from 8 to 600.  The linear model's
+    k-wide column, which a lone depth-1 call computes on its own, kept
+    its bits for n * k > 150 (from n = 51 at k = 3, 76 at k = 2 and 16 at
+    k = 10), and its losses and squared norms moved by up to 2e-13
+    relative for n * k <= 150.  The desk and bench sweeps run on 1024 or
+    more inputs.
 
     Each stream's columns, draw-outer, are taken in chunks of as many as
     fit one (n, total width) float64 block in ``FIRST_LAYER_BLOCK_BYTES``
@@ -244,51 +256,43 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
     losses = [np.empty((n_draws, m)) for _ in families]
     sq_norms = [np.empty((n_draws, m)) if grads else None for _ in families]
 
-    zero_mean = [not f.mean.any() for f in families]
-    shared = [j for j, f in enumerate(families) if zero_mean[j] and _fan_out(f.layout) < d]
-    # A stream lists draw i's columns, each as (scaled, groups): groups are
-    # (layout, family indices) pairs, and the column is as wide as the
-    # widest layout's first layer.
-    streams = []
-    if shared and grads:
-        streams.append([(True, _by_layout(families, shared))])
-    elif shared:
-        sigmas = dict.fromkeys(families[j].stddev for j in shared)
-        streams.append([(False, [(families[j].layout, [j]) for j in shared
-                                 if families[j].stddev == s]) for s in sigmas])
-    rest = [j for j in range(len(families)) if j not in shared]
-    for layout, js in _by_layout(families, rest):
-        scaled = [j for j in js if grads and zero_mean[j]]
-        streams.append([(True, [(layout, scaled)])] * bool(scaled)
-                       + [(False, [(layout, [j])]) for j in js if j not in scaled])
+    # stream -> source -> group -> indices of the families that read the
+    # source's columns; the shared stream and the scale path's source are None.
+    streams = {}
+    for j, f in enumerate(families):
+        zero_mean = not f.mean.any()
+        stream = None if zero_mean and _fan_out(f.layout) < d else f.layout
+        source = f if not zero_mean else None if grads else f.stddev
+        group = f.layout if source is None else j
+        streams.setdefault(stream, {}).setdefault(source, {}).setdefault(group, []).append(j)
 
-    def run(stream):
-        widest = [max(groups, key=lambda g: _fan_out(g[0])) for _, groups in stream]
-        widths = [_fan_out(layout) for layout, _ in widest]
+    def run(sources):
+        widest = [families[max(itertools.chain(*groups.values()),
+                               key=lambda j: _fan_out(families[j].layout))]
+                  for _, groups in sources]
+        widths = [_fan_out(f.layout) for f in widest]
         # Scratch for a pass's scaled first layer and for a column copied
         # before a bias is added, each the front of one flat buffer.
-        scaled_buf = np.empty(m * max(widths)) if any(sc for sc, _ in stream) else None
-        copy_buf = np.empty(m * max(widths)) if any(len(g) > 1 for _, g in stream) else None
+        scaled_buf = np.empty(m * max(widths)) if sources[0][0] is None else None
+        copy_buf = np.empty(m * max(widths)) if any(len(g) > 1 for _, g in sources) else None
 
         def columns():
-            """(draw index, W1, None or the (family, draw) W1 comes from, scaled, groups)"""
+            """(draw index, W1, scaled, groups) per draw and source"""
             for i, row in enumerate(normals):
-                for (scaled, groups), (layout, js) in zip(stream, widest):
-                    drawn = None if scaled else (js[0], families[js[0]].draw(
-                        row[:layout.param_count()]))
-                    w1 = first_layer(layout, row if scaled else drawn[1].values)[0]
-                    yield i, w1, drawn, scaled, groups
+                for (s, groups), f in zip(sources, widest):
+                    w = row if s is None else f.draw(row[:f.layout.param_count()]).values
+                    yield i, first_layer(f.layout, w)[0], s is None, list(groups.values())
 
-        for (i, _, drawn, scaled, groups), column in _in_blocks(
+        for (i, _, scaled, groups), column in _in_blocks(
                 columns(), widths * n_draws, data.inputs):
             row = normals[i]
-            for g, (layout, js) in enumerate(groups):
+            for g, js in enumerate(groups):
+                layout = families[js[0]].layout
                 p = layout.param_count()
                 if not scaled:
-                    (j,) = js
-                    w = drawn[1] if drawn[0] == j else families[j].draw(row[:p])
+                    w = families[js[0]].draw(row[:p])  # the group's one family
                 z1 = column[:, :_fan_out(layout)]
-                if g < len(groups) - 1:  # a later layout reads the column too
+                if g < len(groups) - 1:  # a later group reads the column too
                     copy = _front(copy_buf, z1.shape)
                     copy[...] = z1
                     z1 = copy
@@ -308,20 +312,14 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
                     else:
                         losses[j][i] = batch_losses(w, data.inputs, data.labels, z)
 
-    for stream in streams:
-        run(stream)  # a call of its own, so its buffers go before the next's come
+    for _, sources in sorted(streams.items(), key=lambda s: s[0] is not None):
+        # A call of its own, so its buffers go before the next's come.
+        run(sorted(sources.items(), key=lambda s: s[0] is not None))
     return list(zip(losses, sq_norms))
 
 
 def _fan_out(layout) -> int:
     return layout.layer_dims()[0][1]
-
-
-def _by_layout(families, indices):
-    """(layout, indices of its families) pairs, in order of first use."""
-    layouts = dict.fromkeys(families[j].layout for j in indices)
-    return [(layout, [j for j in indices if families[j].layout == layout])
-            for layout in layouts]
 
 
 def _front(buf: np.ndarray, shape) -> np.ndarray:

@@ -24,10 +24,10 @@ row i of one (draws, largest parameter count) matrix is stream i, and a
 depth of P parameters reads the first P entries of each row, which are
 that depth's own stream i.  One ``bounds.draw_stats`` call computes the
 per-draw losses and squared input-gradient norms of every depth's
-families from the matrix, so depths whose first layer narrows share
-their first-layer products, and each grid point's matrices go, in depth
-order, to the experiment's row builder, which applies the estimator
-reductions the experiment reports.
+families from the matrix (its docstring says which first-layer products
+the depths share), and each grid point's matrices go, in depth order, to
+the experiment's row builder, which applies the estimator reductions the
+experiment reports.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.

@@ -171,9 +171,11 @@ NARROWING = [(), (5,), (4, 4)]
 def test_draw_stats_over_several_narrowing_layouts_matches_per_layout_calls(d, rtol):
     """One call over the families of several depths, as a sweep makes it,
     gives each family the rows of a call over its own depth: its first
-    layer is a slice of a wider column of the same normals.  Over many
-    inputs the BLAS rounds each column alike whatever the block's width,
-    so the rows are the same bits."""
+    layer is a slice of a wider column of the same normals.  Whether the
+    bits match depends on the GEMM's shape: under OpenBLAS a lone k-wide
+    depth-1 column at d = 784 moved in its last bits for n * k <= 150,
+    and matched beyond that.  Here n = 120 and k = 3, and the d = 256
+    rows match bit for bit; d = 12 is checked to rounding."""
     data = small_synth(n=40, d=d, k=3)
     archs, z = _layouts_and_normals(d, 3, NARROWING)
     posterior = GaussianFamily(np.random.default_rng(3).normal(size=archs[1].param_count()),
@@ -187,6 +189,21 @@ def test_draw_stats_over_several_narrowing_layouts_matches_per_layout_calls(d, r
                                                 data, z, grads)]
         _assert_stats_equal(together, alone, rtol)
         _assert_stats_equal(together[:-1], by_layout, rtol)
+
+
+def test_draw_stats_gives_narrower_and_repeated_scale_keys_their_own_call_rows():
+    """A scale key read by the narrowest depth alone (sigma 0.5 here) gets
+    a column only that depth wide, and a sigma given twice for one layout
+    reads one column twice: with and without gradients each family's rows
+    are those of a call over it alone, bit for bit (d = 784, n = 300)."""
+    data = small_synth(n=100, d=784, k=3)
+    archs, z = _layouts_and_normals(784, 3, NARROWING)
+    families = ([prior_family(a, 0.1) for a in archs] + [prior_family(archs[0], 0.5)]
+                + [prior_family(archs[1], 0.1)])
+    for grads in (False, True):
+        together = bd.draw_stats(families, data, z, grads)
+        _assert_stats_equal(together, [bd.draw_stats([f], data, z, grads)[0] for f in families],
+                            rtol=0)
 
 
 def test_draw_stats_shares_one_column_per_draw_and_scale_key_across_narrowing_layouts(

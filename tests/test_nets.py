@@ -56,6 +56,47 @@ def test_equal_param_widths_land_near_target():
         assert len(set(widths)) == 1 and len(widths) == depth - 1
 
 
+def _width_by_linear_search(depth, d, k, target):
+    """The hidden width arch_for_depth picks, found by stepping h up from 1."""
+    def count(h):
+        return MlpArchitecture(d, k, (h,) * (depth - 1)).param_count()
+
+    h = 1
+    while count(h) < target:
+        h += 1
+    if h > 1 and abs(count(h - 1) - target) <= abs(count(h) - target):
+        h -= 1
+    return h
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 10), (16, 2), (16, 10), (784, 2), (784, 10),
+                                 (3, 2)])
+def test_arch_for_depth_matches_a_linear_search(depth, d, k):
+    """The bisection finds the width a step-by-step search finds, on exact
+    counts, between them (either side of the midpoint) and far from them.
+    Counts of consecutive widths differ by an odd number when d + k is
+    even, so only d = 3, k = 2 puts targets on exact ties."""
+    def count(h):
+        return MlpArchitecture(d, k, (h,) * (depth - 1)).param_count()
+
+    targets = {1, 2, count(1), count(1) + 1, 2_000, 20_000}
+    for h in (2, 3, 7, 40):
+        mid = (count(h - 1) + count(h)) // 2
+        targets |= {count(h) - 1, count(h), mid, mid + 1}
+    for target in sorted(targets):
+        expected = _width_by_linear_search(depth, d, k, target)
+        assert arch_for_depth(depth, d, k, target).hidden_widths == (expected,) * (depth - 1)
+
+
+def test_arch_for_depth_takes_the_narrower_width_on_a_tie():
+    # 6h + 2 parameters at d = 3, k = 2: 11 is 3 from both h = 1 and h = 2
+    assert [MlpArchitecture(3, 2, (h,)).param_count() for h in (1, 2)] == [8, 14]
+    assert arch_for_depth(2, 3, 2, 11).hidden_widths == (1,)
+    assert _width_by_linear_search(2, 3, 2, 11) == 1
+    assert arch_for_depth(2, 3, 2, 12).hidden_widths == (2,)
+
+
 def test_forward_identity_linear():
     arch = MlpArchitecture(2, 2)
     p = ParamVector(np.eye(2).ravel(), arch)
