@@ -230,10 +230,10 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
     (at least one).  Each chunk is one GEMM into one block buffer
     allocated per stream and sized for its largest chunk.  ``normals`` is
     only read, so a sweep holds one (S, P_max) float64 matrix, S x P_max x
-    8 bytes, for all its depths.  Each pair continues from its column with
-    one pass over ``data``: a forward pass, or with ``grads`` one
-    forward+backward pass that yields the squared norms without forming
-    the input gradient where the first layer narrows
+    8 bytes, for all its depths.  Each (draw, family) pair continues from
+    its column with one pass over ``data``: a forward pass, or with
+    ``grads`` one forward+backward pass that yields the squared norms
+    without forming the input gradient where the first layer narrows
     (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers 2+ and the
     norms use the family's own weights.  Which path a family takes depends
     only on the family and ``grads``; chunk boundaries depend only on the
@@ -312,8 +312,10 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
                     else:
                         losses[j][i] = batch_losses(w, data.inputs, data.labels, z)
 
+    # The shared stream first, and in each stream the scale path's column
+    # first.  Each stream runs in a call of its own, so its buffers go
+    # before the next's come.
     for _, sources in sorted(streams.items(), key=lambda s: s[0] is not None):
-        # A call of its own, so its buffers go before the next's come.
         run(sorted(sources.items(), key=lambda s: s[0] is not None))
     return list(zip(losses, sq_norms))
 
