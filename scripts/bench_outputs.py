@@ -10,7 +10,7 @@ gives them: the desk digit files are built from the seed with
 experiments run from, with the data paths relative to it, so the embedded
 configs of two trees' outputs compare equal.  Compare two trees with
 
-    scripts/compare_outputs.py PARENT_OUT_DIR NEW_OUT_DIR/*
+    scripts/compare_outputs.py PARENT_OUT_DIR NEW_OUT_DIR
 
 Exits 1 if any experiment exits nonzero.
 """

@@ -3,7 +3,9 @@
 with OLD (or OLD/<name> if OLD is a directory), ignoring the timestamp and the
 embedded config's output path: prints the maximum relative deviation per
 numeric column and every other difference (flags, labels, config, rows, a
-missing file), and exits 1 beyond 1e-12 or on any other one."""
+missing file), and exits 1 beyond 1e-12 or on any other one.  With two
+directories, compare_outputs.py OLD_DIR NEW_DIR compares every file name
+found in either, so a file missing from one of them is a difference."""
 
 import csv
 import io
@@ -64,8 +66,15 @@ def compare(old, new):
     return ok and all(d <= 1e-12 for d in worst.values())
 
 
-if __name__ == "__main__":
-    old, *news = sys.argv[1:] or sys.exit(__doc__)
+def main(old, *news):
+    """The exit status of comparing ``news`` with ``old`` (see the usage)."""
+    if len(news) == 1 and os.path.isdir(old) and os.path.isdir(news[0]):
+        names = sorted(set(os.listdir(old)) | set(os.listdir(news[0])))
+        news = [os.path.join(news[0], name) for name in names]
     results = [compare(os.path.join(old, os.path.basename(n)) if os.path.isdir(old) else old, n)
                for n in news]
-    sys.exit(0 if news and all(results) else 1)
+    return 0 if news and all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]) if sys.argv[1:] else __doc__)

@@ -199,14 +199,17 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
       family itself.
 
     A stream has one column per draw and source: the scale path's first,
-    then the others in order of first use.  A column is as wide as the
-    widest first layer among its readers, and comes from that reader's
-    draw.  The scale path's readers are grouped by layout; every other
-    reader is a group of its own.  Each group takes the column's first
-    fan_out entries and adds its own first-layer bias; on the scale path
-    each family then scales them by its sigma into one reused pass
-    buffer.  A group that is not the column's last copies the column
-    before it adds its bias, so the column survives for the next.
+    then the others in order of first use.  Every column of a stream is
+    as wide as the stream's widest first layer, and its W1 is built from
+    its source alone: the raw z_i on the scale path, sigma * z_i for a
+    sigma, mean + sigma * z_i for a family.  Each (draw, family) pass then
+    draws the family's weights once, and no column draws a weight vector.
+    The scale path's readers are grouped by layout; every other reader is
+    a group of its own.  Each group takes the column's first fan_out
+    entries and adds its own first-layer bias; on the scale path each
+    family then scales them by its sigma into one reused pass buffer.  A
+    group that is not the column's last copies the column before it adds
+    its bias, so the column survives for the next.
 
     Only narrowing layouts share a stream.  There the first GEMM, over d
     inputs, is a pass's largest cost (d = 784 on desk digits), and one
@@ -267,44 +270,43 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
         streams.setdefault(stream, {}).setdefault(source, {}).setdefault(group, []).append(j)
 
     def run(sources):
-        widest = [families[max(itertools.chain(*groups.values()),
-                               key=lambda j: _fan_out(families[j].layout))]
-                  for _, groups in sources]
-        widths = [_fan_out(f.layout) for f in widest]
+        # Every group reads one layout; the stream's columns are as wide as
+        # its widest first layer.
+        top = max((families[js[0]].layout for _, groups in sources for js in groups.values()),
+                  key=_fan_out)
+        width = _fan_out(top)
         # Scratch for a pass's scaled first layer and for a column copied
         # before a bias is added, each the front of one flat buffer.
-        scaled_buf = np.empty(m * max(widths)) if sources[0][0] is None else None
-        copy_buf = np.empty(m * max(widths)) if any(len(g) > 1 for _, g in sources) else None
+        scaled_buf = np.empty(m * width) if sources[0][0] is None else None
+        copy_buf = np.empty(m * width) if any(len(g) > 1 for _, g in sources) else None
 
         def columns():
             """(draw index, W1, scaled, groups) per draw and source"""
             for i, row in enumerate(normals):
-                for (s, groups), f in zip(sources, widest):
-                    w = row if s is None else f.draw(row[:f.layout.param_count()]).values
-                    yield i, first_layer(f.layout, w)[0], s is None, list(groups.values())
+                z = first_layer(top, row)[0]
+                for s, groups in sources:
+                    w1 = (z if s is None else s * z if isinstance(s, float)
+                          else first_layer(top, s.mean)[0] + s.stddev * z)
+                    yield i, w1, s is None, list(groups.values())
 
         for (i, _, scaled, groups), column in _in_blocks(
-                columns(), widths * n_draws, data.inputs):
+                columns(), n_draws * len(sources), width, data.inputs):
             row = normals[i]
             for g, js in enumerate(groups):
                 layout = families[js[0]].layout
-                p = layout.param_count()
-                if not scaled:
-                    w = families[js[0]].draw(row[:p])  # the group's one family
                 z1 = column[:, :_fan_out(layout)]
                 if g < len(groups) - 1:  # a later group reads the column too
                     copy = _front(copy_buf, z1.shape)
                     copy[...] = z1
                     z1 = copy
-                b = first_layer(layout, row if scaled else w.values)[1]
-                if b is not None:
-                    z1 += b
                 for j in js:
+                    w = families[j].draw(row[:layout.param_count()])
+                    if j == js[0]:  # the group's one bias add
+                        b = first_layer(layout, row if scaled else w.values)[1]
+                        if b is not None:
+                            z1 += b
                     z = z1
                     if scaled:
-                        # Formed here, not drawn with the column, so a chunk
-                        # holds no weight vector per scaled family.
-                        w = families[j].draw(row[:p])
                         z = np.multiply(z1, families[j].stddev, out=_front(scaled_buf, z1.shape))
                     if grads:
                         losses[j][i], sq_norms[j][i] = loss_and_sq_grad_norms(
@@ -329,23 +331,15 @@ def _front(buf: np.ndarray, shape) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _in_blocks(columns, widths, x):
-    """Each (draw index, W1, ...) column with its (n, width) view of a
-    first-layer block: the columns, of the given widths, are taken in
-    chunks of as many as fit ``FIRST_LAYER_BLOCK_BYTES`` (at least one),
-    one GEMM each into one buffer sized for the largest chunk."""
+def _in_blocks(columns, count, width, x):
+    """Each of ``count`` (draw index, W1, ...) columns, W1 ``width`` rows,
+    with its (n, width) view of a first-layer block: as many columns per
+    block as fit ``FIRST_LAYER_BLOCK_BYTES`` (at least one), one GEMM each
+    into one buffer sized for the largest block."""
     n = x.shape[0]
-    limit = FIRST_LAYER_BLOCK_BYTES // (8 * n)
-    chunks = []  # [columns, total width]
-    for width in widths:
-        if chunks and chunks[-1][1] + width <= limit:
-            chunks[-1][0] += 1
-            chunks[-1][1] += width
-        else:
-            chunks.append([1, width])
-    block = np.empty(n * max(total for _, total in chunks))
-    for count, _ in chunks:
-        chunk = list(itertools.islice(columns, count))
+    per_block = min(count, max(1, FIRST_LAYER_BLOCK_BYTES // (8 * n * width)))
+    block = np.empty(n * width * per_block)
+    while chunk := list(itertools.islice(columns, per_block)):
         yield from zip(chunk, first_layer_block([c[1] for c in chunk], x, block))
 
 
@@ -436,7 +430,9 @@ def gradnorm_bound_curve(sq_grad_norms: np.ndarray, lambdas, m: int,
     """Expected-gradient-norm bounds from one norm matrix, one per lambda.
 
     Per weight draw the exponent is (2 lam^2 e^b / m) * E||grad_x loss||^2,
-    valid for 0 < lam <= m given the on-average loss bound b.
+    valid for 0 < lam <= m given the on-average loss bound b.  e^b
+    saturates to inf for b >= 700; a draw whose norms are all 0 still
+    has exponent 0.
     """
     lambdas = [float(l) for l in lambdas]
     for lam in lambdas:
@@ -447,7 +443,8 @@ def gradnorm_bound_curve(sq_grad_norms: np.ndarray, lambdas, m: int,
     with np.errstate(over="ignore"):
         scale_b = math.exp(loss_bound) if loss_bound < 700 else float("inf")
         for lam in lambdas:
-            exponents = (2.0 * lam**2 * scale_b / m) * mean_sq
+            exponents = np.multiply(2.0 * lam**2 * scale_b / m, mean_sq, where=mean_sq > 0,
+                                    out=np.zeros_like(mean_sq))
             out.append(_finalize(exponents, n_data=sq_grad_norms.shape[1]))
     return out
 

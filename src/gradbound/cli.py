@@ -480,11 +480,15 @@ def _read_config(path: str) -> dict:
 
 
 def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> SweepSpec:
-    """Merge defaults < per-experiment defaults < config file < flags."""
+    """Merge defaults < per-experiment defaults < config file < flags.
+
+    Within a source, ``seed`` is applied first, so a specific seed in the
+    same source wins over it whatever the key order.
+    """
     merged: dict = dict(_DEFAULTS.get(experiment, {}))
     est, tr = {}, {}
     for src in (file_config, flags):
-        for key, value in src.items():
+        for key, value in sorted(src.items(), key=lambda kv: kv[0] != "seed"):
             if value is None:
                 continue
             if key == "experiment":

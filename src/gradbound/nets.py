@@ -29,25 +29,17 @@ off the cached activations.
 First-layer block
 -----------------
 Many weight draws on one input batch share the batch's first GEMM:
-:func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T`` once into a
-buffer its caller owns and reuses, and hands back one (n, c_k) column
-slice per first-layer matrix W1_k (c_k, d); the caller adds any bias.
-Since a layout's flat vector starts with W1 stored row-major as
-(fan_out, d), the first h rows of a draw's wider W1 are the W1 of every
-narrower layout read from the same normals (:func:`first_layer` slices
-it), so one column can serve several depths.  :func:`batch_losses` and
+:func:`first_layer_block` computes ``x @ [W1_1; W1_2; ...]^T`` for
+first-layer matrices of one width, once, into a buffer its caller owns
+and reuses, and hands back one equal-width (n, c) column view per
+matrix; the caller adds any bias.  :func:`batch_losses` and
 :func:`loss_and_sq_grad_norms` take a first-layer pre-activation as
 ``z1`` and continue the pass from it; ``z1`` is the pass's scratch,
 overwritten by the first ReLU, so a caller hands each column to one pass
 or copies it first.  Without ``z1`` the kernel computes it for their one
-draw, so there is one forward/backward kernel either way.  A column of
-the block can differ from the per-draw product in its last bits, because
-the BLAS may compute a GEMM of another shape differently.  Under
-OpenBLAS 0.3.31 at d = 784, 23-25 wide first layers kept their bits in
-wider blocks at every n from 8 to 600, but a k-wide column computed on
-its own differed from the same rows sliced out of a wider column when
-n * k <= 150.  :func:`gradbound.bounds.draw_stats` gives the figures and
-describes how it shares columns.
+draw, so there is one forward/backward kernel either way.
+:func:`gradbound.bounds.draw_stats` describes how it builds and shares
+the columns, and when a column keeps the bits of a one-draw product.
 """
 
 from __future__ import annotations
@@ -190,17 +182,16 @@ def first_layer_block(w1s: list[np.ndarray], x_batch: np.ndarray,
                       out: np.ndarray) -> list[np.ndarray]:
     """First-layer products of several weight matrices from one GEMM.
 
-    ``w1s`` holds first-layer matrices W1_k (c_k, d), of any widths c_k.
-    Computes x @ [W1_1; W1_2; ...]^T as one (n, sum c_k) block written
-    into the front of ``out``, a flat float64 buffer the caller owns and
-    reuses across blocks, and returns the (n, c_k) column views, in
-    order.  No bias is added.
+    ``w1s`` holds first-layer matrices W1_k (c, d) of one width c.
+    Computes x @ [W1_1; W1_2; ...]^T as one (n, len(w1s) * c) block
+    written into the front of ``out``, a flat float64 buffer the caller
+    owns and reuses across blocks, and returns the (n, c) column views,
+    in order.  No bias is added.
     """
     w1 = np.concatenate(w1s)
     n, cols = x_batch.shape[0], w1.shape[0]
     block = np.matmul(x_batch, w1.T, out=out[:n * cols].reshape(n, cols))
-    edges = np.cumsum([0] + [w.shape[0] for w in w1s])
-    return [block[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
+    return np.split(block, len(w1s), axis=1)
 
 
 def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.ndarray,

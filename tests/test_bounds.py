@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -192,10 +193,11 @@ def test_draw_stats_over_several_narrowing_layouts_matches_per_layout_calls(d, r
 
 
 def test_draw_stats_gives_narrower_and_repeated_scale_keys_their_own_call_rows():
-    """A scale key read by the narrowest depth alone (sigma 0.5 here) gets
-    a column only that depth wide, and a sigma given twice for one layout
-    reads one column twice: with and without gradients each family's rows
-    are those of a call over it alone, bit for bit (d = 784, n = 300)."""
+    """A scale key read by the narrowest depth alone (sigma 0.5 here) takes
+    the front of a column as wide as the widest depth's first layer, and a
+    sigma given twice for one layout reads one column twice: with and
+    without gradients each family's rows are those of a call over it
+    alone, bit for bit (d = 784, n = 300)."""
     data = small_synth(n=100, d=784, k=3)
     archs, z = _layouts_and_normals(784, 3, NARROWING)
     families = ([prior_family(a, 0.1) for a in archs] + [prior_family(archs[0], 0.5)]
@@ -223,6 +225,41 @@ def test_draw_stats_shares_one_column_per_draw_and_scale_key_across_narrowing_la
         # (columns, total width) per block: every stream fits one block here
         widths = [(cols, nbytes // (8 * data.m)) for cols, nbytes in chunks]
         assert widths == [(s * keys, s * keys * h_max), (s * keys, s * keys * 20)]
+
+
+def test_draw_stats_makes_every_column_of_a_stream_its_widest_layer_wide(monkeypatch):
+    """A scale key read only by the narrowest depth (sigma 0.5 at depth 1,
+    3 wide) still gets columns h_max = 5 wide: every block of a stream
+    holds columns of one width."""
+    data = small_synth(n=24, d=12, k=3)
+    archs, z = _layouts_and_normals(12, 3, NARROWING)
+    families = [prior_family(a, 0.1) for a in archs] + [prior_family(archs[0], 0.5)]
+    chunks, _ = _record_chunks(monkeypatch)
+    column_bytes = 8 * data.m * 5
+    monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", 3 * column_bytes)
+    bd.draw_stats(families, data, z, grads=False)
+    assert sum(cols for cols, _ in chunks) == 2 * CFG.n_weight_samples
+    assert all(nbytes == cols * column_bytes for cols, nbytes in chunks)
+
+
+def test_draw_stats_draws_each_family_once_per_draw(monkeypatch):
+    """Each (draw, family) pass draws the family's weights once, and no
+    column draws a weight vector of its own: S draws per family, with and
+    without gradients (d = 784, three narrowing depths with sigma 0.05 and
+    0.4 each, and a posterior)."""
+    data = small_synth(n=24, d=784, k=3)
+    archs, z = _layouts_and_normals(784, 3, NARROWING)
+    posterior = GaussianFamily(np.random.default_rng(3).normal(size=archs[1].param_count()),
+                               0.2, archs[1])
+    families = [prior_family(a, s) for a in archs for s in (0.05, 0.4)] + [posterior]
+    calls = []
+    draw = GaussianFamily.draw
+    monkeypatch.setattr(GaussianFamily, "draw", lambda f, z: calls.append(f) or draw(f, z))
+    for grads in (False, True):
+        calls.clear()
+        bd.draw_stats(families, data, z, grads)
+        assert len(calls) == CFG.n_weight_samples * len(families) == 56
+        assert collections.Counter(calls) == dict.fromkeys(families, CFG.n_weight_samples)
 
 
 def test_draw_stats_is_prefix_stable():
@@ -570,6 +607,16 @@ def test_gradnorm_bound_degenerate_prior(synth2):
     prior = prior_family(arch, 1e-30)
     est = bd.gradnorm_bound_curve(stats_of(prior, synth2)[1], [4.0], synth2.m, 1.0)[0]
     assert abs(est.log_space_value) < 1e-9
+
+
+def test_gradnorm_bound_of_zero_norm_draws_past_the_saturated_loss_bound():
+    # b >= 700 saturates e^b to inf: a draw with all-zero norms keeps
+    # exponent 0 (inf * 0 would give nan), one with positive norms is inf.
+    zero, mixed = np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+    [est] = bd.gradnorm_bound_curve(zero, [2.0], 3, 700.0)
+    assert (est.value, est.log_space_value, est.overflowed) == (0.0, 0.0, False)
+    [est] = bd.gradnorm_bound_curve(mixed, [2.0], 3, 700.0)
+    assert (est.value, est.log_space_value, est.overflowed) == (math.inf, math.inf, True)
 
 
 def test_gradnorm_bound_rejects_lambda_above_m(synth2):

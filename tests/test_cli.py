@@ -83,6 +83,16 @@ def test_spec_merge_precedence():
     assert spec.estimator.n_weight_samples == 3
 
 
+@pytest.mark.parametrize("specific_first", [False, True])
+def test_a_specific_seed_beats_the_files_seed_in_either_key_order(specific_first):
+    items = [("seed", 3), ("estimator", {"seed": 5}), ("data_seed", 7)]
+    file_config = dict(items[::-1] if specific_first else items)
+    spec = _spec_from_sources("loss-vs-variance", file_config, {})
+    assert (spec.estimator.seed, spec.data_seed, spec.train.seed) == (5, 7, 3)
+    flagged = _spec_from_sources("loss-vs-variance", file_config, {"seed": 9})
+    assert (flagged.estimator.seed, flagged.data_seed, flagged.train.seed) == (9, 9, 9)
+
+
 def test_spec_validation_errors():
     with pytest.raises(ConfigError):
         SweepSpec(experiment="nope")
@@ -729,6 +739,22 @@ def test_overflowing_logits_give_inf_not_nan(experiment, columns, tmp_path):
     depth_2 = [row for row in rows if row["depth"] == "2"]
     assert depth_2 and all(row[c] == "inf" for row in depth_2 for c in columns), depth_2
     assert all(row.get("overflowed", "true") == "true" for row in depth_2)
+
+
+def test_saturated_loss_bound_with_zero_gradient_draws_gives_inf_not_nan(tmp_path):
+    # sigma 300 saturates the one held-out example's softmax: a draw's
+    # squared norm is 0 (true class) or huge, and the loss bound b is
+    # past 700, where e^b saturates to inf; inf * 0 gave nan.
+    config = {"variance_grid": [300.0], "depth_grid": [1], "train_size": 64,
+              "heldout_size": 1, "estimator": {"n_weight_samples": 8}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    assert main(["bound-vs-variance", "--config", str(config_path), "--seed", "1",
+                 "--synthetic", "k=2,d=4,n_per_class=64", "--out", str(out)]) == 0
+    rows = read_rows(out)[2]
+    assert [float(row["loss_bound"]) > 700 for row in rows] == [True, True]
+    assert all(row[c] == "inf" for row in rows for c in ("value", "log_space_value")), rows
 
 
 def test_usage_errors_exit_2_with_a_json_record(capsys):

@@ -47,3 +47,13 @@ def test_new_file_without_old_counterpart_is_a_difference(tmp_path, capsys):
     new = write_csv(tmp_path / "new" / "b.csv", "b.csv")
     assert not compare_outputs.compare(str(tmp_path / "old" / "b.csv"), new)
     assert "missing" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("only_in", ["old", "new"])
+def test_directories_compare_every_name_found_in_either(only_in, tmp_path, capsys):
+    for side in ("old", "new"):
+        write_csv(tmp_path / side / "a.csv", "a.csv")
+    assert compare_outputs.main(str(tmp_path / "old"), str(tmp_path / "new")) == 0
+    write_csv(tmp_path / only_in / "b.csv", "b.csv")
+    assert compare_outputs.main(str(tmp_path / "old"), str(tmp_path / "new")) == 1
+    assert "b.csv: missing" in capsys.readouterr().out
