@@ -170,7 +170,7 @@ def _finalize(exponents: np.ndarray, n_data: int,
 
 
 def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np.ndarray,
-               grads: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+               grads: bool, scale: bool = True) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per family and weight draw: losses[S, n] and sq_grad_norms[S, n].
 
     ``families`` share one input dimension d; their layouts may differ
@@ -181,7 +181,9 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
     (losses, sq_grad_norms) pair per family, in order; sq_grad_norms is
     None without ``grads``.  Row i of each belongs to draw i, a function
     of (seed, i) alone when ``normals`` comes from
-    :func:`gradbound.gaussians.normal_rows`.
+    :func:`gradbound.gaussians.normal_rows`.  ``scale`` puts the zero-mean
+    families on the scale path (below); each experiment states its choice
+    in :data:`gradbound.cli._SWEEPS`.
 
     The first layer is taken in columns, each the product of the data
     with one first-layer matrix (:func:`gradbound.nets.first_layer_block`).
@@ -192,10 +194,10 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
 
     * stream: one shared stream for the zero-mean families whose first
       layer narrows (fan_out < d); otherwise the family's layout.
-    * source: for a zero-mean family with ``grads``, the raw normals.  Its
+    * source: for a zero-mean family with ``scale``, the raw normals.  Its
       draw is sigma * z_i, so its first-layer pre-activation is
       sigma * (x @ Z1_i^T + b_i) (the scale path).  For a zero-mean family
-      without ``grads``, its sigma, x @ (sigma Z1_i)^T.  Otherwise the
+      without ``scale``, its sigma, x @ (sigma Z1_i)^T.  Otherwise the
       family itself.
 
     A stream has one column per draw and source: the scale path's first,
@@ -239,15 +241,19 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
     without forming the input gradient where the first layer narrows
     (:func:`gradbound.nets.loss_and_sq_grad_norms`); layers 2+ and the
     norms use the family's own weights.  Which path a family takes depends
-    only on the family and ``grads``; chunk boundaries depend only on the
+    only on the family and ``scale``; chunk boundaries depend only on the
     column index, so fewer draws (a prefix of the rows of ``normals``) give
     a prefix of the rows.
 
     A scaled row can differ from a one-draw pass in its last bits, since
     sigma * (x @ Z1^T + b) rounds differently from x @ (sigma Z1)^T +
-    sigma b.  Forward-only passes keep one column per sigma because the
-    naive estimator's exponent amplifies last-bit loss changes 1e5-1e6
-    times.
+    sigma b.  Only the naive estimator's sweep keeps one column per sigma
+    (``scale`` false): its exponent amplifies last-bit loss changes
+    1e5-1e6 times, so its rows stay those of a one-draw pass.  The other
+    sweeps take the scale path with or without ``grads``, so a draw's one
+    product serves every sigma, and a forward-only family's losses are
+    the bits of its gradient pass's losses: the same scaled first layer,
+    the same forward pass and the same loss kernel.
     """
     d = families[0].layout.input_dim
     if any(f.layout.input_dim != d for f in families):
@@ -265,7 +271,7 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
     for j, f in enumerate(families):
         zero_mean = not f.mean.any()
         stream = None if zero_mean and _fan_out(f.layout) < d else f.layout
-        source = f if not zero_mean else None if grads else f.stddev
+        source = f if not zero_mean else None if scale else f.stddev
         group = f.layout if source is None else j
         streams.setdefault(stream, {}).setdefault(source, {}).setdefault(group, []).append(j)
 

@@ -27,7 +27,8 @@ per-draw losses and squared input-gradient norms of every depth's
 families from the matrix (its docstring says which first-layer products
 the depths share), and each grid point's matrices go, in depth order, to
 the experiment's row builder, which applies the estimator reductions the
-experiment reports.
+experiment reports.  A sweep gathers only the data split it reads (see
+``_SWEEPS``); m is the train split's size whether or not it is gathered.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
@@ -195,12 +196,14 @@ def build_synthetic(spec_text: str, seed: int) -> LabeledDataset:
         raise ConfigError(f"synthetic spec {spec_text!r}: {exc}") from exc
 
 
-def resolve_dataset(spec: SweepSpec) -> tuple[LabeledDataset, LabeledDataset]:
+def resolve_dataset(spec: SweepSpec, reads: tuple[bool, bool] = (True, True)
+                    ) -> tuple[LabeledDataset | int, LabeledDataset | int]:
     """(train, heldout) splits of the configured source.
 
     Both sources take one path: the subset and the split are picked from
     the labels alone, and each side's rows are gathered once from the
-    source's rows (u8 pixels for IDX files) by ``take``.
+    source's rows (u8 pixels for IDX files) by ``take``.  A side whose
+    ``reads`` flag is false is not gathered: its place holds its row count.
     """
     if spec.images_path or spec.labels_path:
         if not (spec.images_path and spec.labels_path):
@@ -224,7 +227,8 @@ def resolve_dataset(spec: SweepSpec) -> tuple[LabeledDataset, LabeledDataset]:
             f"dataset has {labels.size} examples, need {n_need} (train + heldout)")
     keep = stratified_sample(labels, n_need, spec.data_seed)
     sides = split(labels[keep], spec.train_size / n_need, spec.data_seed)
-    return tuple(take(rows, labels, k, keep[idx]) for idx in sides)
+    return tuple(take(rows, labels, k, keep[idx]) if read else idx.size
+                 for read, idx in zip(reads, sides))
 
 
 def _bound_cells(est: bd.BoundEstimate) -> dict:
@@ -323,16 +327,19 @@ def _train_report_rows(spec, m, arch, point, losses, sq_norms):
     return [{**row, "kl": kl, "loss_bound": b, "l_d_proxy": "heldout"}]
 
 
-# experiment -> (a depth's (family, cells) per grid point, stats on the train
-# split rather than the held-out one, squared gradient norms needed, row
-# builder)
+# experiment -> (a depth's (family, cells) per grid point, the (train,
+# heldout) splits it reads, squared gradient norms needed, zero-mean
+# families on draw_stats's scale path, row builder).  The stats are on the
+# held-out split wherever it is read.  naive-vs-lambda alone keeps one
+# first-layer column per sigma: its exponent amplifies last-bit loss
+# changes 1e5-1e6 times.
 _SWEEPS = {
-    "naive-vs-lambda": (_priors, True, False, _naive_rows),
-    "gradnorm-vs-variance": (_priors, False, True, _gradnorm_rows),
-    "loss-vs-variance": (_priors, False, False, _loss_rows),
-    "bound-vs-variance": (_priors, False, True, _bound_rows),
-    "fit-subgamma": (_priors, False, True, _fit_subgamma_rows),
-    "train-report": (_trained_posteriors, False, True, _train_report_rows),
+    "naive-vs-lambda": (_priors, (True, False), False, False, _naive_rows),
+    "gradnorm-vs-variance": (_priors, (False, True), True, True, _gradnorm_rows),
+    "loss-vs-variance": (_priors, (False, True), False, True, _loss_rows),
+    "bound-vs-variance": (_priors, (False, True), True, True, _bound_rows),
+    "fit-subgamma": (_priors, (False, True), True, True, _fit_subgamma_rows),
+    "train-report": (_trained_posteriors, (True, True), True, True, _train_report_rows),
 }
 
 EXPERIMENTS = (*_SWEEPS, "identity-checks")
@@ -340,19 +347,22 @@ EXPERIMENTS = (*_SWEEPS, "identity-checks")
 
 def _sweep(spec, train_set, heldout):
     """The depth x variance grid: one family per point, and one draw_stats
-    call and one matrix of standard normals for every depth."""
-    families_at, on_train, grads, rows_at = _SWEEPS[spec.experiment]
-    data = train_set if on_train else heldout
-    archs = [arch_for_depth(depth, train_set.dim, train_set.class_count,
-                            spec.mlp_target_params) for depth in spec.depth_grid]
+    call and one matrix of standard normals for every depth.  An unread
+    split is its row count, as ``resolve_dataset`` gives it."""
+    families_at, reads, grads, scale, rows_at = _SWEEPS[spec.experiment]
+    m = train_set.m if reads[0] else train_set
+    data = heldout if reads[1] else train_set
+    archs = [arch_for_depth(depth, data.dim, data.class_count, spec.mlp_target_params)
+             for depth in spec.depth_grid]
     normals = normal_rows(spec.estimator.seed, spec.estimator.n_weight_samples,
                           max(arch.param_count() for arch in archs))
     points = [(depth, arch, point) for depth, arch in zip(spec.depth_grid, archs)
               for point in families_at(spec, arch, train_set, heldout)]
-    stats = bd.draw_stats([family for _, _, (family, _) in points], data, normals, grads)
+    stats = bd.draw_stats([family for _, _, (family, _) in points], data, normals, grads,
+                          scale)
     rows = []
     for (depth, arch, (_, cells)), (losses, sq_norms) in zip(points, stats):
-        rows += rows_at(spec, train_set.m, arch, {"depth": depth, **cells}, losses, sq_norms)
+        rows += rows_at(spec, m, arch, {"depth": depth, **cells}, losses, sq_norms)
     return rows
 
 
@@ -450,7 +460,7 @@ def run(spec: SweepSpec) -> int:
         rows = _identity_check_rows(spec)
         all_passed = all(row["passed"] for row in rows)
     else:
-        train_set, heldout = resolve_dataset(spec)
+        train_set, heldout = resolve_dataset(spec, _SWEEPS[spec.experiment][1])
         rows = _sweep(spec, train_set, heldout)
         all_passed = True
 

@@ -149,11 +149,12 @@ def synth_gaussian(k: int, d: int, class_means: np.ndarray, sigma: float,
         raise ValueError(f"class_means must have shape ({k}, {d})")
     if sigma <= 0 or n_per_class < 1 or k > MAX_SYNTH_CLASSES:
         raise ValueError(f"need sigma > 0, n_per_class >= 1 and k <= {MAX_SYNTH_CLASSES}")
-    blocks = []
-    for y in range(1, k + 1):
+    inputs = np.empty((k, n_per_class, d))
+    for y, block in enumerate(inputs, start=1):
         z = standard_normal(seed, SYNTH_STREAM + y, n_per_class * d).reshape(n_per_class, d)
-        blocks.append(class_means[y - 1] + sigma * z)
-    inputs = np.vstack(blocks)
+        np.multiply(sigma, z, out=block)
+        block += class_means[y - 1]  # mean + sigma * z: the sum commutes exactly
+    inputs = inputs.reshape(k * n_per_class, d)
     labels = np.repeat(np.arange(1, k + 1), n_per_class)
     return LabeledDataset(inputs, labels, class_count=k)
 

@@ -79,8 +79,10 @@ def standard_normal(seed: int, stream: int, n: int) -> np.ndarray:
     """
     rng = stream_rng(seed, stream)
     r = rng.integers(0, _U52, size=n, dtype=np.uint64)
-    u = (r.astype(np.float64) + 0.5) / float(_U52)
-    return ndtri(u)
+    u = r.astype(np.float64)
+    u += 0.5
+    u /= float(_U52)
+    return ndtri(u, out=u)
 
 
 def normal_rows(seed: int, count: int, n: int) -> np.ndarray:

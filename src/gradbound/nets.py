@@ -26,6 +26,15 @@ entering it; the backward pass takes the loss and its logit gradient
 from one :func:`logit_loss_and_gradient` call and reads each ReLU mask
 off the cached activations.
 
+Loss kernel
+-----------
+:func:`logit_loss_and_gradient` is the one loss kernel: a gradient pass
+takes the losses and the softmax gradient from it, and a forward-only
+pass (:func:`logit_loss`) takes the losses alone, the same bits, without
+forming the gradient.  It takes the class max one class column at a
+time (:func:`_class_max`), which is exact in any order, and the class
+sum as numpy's pairwise ``sum``, whose order sets the loss's bits.
+
 First-layer block
 -----------------
 Many weight draws on one input batch share the batch's first GEMM:
@@ -229,35 +238,50 @@ def batch_forward(params: ParamVector, x_batch: np.ndarray) -> np.ndarray:
     return _forward_cached(params.layout, params.values, x_batch)[1]
 
 
-def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example NLL and its gradient with respect to the logits
-    (..., n, k); y_batch holds n 1-based labels.
+def _class_max(logits: np.ndarray) -> np.ndarray:
+    """``logits.max(axis=-1)``, bit for bit, taken one class column at a
+    time: max is exact in any order, and numpy's reduction over a short
+    last axis costs several times the k elementwise maxima."""
+    tmax = logits[..., 0].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(tmax, logits[..., j], out=tmax)
+    return tmax
+
+
+def logit_loss_and_gradient(logits: np.ndarray, y_batch: np.ndarray, grad: bool = True
+                            ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-example NLL and, with ``grad``, its gradient with respect to the
+    logits (..., n, k); y_batch holds n 1-based labels.  Without ``grad``
+    the gradient is None and never formed.
 
     The loss is (max - t_y) + log sum exp(t - max), whose shift cancels
     before any large intermediate forms, so adding a constant to all
     logits leaves it unchanged to the last bit; the gradient
-    softmax(t) - e_y comes from the same shifted exponentials.  A row
-    whose largest logit is not finite (a logit is nan or +inf, or all are
-    -inf) has overflowed: its loss is +inf and its gradient row nan.
+    softmax(t) - e_y comes from the same shifted exponentials.  The class
+    sum stays numpy's pairwise ``sum``, whose order sets the loss's bits.
+    A row whose largest logit is not finite (a logit is nan or +inf, or
+    all are -inf) has overflowed: its loss is +inf and its gradient row nan.
     """
     y0 = np.asarray(y_batch, dtype=np.int64) - 1
     rows = np.arange(logits.shape[-2])
-    tmax = logits.max(axis=-1)
-    e = np.exp(logits - tmax[..., None])
+    tmax = _class_max(logits)
+    e = np.subtract(logits, tmax[..., None])
+    np.exp(e, out=e)
     spread = e.sum(axis=-1)
-    g = e / spread[..., None]
-    g[..., rows, y0] -= 1.0
     losses = (tmax - logits[..., rows, y0]) + np.log(spread)
     overflowed = ~np.isfinite(tmax)
     if overflowed.any():
         losses[overflowed] = np.inf  # inf - inf would give nan
-    return losses, g
+    if not grad:
+        return losses, None
+    e /= spread[..., None]
+    e[..., rows, y0] -= 1.0
+    return losses, e
 
 
 def logit_loss(logits: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
     """Per-example loss from logits, as in :func:`logit_loss_and_gradient`."""
-    return logit_loss_and_gradient(logits, y_batch)[0]
+    return logit_loss_and_gradient(logits, y_batch, grad=False)[0]
 
 
 def batch_losses(params: ParamVector, x_batch, y_batch,

@@ -1,8 +1,18 @@
-import numpy as np
-import pytest
+import os
+import sys
 
-from gradbound.datasets import load_idx, split, synth_gaussian, take
-from gradbound.deskdata import build_desk_idx
+# Set before gradbound is imported, and inherited by every subprocess the
+# tests start from os.environ (the hermetic ones set it themselves): a test
+# run leaves no src/gradbound/__pycache__, whose bytecode would make a
+# later benchmark of this tree read faster than a fresh checkout.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gradbound.datasets import load_idx, split, synth_gaussian, take  # noqa: E402
+from gradbound.deskdata import build_desk_idx  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -98,10 +98,11 @@ def test_log_mgf_monotone_on_model_draws():
 
 
 def test_draw_stats_matches_per_draw_passes():
-    """Forward-only rows and a non-zero-mean family's rows are a one-draw
-    pass bit for bit.  A zero-mean family's gradient rows take their first
-    layer as sigma times the product of the raw normals z_i, so they match
-    the one-draw pass to rounding."""
+    """Rows off the scale path (a non-zero-mean family's, or forward-only
+    rows with ``scale=False``) are a one-draw pass bit for bit.  On the
+    scale path a zero-mean family takes its first layer as sigma times the
+    product of the raw normals z_i, so its rows match the one-draw pass to
+    rounding, and its forward-only losses are its gradient losses."""
     data = small_synth(n=24)
     arch = MlpArchitecture(data.dim, data.class_count, (5,))
     posterior = GaussianFamily(np.random.default_rng(3).normal(size=arch.param_count()),
@@ -110,8 +111,10 @@ def test_draw_stats_matches_per_draw_passes():
         losses, sq_norms = stats_of(family, data)
         assert losses.shape == sq_norms.shape == (CFG.n_weight_samples, data.m)
         [(forward_only, none)] = bd.draw_stats([family], data, normals(CFG, arch),
-                                               grads=False)
+                                               grads=False, scale=False)
         assert none is None
+        [(scale_path, _)] = bd.draw_stats([family], data, normals(CFG, arch), grads=False)
+        assert np.array_equal(scale_path, losses)
         for i, w in enumerate(sample(family, CFG.seed, CFG.n_weight_samples)):
             assert np.array_equal(forward_only[i], batch_losses(w, data.inputs, data.labels))
             g = batch_input_grads(w, data.inputs, data.labels)
@@ -211,17 +214,17 @@ def test_draw_stats_gives_narrower_and_repeated_scale_keys_their_own_call_rows()
 def test_draw_stats_shares_one_column_per_draw_and_scale_key_across_narrowing_layouts(
         monkeypatch):
     """Zero-mean families of narrowing layouts share one h_max-wide column
-    per draw and scale key: the raw normals with gradients, each sigma
-    without.  A widening layout in the same call keeps its own columns,
-    fan_out wide and not padded to h_max."""
+    per draw and scale key: the raw normals on the scale path, with or
+    without gradients, and each sigma off it.  A widening layout in the
+    same call keeps its own columns, fan_out wide and not padded to h_max."""
     data = small_synth(n=24, d=12, k=3)
     archs, z = _layouts_and_normals(12, 3, NARROWING + [(20,)])
     families = [prior_family(a, s) for a in archs for s in (0.1, 0.5)]
     chunks, _ = _record_chunks(monkeypatch)
     s, h_max = CFG.n_weight_samples, 5
-    for grads, keys in ((True, 1), (False, 2)):
+    for grads, scale, keys in ((True, True, 1), (False, True, 1), (False, False, 2)):
         chunks.clear()
-        bd.draw_stats(families, data, z, grads)
+        bd.draw_stats(families, data, z, grads, scale)
         # (columns, total width) per block: every stream fits one block here
         widths = [(cols, nbytes // (8 * data.m)) for cols, nbytes in chunks]
         assert widths == [(s * keys, s * keys * h_max), (s * keys, s * keys * 20)]
@@ -229,15 +232,15 @@ def test_draw_stats_shares_one_column_per_draw_and_scale_key_across_narrowing_la
 
 def test_draw_stats_makes_every_column_of_a_stream_its_widest_layer_wide(monkeypatch):
     """A scale key read only by the narrowest depth (sigma 0.5 at depth 1,
-    3 wide) still gets columns h_max = 5 wide: every block of a stream
-    holds columns of one width."""
+    3 wide, off the scale path) still gets columns h_max = 5 wide: every
+    block of a stream holds columns of one width."""
     data = small_synth(n=24, d=12, k=3)
     archs, z = _layouts_and_normals(12, 3, NARROWING)
     families = [prior_family(a, 0.1) for a in archs] + [prior_family(archs[0], 0.5)]
     chunks, _ = _record_chunks(monkeypatch)
     column_bytes = 8 * data.m * 5
     monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", 3 * column_bytes)
-    bd.draw_stats(families, data, z, grads=False)
+    bd.draw_stats(families, data, z, grads=False, scale=False)
     assert sum(cols for cols, _ in chunks) == 2 * CFG.n_weight_samples
     assert all(nbytes == cols * column_bytes for cols, nbytes in chunks)
 
@@ -325,10 +328,10 @@ def _record_chunks(monkeypatch):
 
 
 def test_draw_stats_chunks_stay_within_budget(monkeypatch):
-    """The budget counts first-layer columns: with gradients, one per draw
-    for the zero-mean families, plus one per (draw, family) pair of the
-    others; without, one per pair.  Every block of a call is written into
-    one buffer, sized for the call's largest chunk."""
+    """The budget counts first-layer columns: on the scale path, one per
+    draw for the zero-mean families, plus one per (draw, family) pair of
+    the others; off it, one per pair.  Every block of a call is written
+    into one buffer, sized for the call's largest chunk."""
     data = small_synth(n=24)
     arch = MlpArchitecture(data.dim, data.class_count, (6,))
     posterior = GaussianFamily(np.random.default_rng(3).normal(size=arch.param_count()),
@@ -336,13 +339,14 @@ def test_draw_stats_chunks_stay_within_budget(monkeypatch):
     families = [prior_family(arch, s) for s in (0.1, 0.3, 0.5)] + [posterior]
     column_bytes = 8 * data.m * 6
     chunks, buffers = _record_chunks(monkeypatch)
-    for grads, columns in ((True, 8 * 2), (False, 8 * 4)):
+    for grads, scale, columns in ((True, True, 8 * 2), (False, True, 8 * 2),
+                                  (False, False, 8 * 4)):
         for budget, per_chunk in [(3 * column_bytes + 100, 3), (column_bytes - 1, 1),
                                   (1 << 40, columns)]:
             chunks.clear()
             buffers.clear()
             monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-            bd.draw_stats(families, data, normals(CFG, arch), grads)
+            bd.draw_stats(families, data, normals(CFG, arch), grads, scale)
             full, rest = divmod(columns, per_chunk)
             assert [cols for cols, _ in chunks] == [per_chunk] * full + [rest] * (rest > 0)
             assert all(nbytes <= budget or cols == 1 for cols, nbytes in chunks)
@@ -406,9 +410,10 @@ def test_kernel_never_writes_caller_data(hidden):
 def test_draw_stats_wide_layer_peak_memory():
     """Past the chunk budget each first-layer column is its own block, all
     written into one buffer, and each hidden ReLU overwrites its own
-    pre-activation: a forward pass holds about one column of (n, h)
-    float64 arrays, and a gradient pass adds the scaled buffer and the
-    backward pass's gradient (the gauss-wide depth-2 shape, scaled down)."""
+    pre-activation: a forward pass off the scale path holds about one
+    column of (n, h) float64 arrays, the scale path adds the scaled
+    buffer, and a gradient pass adds the backward pass's gradient (the
+    gauss-wide depth-2 shape, scaled down)."""
     n, h = 512, 2000
     rng = np.random.default_rng(0)
     data = LabeledDataset(rng.normal(size=(n, 8)), 1 + np.arange(n) % 3, 3)
@@ -417,11 +422,11 @@ def test_draw_stats_wide_layer_peak_memory():
     families = [prior_family(arch, s) for s in (0.1, 0.5)]
     # held by the sweep for the whole run, so not counted against one call
     z = normals(bd.EstimatorConfig(n_weight_samples=4, seed=1), arch)
-    for grads, columns in ((False, 1.5), (True, 3.5)):
-        bd.draw_stats(families, data, z, grads)  # warm call
+    for grads, scale, columns in ((False, False, 1.5), (False, True, 2.5), (True, True, 3.5)):
+        bd.draw_stats(families, data, z, grads, scale)  # warm call
         tracemalloc.start()
         try:
-            bd.draw_stats(families, data, z, grads)
+            bd.draw_stats(families, data, z, grads, scale)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -326,6 +326,56 @@ def test_every_row_has_exactly_the_columns(experiment, tmp_path):
     assert all(set(row) == set(doc["columns"]) for row in doc["rows"])
 
 
+@pytest.mark.parametrize("synthetic,sizes,depths,variances,target,seed", [
+    # d = 784 under 25-wide first layers, and the k-wide linear model
+    ("k=3,d=784,n_per_class=120,sep=2.5", (200, 160), (1, 2, 3), (0.01, 0.1, 0.5), 20_000, 3),
+    # d = 16 under 158- and 46-wide hidden layers
+    ("k=2,d=16,n_per_class=100,sep=3.0", (100, 100), (2, 3), (0.05, 0.3, 0.7), 3000, 5),
+], ids=["narrowing", "widening"])
+def test_loss_bound_of_loss_vs_variance_is_bound_vs_variances(
+        synthetic, sizes, depths, variances, target, seed, tmp_path):
+    """loss-vs-variance's priors take draw_stats's scale path, as the
+    gradient sweeps' do, and the loss kernel gives a forward-only pass the
+    losses of a gradient pass: its loss_bound is bound-vs-variance's bit
+    for bit at every (depth, sigma)."""
+    loss_bounds = []
+    for experiment in ("loss-vs-variance", "bound-vs-variance"):
+        spec = small_spec(experiment, tmp_path, synthetic=synthetic, train_size=sizes[0],
+                          heldout_size=sizes[1], depth_grid=depths, variance_grid=variances,
+                          mlp_target_params=target, data_seed=seed,
+                          estimator=bd.EstimatorConfig(n_weight_samples=6, seed=seed))
+        assert run(spec) == 0
+        rows = read_rows(tmp_path / f"{experiment}.csv")[2]
+        loss_bounds.append({(r["depth"], r["sigma_p"]): r["loss_bound"] for r in rows})
+    loss_rows, bound_rows = loss_bounds
+    assert len(loss_rows) == len(depths) * len(variances)
+    assert bound_rows == loss_rows
+
+
+def test_a_sweep_gathers_only_the_splits_it_reads(monkeypatch, tmp_path):
+    """Held-out sweeps gather no train rows, naive-vs-lambda no held-out
+    rows and train-report both; m is the train split's size throughout."""
+    gathered = []
+    take = cli_module.take
+
+    def counted(rows, labels, k, idx):
+        gathered.append(idx.size)
+        return take(rows, labels, k, idx)
+
+    monkeypatch.setattr(cli_module, "take", counted)
+    for experiment, sides in [("loss-vs-variance", [256]), ("gradnorm-vs-variance", [256]),
+                              ("bound-vs-variance", [256]), ("fit-subgamma", [256]),
+                              ("naive-vs-lambda", [1024]), ("train-report", [1024, 256])]:
+        gathered.clear()
+        spec = small_spec(experiment, tmp_path, depth_grid=(1,), variance_grid=(0.1,),
+                          lambda_grid=(1.0,), train=TrainConfig(epochs=1, seed=5))
+        assert run(spec) == 0
+        assert gathered == sides, experiment
+    rows = read_rows(tmp_path / "bound-vs-variance.csv")[2]
+    assert [r["lam"] for r in rows] == [repr(math.sqrt(1024)), "1024.0"]
+    assert read_rows(tmp_path / "naive-vs-lambda.csv")[2][0]["n_data_points"] == "1024"
+
+
 # ------------------------------------------------------- passes per draw
 
 
@@ -663,7 +713,8 @@ def test_module_entry_point(tmp_path):
          "--out", str(out), "--seed", "2"],
         capture_output=True, text=True, timeout=300,
         # Hermetic environment, but the child imports the package under test.
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == EXIT_DATA  # 128 examples < default 4096+1024
     err = json.loads(proc.stderr)
@@ -680,7 +731,8 @@ def test_readme_library_imports_resolve():
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(gradbound.__file__)))
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
                           timeout=300,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+                               "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
 
 
@@ -802,7 +854,7 @@ def test_stderr_holds_at_most_one_json_record(case, tmp_path):
         capture_output=True, text=True, timeout=300,
         # Warnings shown as a plain interpreter shows them.
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
-             "PYTHONWARNINGS": "default"},
+             "PYTHONWARNINGS": "default", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == code, proc.stderr
     if kind is None:

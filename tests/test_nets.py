@@ -9,6 +9,7 @@ from gradbound.nets import (
     LIPSCHITZ_BOUND,
     MlpArchitecture,
     ParamVector,
+    _class_max,
     _layers,
     batch_input_grads,
     arch_for_depth,
@@ -16,6 +17,7 @@ from gradbound.nets import (
     batch_losses,
     grad_input,
     grad_params,
+    logit_loss,
     logit_loss_and_gradient,
     loss,
     loss_and_param_grads,
@@ -477,6 +479,46 @@ def test_nll_logit_gradient_rows_sum_to_zero_and_survive_shift():
     off[[0, 1], y - 1] = False
     assert np.all(g[off] >= 0) and np.all((-1 <= g[~off]) & (g[~off] <= 0))
     assert np.allclose(logit_loss_and_gradient(x + 123.0, y)[1], g)
+
+
+def _awkward_logits(k):
+    """A stacked (2, 40, k) logit array with signed-zero ties, nan and +-inf."""
+    rng = np.random.default_rng(k)
+    t = rng.normal(size=(2, 40, k))
+    t[0, :8] = 0.0
+    t[0, :8, ::2] = -0.0
+    t[0, 8, :] = -0.0
+    t[1, 0, 0] = math.nan
+    t[1, 1, -1] = math.inf
+    t[1, 2, 0] = -math.inf
+    t[1, 3, :] = -math.inf
+    t[1, 4, :] = math.nan
+    t[1, 5, 0], t[1, 5, -1] = math.inf, math.nan
+    return t
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_class_max_is_numpys_max_bit_for_bit(k):
+    """Max is exact in any order, so the kernel's column-by-column class max
+    has the bits of ``max(axis=-1)``: on a stack, with signed-zero ties,
+    nan and +-inf."""
+    logits = _awkward_logits(k)
+    assert _class_max(logits).tobytes() == logits.max(axis=-1).tobytes()
+    assert _class_max(logits[0]).tobytes() == logits[0].max(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_loss_only_path_is_the_gradient_paths_loss(k):
+    """Without the gradient the kernel's losses keep their bits, overflowed
+    rows (+inf) included."""
+    logits = _awkward_logits(k)
+    y = 1 + np.arange(40) % k
+    with np.errstate(invalid="ignore"):
+        losses, g = logit_loss_and_gradient(logits, y)
+        alone, none = logit_loss_and_gradient(logits, y, grad=False)
+        assert logit_loss(logits, y).tobytes() == losses.tobytes()
+    assert none is None and alone.tobytes() == losses.tobytes()
+    assert np.isinf(losses[1, [0, 1, 3, 4, 5]]).all() and g.shape == logits.shape
 
 
 def test_non_finite_logits_give_an_infinite_loss():
