@@ -170,7 +170,7 @@ def _finalize(exponents: np.ndarray, n_data: int,
 
 
 def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np.ndarray,
-               grads: bool, scale: bool = True) -> list[tuple[np.ndarray, np.ndarray | None]]:
+               grads: bool, scale: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per family and weight draw: losses[S, n] and sq_grad_norms[S, n].
 
     ``families`` share one input dimension d; their layouts may differ

@@ -197,13 +197,14 @@ def build_synthetic(spec_text: str, seed: int) -> LabeledDataset:
 
 
 def resolve_dataset(spec: SweepSpec, reads: tuple[bool, bool] = (True, True)
-                    ) -> tuple[LabeledDataset | int, LabeledDataset | int]:
+                    ) -> tuple[LabeledDataset | None, LabeledDataset | None]:
     """(train, heldout) splits of the configured source.
 
     Both sources take one path: the subset and the split are picked from
     the labels alone, and each side's rows are gathered once from the
     source's rows (u8 pixels for IDX files) by ``take``.  A side whose
-    ``reads`` flag is false is not gathered: its place holds its row count.
+    ``reads`` flag is false is not gathered: its place holds None.  The
+    train side has ``spec.train_size`` rows.
     """
     if spec.images_path or spec.labels_path:
         if not (spec.images_path and spec.labels_path):
@@ -227,7 +228,7 @@ def resolve_dataset(spec: SweepSpec, reads: tuple[bool, bool] = (True, True)
             f"dataset has {labels.size} examples, need {n_need} (train + heldout)")
     keep = stratified_sample(labels, n_need, spec.data_seed)
     sides = split(labels[keep], spec.train_size / n_need, spec.data_seed)
-    return tuple(take(rows, labels, k, keep[idx]) if read else idx.size
+    return tuple(take(rows, labels, k, keep[idx]) if read else None
                  for read, idx in zip(reads, sides))
 
 
@@ -348,9 +349,8 @@ EXPERIMENTS = (*_SWEEPS, "identity-checks")
 def _sweep(spec, train_set, heldout):
     """The depth x variance grid: one family per point, and one draw_stats
     call and one matrix of standard normals for every depth.  An unread
-    split is its row count, as ``resolve_dataset`` gives it."""
+    split is None, as ``resolve_dataset`` gives it."""
     families_at, reads, grads, scale, rows_at = _SWEEPS[spec.experiment]
-    m = train_set.m if reads[0] else train_set
     data = heldout if reads[1] else train_set
     archs = [arch_for_depth(depth, data.dim, data.class_count, spec.mlp_target_params)
              for depth in spec.depth_grid]
@@ -362,7 +362,8 @@ def _sweep(spec, train_set, heldout):
                           scale)
     rows = []
     for (depth, arch, (_, cells)), (losses, sq_norms) in zip(points, stats):
-        rows += rows_at(spec, m, arch, {"depth": depth, **cells}, losses, sq_norms)
+        rows += rows_at(spec, spec.train_size, arch, {"depth": depth, **cells}, losses,
+                        sq_norms)
     return rows
 
 

@@ -96,7 +96,8 @@ def test_criterion_4_naive_estimator_instability(train_set):
     for depth in (1, 2, 3, 4, 5):
         arch = arch_for_depth(depth, train_set.dim, train_set.class_count, TARGET_PARAMS)
         z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
-        losses, _ = bd.draw_stats([prior_family(arch, 0.1)], train_set, z, grads=False)[0]
+        losses, _ = bd.draw_stats([prior_family(arch, 0.1)], train_set, z, grads=False,
+                                  scale=False)[0]
         ests = bd.naive_complexity_curve(losses, lambdas)
         for lam, est in zip(lambdas, ests):
             if lam >= 50.0 and not est.overflowed:
@@ -115,7 +116,8 @@ def test_criterion_5_depth_monotonicity(heldout):
     for depth in (2, 3, 4, 5):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
         z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
-        _, sq_norms = bd.draw_stats([prior_family(arch, 0.1)], heldout, z, grads=True)[0]
+        _, sq_norms = bd.draw_stats([prior_family(arch, 0.1)], heldout, z, grads=True,
+                                    scale=True)[0]
         means[depth], _ = bd.expected_grad_norm_mc(sq_norms)
     decreasing = all(means[d] > means[d + 1] for d in (2, 3, 4))
     lin = arch_for_depth(1, heldout.dim, heldout.class_count, TARGET_PARAMS)
@@ -139,7 +141,7 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
         values = []
         for sigma in SIGMA_GRID:
             prior = prior_family(arch, sigma)
-            losses, sq_norms = bd.draw_stats([prior], heldout, z, grads=True)[0]
+            losses, sq_norms = bd.draw_stats([prior], heldout, z, grads=True, scale=True)[0]
             b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
             est = bd.gradnorm_bound_curve(sq_norms, [lam], m, b)[0]
             values.append(math.inf if est.overflowed else est.log_space_value)
@@ -156,7 +158,8 @@ def test_criterion_6_variance_monotonicity_and_explosion(train_set, heldout, syn
         arch = arch_for_depth(depth, synth2.dim, synth2.class_count, 2_000)
         z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
         for sigma in (0.0004, 0.01, 0.05, 0.1):
-            losses, _ = bd.draw_stats([prior_family(arch, sigma)], synth2, z, grads=False)[0]
+            losses, _ = bd.draw_stats([prior_family(arch, sigma)], synth2, z, grads=False,
+                                      scale=True)[0]
             bs.append(bd.estimate_loss_bound(losses, cfg.loss_bound_slack))
     if max(bs) > 2.0:
         ok = False
@@ -175,7 +178,7 @@ def test_criterion_7_subgamma_certification(heldout, train_set):
         arch = arch_for_depth(depth, heldout.dim, heldout.class_count, TARGET_PARAMS)
         prior = prior_family(arch, 0.1)
         z = normal_rows(cfg.seed, cfg.n_weight_samples, arch.param_count())
-        losses, sq_norms = bd.draw_stats([prior], heldout, z, grads=True)[0]
+        losses, sq_norms = bd.draw_stats([prior], heldout, z, grads=True, scale=True)[0]
         b = bd.estimate_loss_bound(losses, cfg.loss_bound_slack)
         ests = bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
         grid = [(float(l), e.log_space_value) for l, e in zip(lambdas, ests)

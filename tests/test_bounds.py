@@ -23,6 +23,11 @@ from gradbound.training import TrainConfig, evaluate, train
 
 CFG = bd.EstimatorConfig(n_weight_samples=8, seed=11)
 
+# (grads, scale) of each path a sweep takes through draw_stats: the naive
+# estimator's one column per sigma, the forward-only scale path and the
+# gradient scale path.
+PATHS = ((False, False), (False, True), (True, True))
+
 
 def normals(cfg, arch):
     """cfg's weight draws for ``arch``, as the sweep hands them to draw_stats."""
@@ -30,11 +35,13 @@ def normals(cfg, arch):
 
 
 def losses_of(family, data, cfg=CFG):
-    return bd.draw_stats([family], data, normals(cfg, family.layout), grads=False)[0][0]
+    return bd.draw_stats([family], data, normals(cfg, family.layout), grads=False,
+                         scale=False)[0][0]
 
 
 def stats_of(family, data, cfg=CFG):
-    return bd.draw_stats([family], data, normals(cfg, family.layout), grads=True)[0]
+    return bd.draw_stats([family], data, normals(cfg, family.layout), grads=True,
+                         scale=True)[0]
 
 
 def small_synth(seed=5, n=32, d=4, k=2, sigma=1.0):
@@ -113,7 +120,8 @@ def test_draw_stats_matches_per_draw_passes():
         [(forward_only, none)] = bd.draw_stats([family], data, normals(CFG, arch),
                                                grads=False, scale=False)
         assert none is None
-        [(scale_path, _)] = bd.draw_stats([family], data, normals(CFG, arch), grads=False)
+        [(scale_path, _)] = bd.draw_stats([family], data, normals(CFG, arch), grads=False,
+                                          scale=True)
         assert np.array_equal(scale_path, losses)
         for i, w in enumerate(sample(family, CFG.seed, CFG.n_weight_samples)):
             assert np.array_equal(forward_only[i], batch_losses(w, data.inputs, data.labels))
@@ -134,10 +142,10 @@ def test_draw_stats_shares_draws_between_families():
     rng = np.random.default_rng(3)
     families = [prior_family(arch, 0.4), prior_family(arch, 0.05),
                 GaussianFamily(rng.normal(size=arch.param_count()), 0.2, arch)]
-    for grads in (False, True):
-        together = bd.draw_stats(families, data, normals(CFG, arch), grads)
+    for grads, scale in PATHS:
+        together = bd.draw_stats(families, data, normals(CFG, arch), grads, scale)
         for family, (losses, sq_norms) in zip(families, together):
-            alone = bd.draw_stats([family], data, normals(CFG, arch), grads)[0]
+            alone = bd.draw_stats([family], data, normals(CFG, arch), grads, scale)[0]
             assert np.array_equal(losses, alone[0])
             assert np.array_equal(sq_norms, alone[1]) if grads else sq_norms is None
 
@@ -146,10 +154,10 @@ def test_draw_stats_refuses_families_of_different_input_dimensions():
     data = small_synth(n=8)
     four = MlpArchitecture(data.dim, data.class_count, (3,))
     five = MlpArchitecture(data.dim + 1, data.class_count, (3,))
-    for grads in (False, True):
+    for grads, scale in PATHS:
         with pytest.raises(ValueError, match="different input dimensions"):
             bd.draw_stats([prior_family(four, 1.0), prior_family(five, 1.0)], data,
-                          normals(CFG, five), grads)
+                          normals(CFG, five), grads, scale)
 
 
 def _layouts_and_normals(d, k, hidden_list):
@@ -185,12 +193,12 @@ def test_draw_stats_over_several_narrowing_layouts_matches_per_layout_calls(d, r
     posterior = GaussianFamily(np.random.default_rng(3).normal(size=archs[1].param_count()),
                                0.2, archs[1])
     families = [prior_family(a, s) for a in archs for s in (0.05, 0.4)] + [posterior]
-    for grads in (False, True):
-        together = bd.draw_stats(families, data, z, grads)
-        alone = [bd.draw_stats([f], data, z, grads)[0] for f in families]
+    for grads, scale in PATHS:
+        together = bd.draw_stats(families, data, z, grads, scale)
+        alone = [bd.draw_stats([f], data, z, grads, scale)[0] for f in families]
         by_layout = [stats for a in archs
                      for stats in bd.draw_stats([f for f in families[:-1] if f.layout == a],
-                                                data, z, grads)]
+                                                data, z, grads, scale)]
         _assert_stats_equal(together, alone, rtol)
         _assert_stats_equal(together[:-1], by_layout, rtol)
 
@@ -205,9 +213,10 @@ def test_draw_stats_gives_narrower_and_repeated_scale_keys_their_own_call_rows()
     archs, z = _layouts_and_normals(784, 3, NARROWING)
     families = ([prior_family(a, 0.1) for a in archs] + [prior_family(archs[0], 0.5)]
                 + [prior_family(archs[1], 0.1)])
-    for grads in (False, True):
-        together = bd.draw_stats(families, data, z, grads)
-        _assert_stats_equal(together, [bd.draw_stats([f], data, z, grads)[0] for f in families],
+    for grads, scale in PATHS:
+        together = bd.draw_stats(families, data, z, grads, scale)
+        _assert_stats_equal(together,
+                            [bd.draw_stats([f], data, z, grads, scale)[0] for f in families],
                             rtol=0)
 
 
@@ -258,9 +267,9 @@ def test_draw_stats_draws_each_family_once_per_draw(monkeypatch):
     calls = []
     draw = GaussianFamily.draw
     monkeypatch.setattr(GaussianFamily, "draw", lambda f, z: calls.append(f) or draw(f, z))
-    for grads in (False, True):
+    for grads, scale in PATHS:
         calls.clear()
-        bd.draw_stats(families, data, z, grads)
+        bd.draw_stats(families, data, z, grads, scale)
         assert len(calls) == CFG.n_weight_samples * len(families) == 56
         assert collections.Counter(calls) == dict.fromkeys(families, CFG.n_weight_samples)
 
@@ -282,14 +291,14 @@ def test_draw_stats_reads_a_prefix_of_each_row_of_wider_normals():
     narrow = MlpArchitecture(data.dim, data.class_count)
     wide = MlpArchitecture(data.dim, data.class_count, (7, 7))
     families = [prior_family(narrow, 0.3), prior_family(narrow, 0.05)]
-    for grads in (False, True):
-        exact = bd.draw_stats(families, data, normals(CFG, narrow), grads)
-        shared = bd.draw_stats(families, data, normals(CFG, wide), grads)
+    for grads, scale in PATHS:
+        exact = bd.draw_stats(families, data, normals(CFG, narrow), grads, scale)
+        shared = bd.draw_stats(families, data, normals(CFG, wide), grads, scale)
         for (l1, s1), (l2, s2) in zip(exact, shared):
             assert np.array_equal(l1, l2)
             assert (s1 is None and s2 is None) or np.array_equal(s1, s2)
         with pytest.raises(ValueError, match="normals"):
-            bd.draw_stats(families, data, normals(CFG, narrow)[:, :-1], grads)
+            bd.draw_stats(families, data, normals(CFG, narrow)[:, :-1], grads, scale)
 
 
 @pytest.mark.parametrize("arch", [
@@ -300,11 +309,11 @@ def test_draw_stats_reads_a_prefix_of_each_row_of_wider_normals():
 def test_draw_stats_chunk_size_does_not_change_results(arch, monkeypatch):
     data = small_synth(n=24, d=arch.input_dim, k=arch.class_count)
     families = [prior_family(arch, 0.4), prior_family(arch, 0.05)]
-    for grads in (False, True):
+    for grads, scale in PATHS:
         runs = []
         for budget in (1, 1 << 40):  # one pair per chunk, every pair in one
             monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", budget)
-            runs.append(bd.draw_stats(families, data, normals(CFG, arch), grads))
+            runs.append(bd.draw_stats(families, data, normals(CFG, arch), grads, scale))
         for one, everything in zip(*runs):
             np.testing.assert_allclose(one[0], everything[0], rtol=1e-12)
             if grads:
@@ -365,7 +374,7 @@ def test_draw_stats_takes_one_column_per_chunk_past_the_budget(monkeypatch):
     chunks, buffers = _record_chunks(monkeypatch)
     monkeypatch.setattr(bd, "FIRST_LAYER_BLOCK_BYTES", column_bytes // 2)
     bd.draw_stats([prior_family(arch, s) for s in (0.01, 0.1, 0.5)], data, normals(CFG, arch),
-                  True)
+                  True, True)
     assert chunks == [(1, column_bytes)] * CFG.n_weight_samples
     assert all(b is buffers[0] for b in buffers)
     assert buffers[0].nbytes == column_bytes
@@ -393,18 +402,19 @@ def test_kernel_never_writes_caller_data(hidden):
     def results(d, mean, z):
         families = [prior_family(arch, 0.4), GaussianFamily(mean, 0.2, arch)]
         trained = train(arch, d, TrainConfig(epochs=2, batch_size=8, seed=1), [0.3, 0.5])
-        return (bd.draw_stats(families, d, z, False), bd.draw_stats(families, d, z, True),
+        return ([stats for grads, scale in PATHS
+                 for stats in bd.draw_stats(families, d, z, grads, scale)],
                 [p.values for p in trained], [evaluate(p, d) for p in trained],
                 bd.log_sobolev_check(trained[0], d, 0.5))
 
     expected = results(data, mean, z)
     got = results(frozen, _read_only(mean), _read_only(z))
     assert np.array_equal(frozen.inputs, data.inputs)
-    for (e_losses, e_sq), (g_losses, g_sq) in zip(expected[0] + expected[1], got[0] + got[1]):
+    for (e_losses, e_sq), (g_losses, g_sq) in zip(expected[0], got[0], strict=True):
         assert np.array_equal(e_losses, g_losses)
         assert (e_sq is None and g_sq is None) or np.array_equal(e_sq, g_sq)
-    assert all(np.array_equal(e, g) for e, g in zip(expected[2], got[2]))
-    assert expected[3:] == got[3:]
+    assert all(np.array_equal(e, g) for e, g in zip(expected[1], got[1]))
+    assert expected[2:] == got[2:]
 
 
 def test_draw_stats_wide_layer_peak_memory():

@@ -149,6 +149,7 @@ def test_resolve_synthetic_dataset():
     train, held = resolve_dataset(spec)
     assert train.m == 1024 and held.m == 256
     assert train.class_count == 2 and train.dim == 16
+    assert [side is None for side in resolve_dataset(spec, (False, True))] == [True, False]
 
 
 def test_resolve_dataset_errors(tmp_path):
