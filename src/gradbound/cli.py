@@ -55,7 +55,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bounds as bd
-from .datasets import (IdxFormatError, LabeledDataset, load_idx, split, stratified_sample,
+from .datasets import (DataSourceError, LabeledDataset, load_idx, split, stratified_sample,
                        synth_gaussian, take)
 from .gaussians import (CHECK_STREAM, MAX_ABS_NORMAL, MAX_SYNTH_CLASSES, is_seed,
                         kl_divergence, normal_rows, posterior_family, prior_family, sample,
@@ -73,10 +73,6 @@ _MAX_SCALE = sys.float_info.max / MAX_ABS_NORMAL
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class DataSourceError(ValueError):
     pass
 
 
@@ -209,12 +205,7 @@ def resolve_dataset(spec: SweepSpec, reads: tuple[bool, bool] = (True, True)
     if spec.images_path or spec.labels_path:
         if not (spec.images_path and spec.labels_path):
             raise DataSourceError("both --data-images and --data-labels are required")
-        try:
-            rows, labels, k = load_idx(spec.images_path, spec.labels_path)
-        except FileNotFoundError as exc:
-            raise DataSourceError(f"missing data file: {exc}") from exc
-        except IdxFormatError as exc:
-            raise DataSourceError(str(exc)) from exc
+        rows, labels, k = load_idx(spec.images_path, spec.labels_path)
     elif spec.synthetic:
         data = build_synthetic(spec.synthetic, spec.data_seed)
         rows, labels, k = data.inputs, data.labels, data.class_count
@@ -423,13 +414,18 @@ def write_output(path: str, spec: SweepSpec, rows) -> None:
     """Write beside ``path`` and rename over it: a failed write leaves no output.
 
     JSON when ``path`` ends in ".json", else CSV.  The first row's keys are
-    the columns; every row has the same keys."""
+    the columns; every row has the same keys.  A file that cannot be
+    created there (a name too long, say) is a ConfigError."""
     columns = list(rows[0])
     config = dataclasses.asdict(spec)
     stamp = datetime.now(timezone.utc).isoformat()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as f:
+        f = open(tmp, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot create output file {path}: {exc.strerror}") from exc
+    try:
+        with f:
             if path.endswith(".json"):
                 doc = {"config": config, "timestamp": stamp, "columns": columns,
                        "rows": [{k: _json_safe(v) for k, v in row.items()}
@@ -481,8 +477,8 @@ def _read_config(path: str) -> dict:
     try:
         with open(path) as f:
             config = json.load(f, parse_constant=refuse)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

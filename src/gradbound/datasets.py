@@ -1,12 +1,14 @@
 """Dataset construction: IDX image files, synthetic Gaussians, splits.
 
-IDX is the big-endian binary container used by MNIST-style datasets:
-images carry magic 0x00000803 followed by count/rows/cols and a u8 payload,
-labels carry magic 0x00000801 followed by count and a u8 payload.  Images
-are flattened row-major and kept as u8 pixels until rows are gathered
-into a dataset (:func:`take`), which scales them by 1/255 into [0,1]; no
-mean centering is applied.  Labels are stored 1-based: raw IDX byte b
-becomes label b+1, so labels always lie in {1..k}.
+IDX is the big-endian binary container used by MNIST-style datasets: a
+u32 magic, one u32 per dimension and a u8 payload.  The magic's low byte
+is the rank: images carry 0x00000803 and (count, rows, cols), labels
+0x00000801 and (count,).  A file that cannot be read or is malformed
+raises :class:`DataSourceError`.  Images are flattened row-major and kept
+as u8 pixels until rows are gathered into a dataset (:func:`take`), which
+scales them by 1/255 into [0,1]; no mean centering is applied.  Labels
+are stored 1-based: raw IDX byte b becomes label b+1, so labels always
+lie in {1..k}.
 
 Subsets and splits are picked from the labels alone, as sorted row
 indices, so a source's rows are gathered once per side whatever their
@@ -16,6 +18,7 @@ sides are.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,8 +31,8 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Malformed IDX input: a wrong magic, a truncated file or mismatched counts."""
+class DataSourceError(ValueError):
+    """A data source that is missing, unreadable or malformed (exit 3)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +66,25 @@ class LabeledDataset:
         return self.inputs.shape[1]
 
 
-def _read_header(raw: bytes, path, n_fields: int) -> tuple[int, ...]:
-    size = 4 * n_fields
+def _read_idx(path, magic: int) -> tuple[list[int], bytes]:
+    """The dimensions and payload of the IDX file at ``path``, which must
+    carry ``magic``."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise DataSourceError(f"cannot read data file: {exc}") from exc
+    size = 4 * (1 + (magic & 0xFF))
     if len(raw) < size:
-        raise IdxFormatError(f"{path}: header truncated ({len(raw)} bytes)")
-    return struct.unpack(f">{n_fields}I", raw[:size])
+        raise DataSourceError(f"{path}: header truncated ({len(raw)} bytes)")
+    found, *dims = struct.unpack(f">{size // 4}I", raw[:size])
+    if found != magic:
+        raise DataSourceError(f"{path}: wrong magic 0x{found:08x}, expected 0x{magic:08x}")
+    payload, n = raw[size:], math.prod(dims)
+    if len(payload) != n:
+        kind = "pixel" if magic == IMAGES_MAGIC else "label"
+        raise DataSourceError(f"{path}: expected {n} {kind} bytes, got {len(payload)}")
+    return dims, payload
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
@@ -77,34 +94,13 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray, int]:
     read-only view of the file's bytes), ``labels`` the 1-based labels and
     the class count one more than the largest raw label byte.
     """
-    with open(images_path, "rb") as f:
-        raw_images = f.read()
-    with open(labels_path, "rb") as f:
-        raw_labels = f.read()
-
-    magic, count, rows, cols = _read_header(raw_images, images_path, 4)
-    if magic != IMAGES_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: wrong magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
-    payload = raw_images[16:]
-    if len(payload) != count * rows * cols:
-        raise IdxFormatError(
-            f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(payload)}")
-
-    lmagic, lcount = _read_header(raw_labels, labels_path, 2)
-    if lmagic != LABELS_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: wrong magic 0x{lmagic:08x}, expected 0x{LABELS_MAGIC:08x}")
-    lpayload = raw_labels[8:]
-    if len(lpayload) != lcount:
-        raise IdxFormatError(
-            f"{labels_path}: expected {lcount} label bytes, got {len(lpayload)}")
-
+    (count, rows, cols), payload = _read_idx(images_path, IMAGES_MAGIC)
+    (lcount,), lpayload = _read_idx(labels_path, LABELS_MAGIC)
     if count != lcount:
-        raise IdxFormatError(f"image count {count} != label count {lcount}")
-    if count < 1:
-        raise IdxFormatError("dataset is empty")
-
+        raise DataSourceError(f"image count {count} != label count {lcount}")
+    if min(count, rows * cols) < 1:
+        raise DataSourceError(f"{images_path}: {count} images of {rows} x {cols} pixels; "
+                              "need at least one image and one pixel")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
     raw = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
     return pixels, raw + 1, int(raw.max()) + 1
@@ -122,18 +118,15 @@ def take(rows: np.ndarray, labels: np.ndarray, class_count: int,
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, raw_labels: np.ndarray) -> None:
-    """Write (n, rows, cols) u8 images and raw u8 labels as an IDX pair."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    raw_labels = np.ascontiguousarray(raw_labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    if raw_labels.shape != (n,):
-        raise ValueError("label count does not match image count")
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABELS_MAGIC, n))
-        f.write(raw_labels.tobytes())
+    """Write (n, rows, cols) u8 images and n raw u8 labels as an IDX pair."""
+    images, raw_labels = (np.ascontiguousarray(a, np.uint8) for a in (images, raw_labels))
+    files = ((images_path, IMAGES_MAGIC, images), (labels_path, LABELS_MAGIC, raw_labels))
+    if images.ndim != IMAGES_MAGIC & 0xFF or raw_labels.shape != images.shape[:1]:
+        raise ValueError("need (n, rows, cols) images and n labels")
+    for path, magic, array in files:
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+            f.write(array.tobytes())
 
 
 def synth_gaussian(k: int, d: int, class_means: np.ndarray, sigma: float,

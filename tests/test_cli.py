@@ -25,6 +25,7 @@ from gradbound.cli import (
     resolve_dataset,
     run,
 )
+from gradbound.datasets import DataSourceError, write_idx
 from gradbound.nets import arch_for_depth
 from gradbound.training import TrainConfig
 
@@ -153,13 +154,11 @@ def test_resolve_synthetic_dataset():
 
 
 def test_resolve_dataset_errors(tmp_path):
-    with pytest.raises(Exception):
+    with pytest.raises(DataSourceError, match="no dataset source"):
         resolve_dataset(SweepSpec(experiment="loss-vs-variance"))
     spec = SweepSpec(experiment="loss-vs-variance",
                      images_path=str(tmp_path / "missing-img"),
                      labels_path=str(tmp_path / "missing-lab"))
-    from gradbound.cli import DataSourceError
-
     with pytest.raises(DataSourceError):
         resolve_dataset(spec)
     with pytest.raises(DataSourceError):
@@ -505,6 +504,12 @@ def test_failed_write_leaves_no_partial_output(fmt, module, name, failing, tmp_p
     assert out.read_bytes() == before
     assert os.listdir(tmp_path) == [out.name]
 
+    # a name the file system refuses is found only when the output is written
+    too_long = str(tmp_path / f"{'a' * 300}.{fmt}")
+    with pytest.raises(ConfigError, match=f"cannot create output file {too_long}"):
+        run(dataclasses.replace(spec, out=too_long))
+    assert os.listdir(tmp_path) == [out.name]
+
 
 # ------------------------------------------------------------ entry point
 
@@ -512,18 +517,25 @@ def test_failed_write_leaves_no_partial_output(fmt, module, name, failing, tmp_p
 def test_main_config_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["loss-vs-variance", "--config", str(bad)]) == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
+    # a file that is not JSON, and a path that names a directory
+    for config in (bad, tmp_path):
+        assert main(["loss-vs-variance", "--config", str(config)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
 
 
 def test_main_missing_data_exit(tmp_path, capsys):
-    code = main(["loss-vs-variance", "--data-images", str(tmp_path / "x"),
-                 "--data-labels", str(tmp_path / "y"),
-                 "--out", str(tmp_path / "o.csv")])
-    assert code == EXIT_DATA
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "data"
+    no_pixels = tmp_path / "no-pixels"
+    write_idx(no_pixels, tmp_path / "labels", np.zeros((5120, 0, 28)), np.arange(5120) % 2)
+    # missing files, an images path that names a directory, and images of 0 rows
+    for images, labels in ((tmp_path / "x", tmp_path / "y"), (tmp_path, tmp_path / "labels"),
+                           (no_pixels, tmp_path / "labels")):
+        code = main(["loss-vs-variance", "--data-images", str(images),
+                     "--data-labels", str(labels), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data"
+        assert sorted(os.listdir(tmp_path)) == ["labels", "no-pixels"]
 
 
 @pytest.mark.parametrize("experiment", ["loss-vs-variance", "identity-checks"])

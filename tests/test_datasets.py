@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from gradbound.cli import SweepSpec, resolve_dataset
 from gradbound.datasets import (
     MAX_SYNTH_CLASSES,
-    IdxFormatError,
+    DataSourceError,
     LabeledDataset,
     load_idx,
     split,
@@ -61,10 +62,10 @@ def test_wrong_magic_detected(tmp_path):
     with open(bad, "wb") as f:
         f.write(struct.pack(">II", 0x00000803, 2))
         f.write(bytes(2))
-    with pytest.raises(IdxFormatError, match="wrong magic 0x00000803, expected 0x00000801"):
+    with pytest.raises(DataSourceError, match="wrong magic 0x00000803, expected 0x00000801"):
         load_idx(ip, bad)
     # a labels file in the images slot dies on the header (too short) or magic
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(DataSourceError):
         load_idx(lp, lp)
 
 
@@ -75,13 +76,22 @@ def test_truncated_and_mismatched_files(tmp_path):
 
     clipped = tmp_path / "clipped"
     clipped.write_bytes(ip.read_bytes()[:-3])
-    with pytest.raises(IdxFormatError, match="expected 16 pixel bytes, got 13"):
+    with pytest.raises(DataSourceError, match="expected 16 pixel bytes, got 13"):
         load_idx(clipped, lp)
 
     short = tmp_path / "short"
     write_idx(tmp_path / "img2", short, images[:3], labels[:3])
-    with pytest.raises(IdxFormatError, match="image count 4 != label count 3"):
+    with pytest.raises(DataSourceError, match="image count 4 != label count 3"):
         load_idx(ip, short)
+
+
+def test_write_idx_refuses_bad_shapes_before_writing(tmp_path):
+    ip, lp = tmp_path / "img", tmp_path / "lab"
+    for images, labels in ((np.zeros((4, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8)),
+                           (np.zeros((4, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))):
+        with pytest.raises(ValueError):
+            write_idx(ip, lp, images, labels)
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif("GRADBOUND_MNIST_DIR" not in os.environ,
@@ -253,3 +263,7 @@ def test_desk_surrogate_is_a_function_of_seed(tmp_path):
     assert other[1] == first[1]  # labels depend on position only
     # a smaller build is a prefix of a larger one (16-byte IDX image header)
     assert build("d", seed=3, n_total=20)[0][16:] == first[0][16 : 16 + 20 * 28 * 28]
+    # the bytes themselves, so a change to the writer or the renderer shows
+    assert [hashlib.sha256(b).hexdigest() for b in first] == [
+        "b3b99bcdcf11c6cad559a30818085a01485a8a7349adb58e4a63e03542b5b86f",
+        "8e4f6aef7c14a1c62776a71703eb9ce09d8e1f86568c2fe154fe7185760e7c8a"]
