@@ -30,6 +30,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 _SYNTH = "k=3,d=12,sigma=1.0,n_per_class=120,sep=2.5"
 _BASE = {"synthetic": _SYNTH, "train_size": 256, "heldout_size": 96,
          "mlp_target_params": 400, "estimator": {"n_weight_samples": 4}}
+_BASE_D64 = {**_BASE, "synthetic": "k=3,d=64,sigma=1.0,n_per_class=120,sep=2.5"}
 
 # name -> (experiment, config file contents)
 CASES = {
@@ -50,6 +51,16 @@ CASES = {
         **_BASE, "depth_grid": [1, 2], "variance_grid": [0.01, 0.1],
         "train": {"epochs": 2, "batch_size": 32}}),
     "identity-checks.csv": ("identity-checks", {}),
+    # d = 64: every depth's first layer is narrower than the input (3, 6 and
+    # 5 wide), so the depths share draw_stats's first-layer columns: the
+    # scale path with and without gradients, and naive's per-sigma columns.
+    "bound-vs-variance-d64.csv": ("bound-vs-variance", {
+        **_BASE_D64, "depth_grid": [1, 2, 3], "variance_grid": [0.01, 0.1, 0.5]}),
+    "loss-vs-variance-d64.csv": ("loss-vs-variance", {
+        **_BASE_D64, "depth_grid": [1, 2, 3], "variance_grid": [0.01, 0.1, 0.5]}),
+    "naive-vs-lambda-d64.csv": ("naive-vs-lambda", {
+        **_BASE_D64, "depth_grid": [1, 2, 3], "variance_grid": [0.1, 2.0],
+        "lambda_grid": [0.5, 10.0, 200.0, 5000.0]}),
 }
 _SEED = 7
 
