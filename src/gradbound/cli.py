@@ -62,7 +62,7 @@ from .gaussians import (CHECK_STREAM, MAX_ABS_NORMAL, MAX_SYNTH_CLASSES, is_seed
                         stream_rng)
 from .nets import LIPSCHITZ_BOUND, MlpArchitecture, arch_for_depth
 from .subgamma import fit as subgamma_fit, check as subgamma_check
-from .training import TrainConfig, TrainingDiverged, evaluate, train
+from .training import TrainConfig, TrainingDiverged, evaluate, train_depths
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,30 +228,32 @@ def _bound_cells(est: bd.BoundEstimate) -> dict:
             "std_error": est.std_error, "overflowed": est.overflowed}
 
 
-def _priors(spec, arch, train_set, heldout):
-    return [(prior_family(arch, sigma), {"sigma_p": sigma}) for sigma in spec.variance_grid]
+def _priors(spec, archs, train_set, heldout):
+    for arch in archs:
+        yield [(prior_family(arch, sigma), {"sigma_p": sigma}) for sigma in spec.variance_grid]
 
 
-def _trained_posteriors(spec, arch, train_set, heldout):
-    """Train from N(0, v) for every prior variance v, in lockstep, and
-    center each posterior on its result."""
+def _trained_posteriors(spec, archs, train_set, heldout):
+    """Train every depth from N(0, v) for every prior variance v, and center
+    each posterior on its result.  Depths are read in order, so a failure
+    is the one that training and evaluating them one by one meets first."""
     sigmas = [math.sqrt(v) for v in spec.variance_grid]
-    trained = train(arch, train_set, spec.train, sigmas)
-    points = []
-    for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
-        train_loss, train_acc = evaluate(weights, train_set)
-        test_loss, test_acc = evaluate(weights, heldout)
-        if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
-            # The last update left finite weights whose logits overflow.
-            last_batch = math.ceil(train_set.m / spec.train.batch_size) - 1
-            raise TrainingDiverged(spec.train.epochs - 1, last_batch, sigma_p)
-        posterior = posterior_family(weights, spec.sigma_q)
-        kl = kl_divergence(posterior, prior_family(arch, sigma_p))
-        points.append((posterior, {
-            "prior_variance": variance, "sigma_p": sigma_p, "sigma_q": spec.sigma_q,
-            "m": train_set.m, "train_loss": train_loss, "test_loss": test_loss,
-            "train_accuracy": train_acc, "test_accuracy": test_acc, "kl": kl}))
-    return points
+    for arch, trained in zip(archs, train_depths(archs, train_set, spec.train, sigmas)):
+        points = []
+        for variance, sigma_p, weights in zip(spec.variance_grid, sigmas, trained):
+            train_loss, train_acc = evaluate(weights, train_set)
+            test_loss, test_acc = evaluate(weights, heldout)
+            if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
+                # The last update left finite weights whose logits overflow.
+                last_batch = math.ceil(train_set.m / spec.train.batch_size) - 1
+                raise TrainingDiverged(spec.train.epochs - 1, last_batch, sigma_p)
+            posterior = posterior_family(weights, spec.sigma_q)
+            kl = kl_divergence(posterior, prior_family(arch, sigma_p))
+            points.append((posterior, {
+                "prior_variance": variance, "sigma_p": sigma_p, "sigma_q": spec.sigma_q,
+                "m": train_set.m, "train_loss": train_loss, "test_loss": test_loss,
+                "train_accuracy": train_acc, "test_accuracy": test_acc, "kl": kl}))
+        yield points
 
 
 def _bound_curve(spec, m, losses, sq_norms, lambdas):
@@ -319,7 +321,7 @@ def _train_report_rows(spec, m, arch, point, losses, sq_norms):
     return [{**row, "kl": kl, "loss_bound": b, "l_d_proxy": "heldout"}]
 
 
-# experiment -> (a depth's (family, cells) per grid point, the (train,
+# experiment -> (each depth's (family, cells) per grid point, the (train,
 # heldout) splits it reads, squared gradient norms needed, zero-mean
 # families on draw_stats's scale path, row builder).  The stats are on the
 # held-out split wherever it is read.  naive-vs-lambda alone keeps one
@@ -347,8 +349,9 @@ def _sweep(spec, train_set, heldout):
              for depth in spec.depth_grid]
     normals = normal_rows(spec.estimator.seed, spec.estimator.n_weight_samples,
                           max(arch.param_count() for arch in archs))
-    points = [(depth, arch, point) for depth, arch in zip(spec.depth_grid, archs)
-              for point in families_at(spec, arch, train_set, heldout)]
+    points = [(depth, arch, point) for depth, arch, at_depth
+              in zip(spec.depth_grid, archs, families_at(spec, archs, train_set, heldout))
+              for point in at_depth]
     stats = bd.draw_stats([family for _, _, (family, _) in points], data, normals, grads,
                           scale)
     rows = []
@@ -414,14 +417,17 @@ def write_output(path: str, spec: SweepSpec, rows) -> None:
     """Write beside ``path`` and rename over it: a failed write leaves no output.
 
     JSON when ``path`` ends in ".json", else CSV.  The first row's keys are
-    the columns; every row has the same keys.  A file that cannot be
-    created there (a name too long, say) is a ConfigError."""
+    the columns; every row has the same keys.  The temporary file has a
+    short name of fixed length, so any name that ``path`` may have fits,
+    and it is created as ``open(path, "w")`` would create ``path``, with
+    the same mode.  A file that cannot be created there (a name too long,
+    say) is a ConfigError."""
     columns = list(rows[0])
     config = dataclasses.asdict(spec)
     stamp = datetime.now(timezone.utc).isoformat()
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f"gradbound-{os.urandom(8).hex()}.tmp")
     try:
-        f = open(tmp, "w", newline="")
+        f = open(tmp, "x", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot create output file {path}: {exc.strerror}") from exc
     try:
@@ -439,7 +445,10 @@ def write_output(path: str, spec: SweepSpec, rows) -> None:
                 writer.writerow(columns)
                 for row in rows:
                     writer.writerow([_csv_cell(row[c]) for c in columns])
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output file {path}: {exc.strerror}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

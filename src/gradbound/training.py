@@ -19,11 +19,28 @@ one gathered batch, followed by the same elementwise update and per-row
 finiteness checks.  Each row's BLAS products are those of a one-vector
 pass (see :mod:`gradbound.nets`), so by construction each row gets the
 bits that training its scale alone gives.
+
+Training on every core
+----------------------
+:func:`train_depths` trains several architectures (a report's depths) on
+the same grid of scales.  Each depth's scales are cut into contiguous
+slices, ``ceil(cores / depths)`` of them but no more than there are
+scales, and each (depth, slice) is one :func:`train` call in a pool of
+one thread per usable core.  By the lockstep rule each slice's rows have
+the bits the whole grid's call gives them.  While the pool runs, numpy's
+bundled OpenBLAS is pinned to one thread: threads sharing BLAS's own pool
+would be slower, and SGD's products would round with whatever thread
+count the host set.  So SGD's bits depend on neither the pool size nor
+``OPENBLAS_NUM_THREADS``.  Where that library's thread functions cannot be
+found (another BLAS), the depths train one after another, unpinned.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +123,66 @@ def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
     if diverged is not None:
         raise diverged
     return [ParamVector(row, arch) for row in w]
+
+
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None."""
+    folder = os.path.dirname(np.__file__) + ".libs"
+    try:
+        [name] = [f for f in os.listdir(folder)
+                  if f.startswith("libscipy_openblas64_") and f.endswith(".so")]
+        lib = ctypes.CDLL(os.path.join(folder, name))
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def train_depths(archs: list[MlpArchitecture], data: LabeledDataset, cfg: TrainConfig,
+                 init_scales: list[float]):
+    """Train every architecture from N(0, s^2) for every initial scale s.
+
+    Yields, arch by arch, what ``train(arch, data, cfg, init_scales)``
+    returns, or raises the TrainingDiverged it raises, so a caller that
+    works through the results in order sees what training the archs one
+    after another gives.  With the BLAS pin (see the module docstring)
+    every arch has trained before the first yield, on every usable core,
+    and the thread count is restored however the pool ends.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        for arch in archs:
+            yield train(arch, data, cfg, init_scales)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = len(os.sched_getaffinity(0))
+    cuts = min(-(-workers // len(archs)), len(init_scales))
+    ends = [len(init_scales) * i // cuts for i in range(cuts + 1)]
+    tasks = [(arch, init_scales[lo:hi]) for arch in archs for lo, hi in zip(ends, ends[1:])]
+    # A thread starts in an empty context, so each task runs in a copy of
+    # this one: numpy's errstate is a context variable.
+    contexts = [contextvars.copy_context() for _ in tasks]
+
+    def attempt(context, task):
+        try:
+            return context.run(train, task[0], data, cfg, task[1])
+        except TrainingDiverged as exc:
+            return exc
+
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(min(workers, len(tasks))) as pool:
+            outcomes = list(pool.map(attempt, contexts, tasks))
+    finally:
+        set_threads(saved)
+    for i in range(0, len(outcomes), cuts):
+        slices = outcomes[i : i + cuts]
+        for outcome in slices:
+            if isinstance(outcome, TrainingDiverged):
+                raise outcome
+        yield [params for trained in slices for params in trained]
 
 
 def evaluate(params: ParamVector, data: LabeledDataset) -> tuple[float, float]:

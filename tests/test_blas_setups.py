@@ -2,7 +2,8 @@
 
 OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and ``OPENBLAS_CORETYPE`` only
 when it loads, so each case runs in a fresh interpreter whose environment
-differs from this one in that variable alone.  Forcing a kernel needs
+differs from this one in that variable alone (or lacks
+``OPENBLAS_NUM_THREADS``, for the default thread count).  Forcing a kernel needs
 x86-64 and numpy's bundled OpenBLAS; the Haswell kernel needs AVX2.
 """
 
@@ -38,22 +39,61 @@ SETUPS = {"1-thread": ("OPENBLAS_NUM_THREADS", "1"),
 
 
 def _run(args, setup, cwd):
+    """Run Python in ``setup``, or with OpenBLAS's default thread count for None."""
     if setup == "haswell" and not _has_avx2():
         pytest.skip("the Haswell kernel needs AVX2")
-    key, value = SETUPS[setup]
     path = [os.path.join(REPO_DIR, "src"), TESTS_DIR, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, key: value, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    if setup is not None:
+        key, value = SETUPS[setup]
+        env[key] = value
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=600)
 
 
-@pytest.mark.parametrize("setup", SETUPS)
-def test_identity_checks_match_golden(setup, tmp_path):
-    name = "identity-checks.csv"
+def _check_golden_case(name, setup, tmp_path):
     done = _run(["-c", f"from test_golden import _run_case; raise SystemExit(_run_case({name!r}))"],
                 setup, tmp_path)
     assert done.returncode == 0, done.stderr
     assert _stable_lines(tmp_path / name) == _stable_lines(os.path.join(GOLDEN_DIR, name))
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_identity_checks_match_golden(setup, tmp_path):
+    _check_golden_case("identity-checks.csv", setup, tmp_path)
+
+
+def test_train_report_matches_golden_with_one_thread(tmp_path):
+    _check_golden_case("train-report.csv", "1-thread", tmp_path)
+
+
+# Two depths of a 784-pixel net trained on 128-row batches, whose first
+# layer's GEMM rounds with the thread count unless SGD runs on one thread.
+_TRAIN_784 = """
+import hashlib
+import numpy as np
+from gradbound import synth_gaussian
+from gradbound.nets import arch_for_depth
+from gradbound.training import TrainConfig, train_depths
+
+means = np.zeros((10, 784))
+means[np.arange(10), np.arange(10)] = 2.5
+data = synth_gaussian(10, 784, means, 1.0, 26, seed=1)
+archs = [arch_for_depth(depth, 784, 10, 20_000) for depth in (1, 2)]
+digest = hashlib.sha256()
+for trained in train_depths(archs, data, TrainConfig(epochs=1, seed=1), [0.1, 0.3]):
+    for params in trained:
+        digest.update(params.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_trained_weights_do_not_depend_on_the_blas_thread_count():
+    runs = [_run(["-c", _TRAIN_784], setup, REPO_DIR) for setup in (None, "1-thread")]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_lockstep_matches_one_vector_passes_under_haswell(tmp_path):

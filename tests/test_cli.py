@@ -4,8 +4,10 @@ import json
 import math
 import os
 import pkgutil
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -379,11 +381,20 @@ def test_a_sweep_gathers_only_the_splits_it_reads(monkeypatch, tmp_path):
 # ------------------------------------------------------- passes per draw
 
 
+# train-report trains on several threads, so a count is one locked update.
+_COUNT_LOCK = threading.Lock()
+
+
+def count(counts, key):
+    with _COUNT_LOCK:
+        counts[key] = counts.get(key, 0) + 1
+
+
 def count_calls(monkeypatch, module, name, counts, key):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        counts[key] = counts.get(key, 0) + 1
+        count(counts, key)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -400,8 +411,8 @@ def passes(monkeypatch):
     original = gaussians.standard_normal
 
     def counted(seed, stream, n):
-        key = "streams" if stream < gaussians.RESERVED_STREAM_BASE else "reserved_streams"
-        counts[key] = counts.get(key, 0) + 1
+        count(counts, "streams" if stream < gaussians.RESERVED_STREAM_BASE
+              else "reserved_streams")
         return original(seed, stream, n)
 
     # Counted at every module of the package that binds it (cli included,
@@ -441,17 +452,23 @@ def test_sweeps_sample_once_and_pass_once_per_draw(experiment, grads, passes, tm
     assert passes.get("backward", 0) == (draws if grads else 0)
 
 
-def test_train_report_passes(passes, tmp_path):
+def test_train_report_passes(passes, monkeypatch, tmp_path):
+    count_calls(monkeypatch, training, "train", passes, "tasks")
     spec = small_spec("train-report", tmp_path, depth_grid=(1, 2))
     assert run(spec) == 0
     depths = len(spec.depth_grid)
     points = depths * len(spec.variance_grid)
     draws = points * spec.estimator.n_weight_samples
-    # one stacked SGD pass per (depth, step), shared by the depth's variances
-    steps = depths * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
+    # one lockstep training task per (depth, slice of the variance grid):
+    # with the BLAS pin, each depth's grid is cut to fill the usable cores
+    cores = len(os.sched_getaffinity(0)) if training._openblas_threads() else 1
+    tasks = depths * min(-(-cores // depths), len(spec.variance_grid))
+    assert passes.get("tasks") == tasks
+    # one stacked SGD pass per (task, step), shared by the task's variances
+    steps = tasks * spec.train.epochs * math.ceil(spec.train_size / spec.train.batch_size)
     # one stream per draw index, shared by every depth and posterior, plus
-    # one initialization stream per depth, shared by its variances
-    assert passes.get("streams") == spec.estimator.n_weight_samples + depths
+    # one initialization stream per task, shared by its variances
+    assert passes.get("streams") == spec.estimator.n_weight_samples + tasks
     assert passes.get("backward") == draws
     assert passes.get("sgd_step") == steps
     # one forward per stacked SGD step and per posterior draw, plus two
@@ -509,6 +526,19 @@ def test_failed_write_leaves_no_partial_output(fmt, module, name, failing, tmp_p
     with pytest.raises(ConfigError, match=f"cannot create output file {too_long}"):
         run(dataclasses.replace(spec, out=too_long))
     assert os.listdir(tmp_path) == [out.name]
+
+
+def test_output_name_one_byte_short_of_the_limit_is_written(tmp_path):
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    out = tmp_path / f"{'a' * (name_max - 5)}.csv"
+    spec = small_spec("loss-vs-variance", tmp_path, depth_grid=(1,),
+                      variance_grid=(0.1,), out=str(out))
+    assert run(spec) == 0
+    assert os.listdir(tmp_path) == [out.name]
+    # the mode that open(path, "w") gives a new file
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 # ------------------------------------------------------------ entry point
@@ -845,6 +875,11 @@ NOISY_RUNS = {
         "train-report", _SMALL, "k=2,d=4,n_per_class=64,sigma=1e200", 4, "diverged"),
     "train-report diverging in SGD": (
         "train-report", {**_SMALL, "depth_grid": [2],
+                         "train": {"epochs": 3, "learning_rate": 1e200}},
+        "k=2,d=4,n_per_class=64", 4, "diverged"),
+    # the depths train on worker threads, which must keep the run's errstate
+    "train-report diverging in SGD at two depths": (
+        "train-report", {**_SMALL, "depth_grid": [1, 2],
                          "train": {"epochs": 3, "learning_rate": 1e200}},
         "k=2,d=4,n_per_class=64", 4, "diverged"),
     "synthetic draws overflow": (

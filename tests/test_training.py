@@ -1,13 +1,15 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from gradbound import training
 from gradbound.datasets import LabeledDataset, synth_gaussian
 from gradbound.gaussians import prior_family, sample
 from gradbound.gaussians import MAX_EPOCHS
 from gradbound.nets import MlpArchitecture, ParamVector, batch_param_grad, loss
-from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train
+from gradbound.training import TrainConfig, TrainingDiverged, evaluate, train, train_depths
 
 
 def separable_data(n=256, seed=12):
@@ -118,6 +120,100 @@ def test_lockstep_raises_the_first_configs_divergence(stddevs, expected):
         train(arch, data, cfg, stddevs)
     assert (exc.value.epoch, exc.value.batch, exc.value.scale) == expected
     assert f"initial scale {expected[2]!r}" in str(exc.value)
+
+
+# ------------------------------------------------- every depth on every core
+
+DEPTH_ARCHS = [MlpArchitecture(4, 2), MlpArchitecture(4, 2, (5,)), MlpArchitecture(4, 2, (3, 3))]
+
+
+def spy_on_train(monkeypatch):
+    """Record (arch, scales, BLAS threads, on the main thread) per train call."""
+    calls, lock, original = [], threading.Lock(), training.train
+    blas = training._openblas_threads()
+
+    def spy(arch, data, cfg, scales):
+        with lock:
+            calls.append((arch, tuple(scales), blas[0]() if blas else None,
+                          threading.current_thread() is threading.main_thread()))
+        return original(arch, data, cfg, scales)
+
+    monkeypatch.setattr(training, "train", spy)
+    return calls
+
+
+def test_train_depths_gives_each_depths_own_call_bit_for_bit(monkeypatch):
+    data = separable_data(n=40)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
+    scales = [0.05, 0.3, 1.0]
+    for archs in (DEPTH_ARCHS[1:2], DEPTH_ARCHS):  # one depth is cut into slices
+        got = list(train_depths(archs, data, cfg, scales))
+        assert len(got) == len(archs)
+        for arch, trained in zip(archs, got):
+            alone = train(arch, data, cfg, scales)
+            assert len(trained) == len(scales)
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_depths_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+    blas = training._openblas_threads()
+    if blas is None:
+        pytest.skip("needs numpy's bundled OpenBLAS")
+    get_threads, set_threads = blas
+    original = get_threads()
+    set_threads(2)  # a count the pin does not set
+    try:
+        calls = spy_on_train(monkeypatch)
+        data = separable_data(n=32)
+        list(train_depths(DEPTH_ARCHS, data, TrainConfig(epochs=2, batch_size=16, seed=2),
+                          [0.1, 0.5]))
+        assert get_threads() == 2
+        assert [threads for _, _, threads, _ in calls] == [1] * len(calls)
+        assert {arch for arch, *_ in calls} == set(DEPTH_ARCHS)
+        with pytest.raises(TrainingDiverged):
+            list(train_depths(DEPTH_ARCHS, data, TrainConfig(learning_rate=1e200, seed=2),
+                              [1.0, 1e100]))
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+
+
+def test_train_depths_without_the_blas_pin_trains_one_depth_at_a_time(monkeypatch):
+    monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+    calls = spy_on_train(monkeypatch)
+    data = separable_data(n=32)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=2)
+    scales = [0.1, 0.5, 0.9]
+    results = train_depths(DEPTH_ARCHS, data, cfg, scales)
+    first = next(results)
+    # each depth's whole grid in one call on this thread, when it is read
+    assert calls == [(DEPTH_ARCHS[0], tuple(scales), None, True)]
+    rest = list(results)
+    assert calls == [(arch, tuple(scales), None, True) for arch in DEPTH_ARCHS]
+    for arch, trained in zip(DEPTH_ARCHS, [first, *rest]):
+        alone = train(arch, data, cfg, scales)  # this module's binding: no spy
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", [(2, 1), (1, 2)])
+def test_train_depths_raises_the_first_depths_divergence(order):
+    # learning rate 1e200, scales (1.0, 1e100): the (3, 3) net diverges only
+    # at scale 1e100, at batch 0; the (5,) net only at scale 1.0, at batch 1
+    archs = [DEPTH_ARCHS[i] for i in order]
+    data = separable_data(n=32)
+    cfg = TrainConfig(learning_rate=1e200, epochs=3, batch_size=16, seed=2)
+    scales = [1.0, 1e100]
+    alone = []
+    for arch in archs:
+        with pytest.raises(TrainingDiverged) as exc:
+            train(arch, data, cfg, scales)
+        alone.append((exc.value.epoch, exc.value.batch, exc.value.scale))
+    assert alone[0] != alone[1]
+    with pytest.raises(TrainingDiverged) as exc:
+        list(train_depths(archs, data, cfg, scales))
+    assert (exc.value.epoch, exc.value.batch, exc.value.scale) == alone[0]
 
 
 def test_evaluate_zero_weights_balanced_data():
