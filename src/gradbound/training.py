@@ -132,9 +132,13 @@ def _openblas_threads():
         [name] = [f for f in os.listdir(folder)
                   if f.startswith("libscipy_openblas64_") and f.endswith(".so")]
         lib = ctypes.CDLL(os.path.join(folder, name))
-        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
     except (OSError, ValueError, AttributeError):
         return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
 
 
 def train_depths(archs: list[MlpArchitecture], data: LabeledDataset, cfg: TrainConfig,

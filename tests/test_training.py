@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import threading
 
 import numpy as np
@@ -153,6 +155,28 @@ def test_train_depths_gives_each_depths_own_call_bit_for_bit(monkeypatch):
             alone = train(arch, data, cfg, scales)
             assert len(trained) == len(scales)
             assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
+
+
+def test_train_depths_on_more_threads_than_cores(monkeypatch):
+    # eight "cores" over two depths of three scales: six one-scale tasks on
+    # six threads, switching often; each row must keep its lockstep bits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    calls = spy_on_train(monkeypatch)
+    data = separable_data(n=40)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
+    scales = [0.05, 0.3, 1.0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(train_depths(DEPTH_ARCHS[1:], data, cfg, scales))
+    finally:
+        sys.setswitchinterval(interval)
+    if training._openblas_threads() is not None:
+        assert sorted((str(arch), s) for arch, s, *_ in calls) == sorted(
+            (str(arch), (scale,)) for arch in DEPTH_ARCHS[1:] for scale in scales)
+    for arch, trained in zip(DEPTH_ARCHS[1:], got):
+        alone = train(arch, data, cfg, scales)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
