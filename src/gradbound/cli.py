@@ -17,8 +17,12 @@ identity-checks      exact MGF factorization, cumulant reconstruction, and
 
 Every experiment but identity-checks is one depth x variance loop: each
 depth builds one weight family per grid point (the priors, or for
-train-report the posteriors around the SGD-trained weights, the depth's
-variances trained in lockstep by one ``training.train`` call).  The loop
+train-report the posteriors around the SGD-trained weights).
+train-report's SGD runs before the loop reads a depth: one
+``training.train_depths`` call trains every depth's variances, on every
+usable core with OpenBLAS pinned to one thread, and the loop evaluates
+the results depth by depth, so a failure is the one that training and
+evaluating the depths one after another meets first.  The loop
 samples the weight draws' standard normals once for all its depths:
 row i of one (draws, largest parameter count) matrix is stream i, and a
 depth of P parameters reads the first P entries of each row, which are
@@ -235,8 +239,7 @@ def _priors(spec, archs, train_set, heldout):
 
 def _trained_posteriors(spec, archs, train_set, heldout):
     """Train every depth from N(0, v) for every prior variance v, and center
-    each posterior on its result.  Depths are read in order, so a failure
-    is the one that training and evaluating them one by one meets first."""
+    each posterior on its result; yields each depth's points in order."""
     sigmas = [math.sqrt(v) for v in spec.variance_grid]
     for arch, trained in zip(archs, train_depths(archs, train_set, spec.train, sigmas)):
         points = []

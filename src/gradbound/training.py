@@ -153,7 +153,7 @@ def train_depths(archs: list[MlpArchitecture], data: LabeledDataset, cfg: TrainC
     and the thread count is restored however the pool ends.
     """
     blas = _openblas_threads()
-    if blas is None:
+    if blas is None or not (archs and init_scales):
         for arch in archs:
             yield train(arch, data, cfg, init_scales)
         return

@@ -144,7 +144,7 @@ def spy_on_train(monkeypatch):
     return calls
 
 
-def test_train_depths_gives_each_depths_own_call_bit_for_bit(monkeypatch):
+def test_train_depths_gives_each_depths_own_call_bit_for_bit():
     data = separable_data(n=40)
     cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
     scales = [0.05, 0.3, 1.0]
@@ -155,6 +155,7 @@ def test_train_depths_gives_each_depths_own_call_bit_for_bit(monkeypatch):
             alone = train(arch, data, cfg, scales)
             assert len(trained) == len(scales)
             assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
+    assert list(train_depths([], data, cfg, scales)) == []
 
 
 def test_train_depths_on_more_threads_than_cores(monkeypatch):
