@@ -163,30 +163,20 @@ def train_depths(archs: list[MlpArchitecture], data: LabeledDataset, cfg: TrainC
     cuts = min(-(-workers // len(archs)), len(init_scales))
     ends = [len(init_scales) * i // cuts for i in range(cuts + 1)]
     tasks = [(arch, init_scales[lo:hi]) for arch in archs for lo, hi in zip(ends, ends[1:])]
-    # A thread starts in an empty context, so each task runs in a copy of
-    # this one: numpy's errstate is a context variable.
-    contexts = [contextvars.copy_context() for _ in tasks]
-
-    def attempt(context, task):
-        try:
-            return context.run(train, task[0], data, cfg, task[1])
-        except TrainingDiverged as exc:
-            return exc
-
     get_threads, set_threads = blas
     saved = get_threads()
     set_threads(1)
     try:
         with ThreadPoolExecutor(min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(attempt, contexts, tasks))
+            # A thread starts in an empty context, so each task runs in a
+            # copy of this one: numpy's errstate is a context variable.
+            futures = [pool.submit(contextvars.copy_context().run, train, arch, data, cfg, scales)
+                       for arch, scales in tasks]
     finally:
         set_threads(saved)
-    for i in range(0, len(outcomes), cuts):
-        slices = outcomes[i : i + cuts]
-        for outcome in slices:
-            if isinstance(outcome, TrainingDiverged):
-                raise outcome
-        yield [params for trained in slices for params in trained]
+    # result() raises the task's own TrainingDiverged, here in grid order
+    for i in range(0, len(futures), cuts):
+        yield [params for future in futures[i : i + cuts] for params in future.result()]
 
 
 def evaluate(params: ParamVector, data: LabeledDataset) -> tuple[float, float]:
