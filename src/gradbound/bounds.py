@@ -37,7 +37,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .gaussians import GaussianFamily, is_seed
-from .nets import (ParamVector, batch_losses, first_layer, first_layer_block,
+from .nets import (ParamVector, _layers, batch_losses, first_layer_block,
                    loss_and_sq_grad_norms)
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
@@ -289,10 +289,10 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
         def columns():
             """(draw index, W1, scaled, groups) per draw and source"""
             for i, row in enumerate(normals):
-                z = first_layer(top, row)[0]
+                z = _layers(top, row)[0][0]
                 for s, groups in sources:
                     w1 = (z if s is None else s * z if isinstance(s, float)
-                          else first_layer(top, s.mean)[0] + s.stddev * z)
+                          else _layers(top, s.mean)[0][0] + s.stddev * z)
                     yield i, w1, s is None, list(groups.values())
 
         for (i, _, scaled, groups), column in _in_blocks(
@@ -308,7 +308,7 @@ def draw_stats(families: list[GaussianFamily], data: LabeledDataset, normals: np
                 for j in js:
                     w = families[j].draw(row[:layout.param_count()])
                     if j == js[0]:  # the group's one bias add
-                        b = first_layer(layout, row if scaled else w.values)[1]
+                        b = _layers(layout, row if scaled else w.values)[0][1]
                         if b is not None:
                             z1 += b
                     z = z1

@@ -19,8 +19,9 @@ Every experiment but identity-checks is one depth x variance loop: each
 depth builds one weight family per grid point (the priors, or for
 train-report the posteriors around the SGD-trained weights).
 train-report's SGD runs before the loop reads a depth: one
-``training.train_depths`` call trains every depth's variances, on every
-usable core with OpenBLAS pinned to one thread, and the loop evaluates
+``training.train_depths`` call trains every depth's variances in a
+thread pool: on every usable core with numpy's bundled OpenBLAS pinned
+to one thread, or on one thread under another BLAS.  The loop evaluates
 the results depth by depth, so a failure is the one that training and
 evaluating the depths one after another meets first.  The loop
 samples the weight draws' standard normals once for all its depths:

@@ -123,7 +123,8 @@ def _layers(layout: MlpArchitecture, weights: np.ndarray):
 
     W is (..., fan_out, fan_in) and b is (..., fan_out), or None without
     biases: one vector gives the plain matrices, an (F, P) stack gives F
-    of each along a leading axis.
+    of each along a leading axis.  Weights may run past ``layout``'s P
+    entries; the rest are not read.
     """
     lead = weights.shape[:-1]
     out = []
@@ -177,14 +178,6 @@ def _check_label(arch: MlpArchitecture, y: int) -> int:
     if not 1 <= y <= arch.class_count:
         raise ValueError(f"label {y} out of range 1..{arch.class_count}")
     return y
-
-
-def first_layer(layout: MlpArchitecture, weights: np.ndarray):
-    """Views (W1 (fan_out, d), b1 (fan_out,) or None) of the first layer of
-    flat weights that start with ``layout``'s; later entries are not read."""
-    d, h = layout.layer_dims()[0]
-    return (weights[:h * d].reshape(h, d),
-            weights[h * d:h * d + h] if layout.bias else None)
 
 
 def first_layer_block(w1s: list[np.ndarray], x_batch: np.ndarray,

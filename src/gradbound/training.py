@@ -32,7 +32,8 @@ bundled OpenBLAS is pinned to one thread: threads sharing BLAS's own pool
 would be slower, and SGD's products would round with whatever thread
 count the host set.  So SGD's bits depend on neither the pool size nor
 ``OPENBLAS_NUM_THREADS``.  Where that library's thread functions cannot be
-found (another BLAS), the depths train one after another, unpinned.
+found (another BLAS), the pool has one thread, so each depth is one
+:func:`train` call on its whole grid, and the thread count is left alone.
 """
 
 from __future__ import annotations
@@ -146,37 +147,35 @@ def train_depths(archs: list[MlpArchitecture], data: LabeledDataset, cfg: TrainC
     """Train every architecture from N(0, s^2) for every initial scale s.
 
     Yields, arch by arch, what ``train(arch, data, cfg, init_scales)``
-    returns, or raises the TrainingDiverged it raises, so a caller that
-    works through the results in order sees what training the archs one
-    after another gives.  With the BLAS pin (see the module docstring)
-    every arch has trained before the first yield, on every usable core,
-    and the thread count is restored however the pool ends.
+    returns, or raises the ValueError or TrainingDiverged it raises, so a
+    caller that works through the results in order sees what training the
+    archs one after another gives.  Every arch has trained before the
+    first yield, in the pool the module docstring describes, and the BLAS
+    thread count is restored however the pool ends.
     """
-    blas = _openblas_threads()
-    if blas is None or not (archs and init_scales):
-        for arch in archs:
-            yield train(arch, data, cfg, init_scales)
-        return
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = len(os.sched_getaffinity(0))
-    cuts = min(-(-workers // len(archs)), len(init_scales))
+    blas = _openblas_threads()
+    workers = len(os.sched_getaffinity(0)) if blas else 1
+    # ceil(workers / depths) slices per depth, at most one per scale; no
+    # scales still make one call, so that train raises its own error.
+    cuts = min(-(-workers // (len(archs) or 1)), len(init_scales) or 1)
     ends = [len(init_scales) * i // cuts for i in range(cuts + 1)]
-    tasks = [(arch, init_scales[lo:hi]) for arch in archs for lo, hi in zip(ends, ends[1:])]
-    get_threads, set_threads = blas
+    get_threads, set_threads = blas or (lambda: None, lambda n: None)
     saved = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(min(workers, len(tasks))) as pool:
-            # A thread starts in an empty context, so each task runs in a
+        with ThreadPoolExecutor(workers) as pool:
+            # A thread starts in an empty context, so each slice runs in a
             # copy of this one: numpy's errstate is a context variable.
-            futures = [pool.submit(contextvars.copy_context().run, train, arch, data, cfg, scales)
-                       for arch, scales in tasks]
+            groups = [[pool.submit(contextvars.copy_context().run, train, arch, data, cfg,
+                                   init_scales[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+                      for arch in archs]
     finally:
         set_threads(saved)
-    # result() raises the task's own TrainingDiverged, here in grid order
-    for i in range(0, len(futures), cuts):
-        yield [params for future in futures[i : i + cuts] for params in future.result()]
+    # result() raises the slice's own error, here in grid order
+    for group in groups:
+        yield [params for future in group for params in future.result()]
 
 
 def evaluate(params: ParamVector, data: LabeledDataset) -> tuple[float, float]:

@@ -155,7 +155,6 @@ def test_train_depths_gives_each_depths_own_call_bit_for_bit():
             alone = train(arch, data, cfg, scales)
             assert len(trained) == len(scales)
             assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
-    assert list(train_depths([], data, cfg, scales)) == []
 
 
 def test_train_depths_on_more_threads_than_cores(monkeypatch):
@@ -180,14 +179,23 @@ def test_train_depths_on_more_threads_than_cores(monkeypatch):
         assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_depths_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+def blas_threads_at(count):
+    """(getter, restore) of the real BLAS thread count after setting it to
+    ``count``, captured before any patch; (None, no-op) without the pin."""
     blas = training._openblas_threads()
     if blas is None:
-        pytest.skip("needs numpy's bundled OpenBLAS")
+        return lambda: None, lambda: None
     get_threads, set_threads = blas
     original = get_threads()
-    set_threads(2)  # a count the pin does not set
+    set_threads(count)
+    return get_threads, lambda: set_threads(original)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_depths_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+    if training._openblas_threads() is None:
+        pytest.skip("needs numpy's bundled OpenBLAS")
+    get_threads, restore = blas_threads_at(2)  # a count the pin does not set
     try:
         calls = spy_on_train(monkeypatch)
         data = separable_data(n=32)
@@ -201,24 +209,49 @@ def test_train_depths_pins_one_blas_thread_and_restores_the_count(monkeypatch):
                               [1.0, 1e100]))
         assert get_threads() == 2
     finally:
-        set_threads(original)
+        restore()
 
 
 def test_train_depths_without_the_blas_pin_trains_one_depth_at_a_time(monkeypatch):
-    monkeypatch.setattr(training, "_openblas_threads", lambda: None)
-    calls = spy_on_train(monkeypatch)
-    data = separable_data(n=32)
-    cfg = TrainConfig(epochs=2, batch_size=16, seed=2)
-    scales = [0.1, 0.5, 0.9]
-    results = train_depths(DEPTH_ARCHS, data, cfg, scales)
-    first = next(results)
-    # each depth's whole grid in one call on this thread, when it is read
-    assert calls == [(DEPTH_ARCHS[0], tuple(scales), None, True)]
-    rest = list(results)
-    assert calls == [(arch, tuple(scales), None, True) for arch in DEPTH_ARCHS]
-    for arch, trained in zip(DEPTH_ARCHS, [first, *rest]):
+    # another BLAS on a host without sched_getaffinity (macOS): one worker
+    # trains each depth's whole grid in one call and sets no thread count
+    get_threads, restore = blas_threads_at(2)  # a count the pin does not set
+    try:
+        calls = spy_on_train(monkeypatch)
+        monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        data = separable_data(n=32)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=2)
+        scales = [0.1, 0.5, 0.9]
+        got = list(train_depths(DEPTH_ARCHS, data, cfg, scales))
+        threads = get_threads()
+    finally:
+        restore()
+    assert calls == [(arch, tuple(scales), threads, False) for arch in DEPTH_ARCHS]
+    assert threads in (2, None)
+    for arch, trained in zip(DEPTH_ARCHS, got):
         alone = train(arch, data, cfg, scales)  # this module's binding: no spy
         assert all(np.array_equal(a.values, b.values) for a, b in zip(trained, alone))
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_train_depths_of_no_depths_or_no_scales(monkeypatch, pinned):
+    get_threads, restore = blas_threads_at(2)
+    try:
+        if not pinned:
+            monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+        data = separable_data(n=32)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=2)
+        assert list(train_depths([], data, cfg, [0.1, 0.5])) == []
+        with pytest.raises(ValueError) as alone:
+            train(DEPTH_ARCHS[1], data, cfg, [])
+        with pytest.raises(ValueError) as exc:
+            list(train_depths(DEPTH_ARCHS, data, cfg, []))
+        assert str(exc.value) == str(alone.value)
+        threads = get_threads()
+    finally:
+        restore()
+    assert threads in (2, None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
