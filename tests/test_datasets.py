@@ -251,6 +251,14 @@ def test_desk_surrogate_shape(desk_idx, desk_splits):
     assert all(0.0 <= side.inputs.min() and side.inputs.max() <= 1.0 for side in desk_splits)
 
 
+def test_desk_surrogate_bytes(desk_idx):
+    """The bytes of the full 5120-example build, whose noise stream runs
+    past many 2**16-normal pieces."""
+    assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in desk_idx] == [
+        "57678ef0ce35c7a1a98da221c33dfcbd07d35575d70310026476492123abb926",
+        "14d0ac18d6b52274b6a769a153d9a2b7c85af8393eff382c3b5bb092642e8e98"]
+
+
 def test_desk_surrogate_is_a_function_of_seed(tmp_path):
     def build(name, seed, n_total=40):
         paths = build_desk_idx(tmp_path / name, n_total=n_total, seed=seed)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -97,6 +98,19 @@ def test_stream_prefixes_are_the_shorter_streams(seed):
         # one entry, all but one, and the desk linear model's 784 x 10
         for k in (1, n - 1, 7_840):
             assert np.array_equal(full[:k], standard_normal(seed, i, k)), k
+        # a stream that runs past 2**16 normals starts with the shorter one
+        assert np.array_equal(standard_normal(seed, i, 2**16 + 3)[:n], full)
+
+
+@pytest.mark.parametrize("seed,stream,digest", [
+    (0, 0, "2c9a4d2681ee3538288e78222f5110f6af26573f4d68c809e33264546512998c"),
+    (2**64 - 1, 3, "5b56c0ebd7b0ab2f5a4d67e94bef7d69ce381695b87d0998aa07edc10ef94421"),
+])
+def test_standard_normal_bits(seed, stream, digest):
+    """The bytes of a stream three and a bit times 2**16 normals long, so
+    a change in how a long stream is drawn or mapped shows."""
+    z = standard_normal(seed, stream, 3 * 2**16 + 5)
+    assert hashlib.sha256(z.astype("<f8").tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, True, 3.0])
