@@ -125,14 +125,18 @@ def build_desk_idx(out_dir, n_total: int = DESK_TOTAL, seed: int = 20260809):
     z = standard_normal(seed, JITTER_STREAM, n_total * _N_JITTER)
     linear, offset, half_width = _jitter_maps(
         np.clip(z, -2.0, 2.0).reshape(n_total, _N_JITTER))
-    pixels = np.empty((n_total, SIDE * SIDE))
+    # The noise draw is the canvas: scaling it, adding each class's ink into
+    # its rows (ink + noise, bit for bit, as addition commutes), rounding and
+    # clipping all run in place, so the build holds one float64 canvas.
+    pixels = standard_normal(seed, NOISE_STREAM, n_total * SIDE * SIDE)
+    pixels = pixels.reshape(n_total, SIDE * SIDE)
+    pixels *= NOISE_SCALE
     for y, skeleton in enumerate(_SKELETONS):
-        rows = np.flatnonzero(raw_labels == y)
-        pixels[rows] = 255.0 * _render(*_segments(skeleton), linear[rows],
-                                       offset[rows], half_width[rows])
-    noise = standard_normal(seed, NOISE_STREAM, n_total * SIDE * SIDE)
-    pixels += NOISE_SCALE * noise.reshape(n_total, SIDE * SIDE)
-    images = np.rint(pixels).clip(0, 255).astype(np.uint8).reshape(n_total, SIDE, SIDE)
+        rows = slice(y, None, k)  # the examples with raw label y
+        pixels[rows] += 255.0 * _render(*_segments(skeleton), linear[rows],
+                                        offset[rows], half_width[rows])
+    np.rint(pixels, out=pixels)
+    images = pixels.clip(0, 255, out=pixels).astype(np.uint8).reshape(n_total, SIDE, SIDE)
 
     os.makedirs(out_dir, exist_ok=True)
     images_path = os.path.join(out_dir, "desk-images-idx3-ubyte")

@@ -52,6 +52,8 @@ MAX_EPOCHS = CHECK_STREAM - SHUFFLE_STREAM
 SEED_LIMIT = 1 << 64
 
 _U52 = np.uint64(1) << np.uint64(52)
+# standard_normal maps its stream in consecutive pieces of this many values.
+_CHUNK = 1 << 16
 # The largest |z| that standard_normal returns: |ndtri(0.5 / 2**52)| = 8.2095...
 MAX_ABS_NORMAL = float(-ndtri(0.5 / float(_U52)))
 
@@ -75,14 +77,20 @@ def standard_normal(seed: int, stream: int, n: int) -> np.ndarray:
 
     Uses u = (r + 1/2) / 2^52 with r a 52-bit integer, so u lies strictly
     inside (0, 1) and ndtri(u) is always finite: |z| <= ``MAX_ABS_NORMAL``
-    (8.2095, at r = 0 and r = 2^52 - 1).
+    (8.2095, at r = 0 and r = 2^52 - 1).  The integers are drawn and mapped
+    in consecutive pieces of ``_CHUNK``, written straight into the result,
+    so a draw peaks at 8n bytes plus one piece's integers; each piece holds
+    the stream's next integers, so the values are those of one draw of n.
     """
     rng = stream_rng(seed, stream)
-    r = rng.integers(0, _U52, size=n, dtype=np.uint64)
-    u = r.astype(np.float64)
-    u += 0.5
-    u /= float(_U52)
-    return ndtri(u, out=u)
+    z = np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        u = z[lo : lo + _CHUNK]
+        u[:] = rng.integers(0, _U52, size=u.size, dtype=np.uint64)
+        u += 0.5
+        u /= float(_U52)
+        ndtri(u, out=u)
+    return z
 
 
 def normal_rows(seed: int, count: int, n: int) -> np.ndarray:

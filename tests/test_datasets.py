@@ -259,6 +259,21 @@ def test_desk_surrogate_bytes(desk_idx):
         "14d0ac18d6b52274b6a769a153d9a2b7c85af8393eff382c3b5bb092642e8e98"]
 
 
+def test_desk_build_peak_memory(tmp_path):
+    """The noise draw is the build's one float64 canvas, and one class's
+    rendering adds less than another: under 2 canvases, where a canvas
+    beside the noise and its temporaries peaked at 4.0."""
+    n_total = 1280
+    tracemalloc.start()
+    try:
+        build_desk_idx(tmp_path, n_total=n_total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    canvas = n_total * 28 * 28 * 8
+    assert peak < 2 * canvas, peak / canvas
+
+
 def test_desk_surrogate_is_a_function_of_seed(tmp_path):
     def build(name, seed, n_total=40):
         paths = build_desk_idx(tmp_path / name, n_total=n_total, seed=seed)

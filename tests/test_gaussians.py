@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_standard_normal_bits(seed, stream, digest):
     a change in how a long stream is drawn or mapped shows."""
     z = standard_normal(seed, stream, 3 * 2**16 + 5)
     assert hashlib.sha256(z.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def test_standard_normal_peak_memory():
+    """A draw holds its float64 result and one piece of integers, not a
+    uint64 and a float64 copy of every value (16 MB at a million)."""
+    tracemalloc.start()
+    try:
+        standard_normal(1, 0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10**6 + 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, True, 3.0])
