@@ -90,11 +90,13 @@ def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,
     """Train from N(0, s^2) for every initial scale s, together.
 
     Returns one final iterate per scale, in order (reports use them
-    as-is).  Raises ValueError if a scale is not positive, and the
-    TrainingDiverged that training the scales one after another would
-    raise: that of the first scale, in order, that diverges, at its own
-    step.
+    as-is).  Raises ValueError if ``init_scales`` is empty or a scale is
+    not positive, and the TrainingDiverged that training the scales one
+    after another would raise: that of the first scale, in order, that
+    diverges, at its own step.
     """
+    if not init_scales:
+        raise ValueError("init_scales is empty: there is no scale to train")
     z = standard_normal(cfg.seed, 0, arch.param_count())
     # The loop owns these rows and updates weights and momenta in place;
     # the one finiteness scan per step keeps every row a valid weight vector.

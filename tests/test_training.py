@@ -243,7 +243,7 @@ def test_train_depths_of_no_depths_or_no_scales(monkeypatch, pinned):
         data = separable_data(n=32)
         cfg = TrainConfig(epochs=1, batch_size=16, seed=2)
         assert list(train_depths([], data, cfg, [0.1, 0.5])) == []
-        with pytest.raises(ValueError) as alone:
+        with pytest.raises(ValueError, match="init_scales is empty") as alone:
             train(DEPTH_ARCHS[1], data, cfg, [])
         with pytest.raises(ValueError) as exc:
             list(train_depths(DEPTH_ARCHS, data, cfg, []))
