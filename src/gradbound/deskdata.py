@@ -5,10 +5,14 @@ surrogate that needs nothing beyond numpy and the package's Philox streams.
 Each digit 0-9 has a fixed stroke skeleton (polylines in a unit box).  Every
 example applies its own affine jitter (rotation, scale, shear, shift) and
 stroke width to its class skeleton, renders the strokes with a smooth
-profile onto a 28x28 u8 canvas, and adds small pixel noise.  Example ``j``
-has raw label ``j % 10`` and its draws come from row ``j`` of the reserved
-jitter and noise streams, so the files are a pure function of ``seed`` and
-a smaller build is a prefix of a larger one.  The result goes through the
+profile onto a 28x28 canvas, and adds small pixel noise.  The noise draw
+is that float64 canvas: each class's ink is added into it, and it is
+rounded and clipped in place before the one u8 conversion, so the build
+holds a single float64 copy of the images, with the bits of adding the
+noise to a separate canvas of ink.  Example ``j`` has raw label ``j % 10``
+and its draws come from row ``j`` of the reserved jitter and noise
+streams, so the files are a pure function of ``seed`` and a smaller build
+is a prefix of a larger one.  The result goes through the
 ordinary IDX writer/parser, so the whole pipeline is exercised exactly as it
 would be on the real files.
 
@@ -125,11 +129,9 @@ def build_desk_idx(out_dir, n_total: int = DESK_TOTAL, seed: int = 20260809):
     z = standard_normal(seed, JITTER_STREAM, n_total * _N_JITTER)
     linear, offset, half_width = _jitter_maps(
         np.clip(z, -2.0, 2.0).reshape(n_total, _N_JITTER))
-    # The noise draw is the canvas: scaling it, adding each class's ink into
-    # its rows (ink + noise, bit for bit, as addition commutes), rounding and
-    # clipping all run in place, so the build holds one float64 canvas.
-    pixels = standard_normal(seed, NOISE_STREAM, n_total * SIDE * SIDE)
-    pixels = pixels.reshape(n_total, SIDE * SIDE)
+    # The noise draw is the canvas; adding each class's ink into its rows
+    # gives ink + noise bit for bit, as float addition commutes.
+    pixels = standard_normal(seed, NOISE_STREAM, n_total * SIDE * SIDE).reshape(n_total, -1)
     pixels *= NOISE_SCALE
     for y, skeleton in enumerate(_SKELETONS):
         rows = slice(y, None, k)  # the examples with raw label y

@@ -11,8 +11,11 @@ prefix-stable (the i-th draw does not depend on how many draws are
 requested) and may be generated in parallel.  Streams are prefix-stable
 in their length too: the first P normals of a stream are the stream of
 length P, because the 52-bit integers behind them are drawn on a
-power-of-two range, which never rejects.  :meth:`GaussianFamily.draw` is
-the one place that maps z_i to weights.  Families share z_i: a caller
+power-of-two range, which never rejects and takes one 64-bit word per
+integer.  So :func:`standard_normal` draws a stream in consecutive
+pieces, each the stream's next integers, and holds only its float64
+result and one piece: 8 bytes per normal.  :meth:`GaussianFamily.draw`
+is the one place that maps z_i to weights.  Families share z_i: a caller
 that needs draw i of several families, of one layout or of layouts with
 different parameter counts (the depths of a sweep), generates stream i
 once, at the largest count, with :func:`normal_rows`, and maps the
@@ -79,8 +82,8 @@ def standard_normal(seed: int, stream: int, n: int) -> np.ndarray:
     inside (0, 1) and ndtri(u) is always finite: |z| <= ``MAX_ABS_NORMAL``
     (8.2095, at r = 0 and r = 2^52 - 1).  The integers are drawn and mapped
     in consecutive pieces of ``_CHUNK``, written straight into the result,
-    so a draw peaks at 8n bytes plus one piece's integers; each piece holds
-    the stream's next integers, so the values are those of one draw of n.
+    so a draw peaks at 8n bytes plus one piece's integers; the values are
+    those of one draw of n (see the randomness policy).
     """
     rng = stream_rng(seed, stream)
     z = np.empty(n)

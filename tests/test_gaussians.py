@@ -106,7 +106,7 @@ def test_stream_prefixes_are_the_shorter_streams(seed):
 @pytest.mark.parametrize("seed,stream,digest", [
     (0, 0, "2c9a4d2681ee3538288e78222f5110f6af26573f4d68c809e33264546512998c"),
     (2**64 - 1, 3, "5b56c0ebd7b0ab2f5a4d67e94bef7d69ce381695b87d0998aa07edc10ef94421"),
-])
+], ids=["zero-seed", "top-seed"])
 def test_standard_normal_bits(seed, stream, digest):
     """The bytes of a stream three and a bit times 2**16 normals long, so
     a change in how a long stream is drawn or mapped shows."""
