@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import GaussianFamily, is_seed
+from .gaussians import GaussianFamily
 from .nets import (ParamVector, _layers, batch_losses, first_layer_block,
                    loss_and_sq_grad_norms)
+from .settings import COUNT, NONNEGATIVE, SEED, check_settings, setting
 
 OVERFLOW_LOG_LIMIT = float(np.log(np.finfo(np.float32).max))
 
@@ -51,20 +52,12 @@ HERBST_NODES = 10_001  # quadrature nodes of herbst_identity_check
 class EstimatorConfig:
     """Knobs shared by the Monte-Carlo estimators."""
 
-    n_weight_samples: int = 64
-    seed: int = 0
-    loss_bound_slack: float = 0.5
+    n_weight_samples: int = setting(COUNT, 64)
+    seed: int = setting(SEED, 0)
+    loss_bound_slack: float = setting(NONNEGATIVE, 0.5)
 
     def __post_init__(self):
-        # type(), not isinstance(): a bool is an int, and not a count.
-        if type(self.n_weight_samples) is not int or self.n_weight_samples < 1:
-            raise ValueError("n_weight_samples must be an integer >= 1")
-        if not is_seed(self.seed):
-            raise ValueError("seed must be an integer in [0, 2**64)")
-        # A bool compares as 0 or 1, but it is not a real.
-        if (isinstance(self.loss_bound_slack, bool)
-                or not 0.0 <= self.loss_bound_slack < math.inf):
-            raise ValueError("loss_bound_slack must be finite and nonnegative")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ The output is JSON when its path ends in ".json" and CSV otherwise
 and renamed into place, so a failed run leaves no partial file.
 Grids and sizes come from the JSON config file; the command-line flags
 --seed/--out/--data-images/--data-labels/--synthetic override it
-(flags > file > defaults).  Infinities are serialized as the string "inf".
+(flags > file > defaults).  A source that sets a value the experiment
+does not read (``_READS``) is refused.  Infinities are serialized as the
+string "inf".
 """
 
 from __future__ import annotations
@@ -62,10 +64,11 @@ import numpy as np
 from . import bounds as bd
 from .datasets import (DataSourceError, LabeledDataset, load_idx, split, stratified_sample,
                        synth_gaussian, take)
-from .gaussians import (CHECK_STREAM, MAX_ABS_NORMAL, MAX_SYNTH_CLASSES, is_seed,
-                        kl_divergence, normal_rows, posterior_family, prior_family, sample,
-                        stream_rng)
+from .gaussians import (CHECK_STREAM, MAX_ABS_NORMAL, MAX_SYNTH_CLASSES, kl_divergence,
+                        normal_rows, posterior_family, prior_family, sample, stream_rng)
 from .nets import LIPSCHITZ_BOUND, MlpArchitecture, arch_for_depth
+from .settings import (COUNT, FINITE, POSITIVE, SEED, STRING, ConfigError, check_settings,
+                       grid, setting)
 from .subgamma import fit as subgamma_fit, check as subgamma_check
 from .training import TrainConfig, TrainingDiverged, evaluate, train_depths
 
@@ -77,59 +80,38 @@ EXIT_CHECK_FAILED = 5
 _MAX_SCALE = sys.float_info.max / MAX_ABS_NORMAL
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Fully resolved description of one experiment run."""
 
     experiment: str
-    lambda_grid: tuple[float, ...] = ()
-    variance_grid: tuple[float, ...] = (0.0004, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7)
-    depth_grid: tuple[int, ...] = (1, 2, 3, 4, 5)
-    images_path: str | None = None
-    labels_path: str | None = None
-    synthetic: str | None = None
-    train_size: int = 4096
-    heldout_size: int = 1024
-    data_seed: int = 0
-    sigma_q: float = 0.05
-    mlp_target_params: int = 20_000
+    lambda_grid: tuple[float, ...] = setting(grid(POSITIVE), ())
+    variance_grid: tuple[float, ...] = setting(grid(POSITIVE, nonempty=True),
+                                               (0.0004, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7))
+    depth_grid: tuple[int, ...] = setting(grid(COUNT, nonempty=True), (1, 2, 3, 4, 5))
+    images_path: str | None = setting(STRING, None)
+    labels_path: str | None = setting(STRING, None)
+    synthetic: str | None = setting(STRING, None)
+    train_size: int = setting(COUNT, 4096)
+    heldout_size: int = setting(COUNT, 1024)
+    data_seed: int = setting(SEED, 0)
+    sigma_q: float = setting(POSITIVE, 0.05)
+    mlp_target_params: int = setting(COUNT, 20_000)
     estimator: bd.EstimatorConfig = field(default_factory=bd.EstimatorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    out: str | None = None
+    out: str | None = setting(STRING, None)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
-        if not self.variance_grid or not self.depth_grid:
-            raise ConfigError("variance_grid and depth_grid must be nonempty")
-        # A bool compares as 0 or 1, but it is not a real.
-        if not all(not isinstance(v, bool) and 0 < v < math.inf for v in self.variance_grid):
-            raise ConfigError("variance_grid entries must be finite and positive")
-        # type(), not isinstance(): a bool is an int, and not a count.
-        if not all(type(d) is int and d >= 1 for d in self.depth_grid):
-            raise ConfigError("depth_grid entries must be integers >= 1")
-        if not all(not isinstance(lam, bool) and 0 < lam < math.inf
-                   for lam in self.lambda_grid):
-            raise ConfigError("lambda_grid entries must be finite and positive")
+        check_settings(self)
         if self.experiment == "naive-vs-lambda" and not self.lambda_grid:
             raise ConfigError("naive-vs-lambda needs a nonempty lambda_grid")
-        if not all(type(n) is int and n >= 1
-                   for n in (self.train_size, self.heldout_size, self.mlp_target_params)):
-            raise ConfigError("train_size, heldout_size and mlp_target_params "
-                              "must be integers >= 1")
-        if not is_seed(self.data_seed):
-            raise ConfigError("data_seed must be an integer in [0, 2**64)")
         if (self.experiment == "fit-subgamma"
                 and any(lam > self.train_size for lam in self.lambda_grid)):
             raise ConfigError("fit-subgamma lambda_grid entries must not exceed "
                               "train_size (m)")
-        if isinstance(self.sigma_q, bool) or not 0 < self.sigma_q < math.inf:
-            raise ConfigError("sigma_q must be finite and positive")
         # A weight draw scales standard normals, |z| <= MAX_ABS_NORMAL: the
         # sweeps' by each sigma_p, train-report's posteriors by sigma_q.
         scales = {"train-report": (self.sigma_q,), "identity-checks": ()}.get(
@@ -137,9 +119,6 @@ class SweepSpec:
         if not all(math.isfinite(s * MAX_ABS_NORMAL) for s in scales):
             raise ConfigError(f"a prior or posterior scale above {_MAX_SCALE:.6g} "
                               "overflows its weight draws")
-        if not all(v is None or isinstance(v, str)
-                   for v in (self.images_path, self.labels_path, self.synthetic, self.out)):
-            raise ConfigError("images_path, labels_path, synthetic and out must be strings")
         if self.synthetic:
             parse_synthetic_spec(self.synthetic)
 
@@ -155,7 +134,8 @@ _DEFAULTS = {
 
 def parse_synthetic_spec(text: str) -> dict:
     """Parse "k=2,d=16,sigma=1.0,n_per_class=2560,sep=3.0" style specs."""
-    fields = {"k": int, "d": int, "sigma": float, "n_per_class": int, "sep": float}
+    fields = {"k": (int, COUNT), "d": (int, COUNT), "sigma": (float, POSITIVE),
+              "n_per_class": (int, COUNT), "sep": (float, FINITE)}
     out = {}
     for chunk in text.split(","):
         if not chunk.strip():
@@ -167,21 +147,19 @@ def parse_synthetic_spec(text: str) -> dict:
         if key in out:
             raise ConfigError(f"synthetic field {key!r} is given twice")
         try:
-            out[key] = fields[key](value)
+            out[key] = fields[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"bad synthetic value for {key}: {value!r}") from exc
     out = {"sigma": 1.0, "sep": 3.0, **out}
     missing = {"k", "d", "n_per_class"} - out.keys()
     if missing:
         raise ConfigError(f"synthetic spec is missing {sorted(missing)}")
+    for key, (_, kind) in fields.items():
+        if not kind.holds(out[key]):
+            raise ConfigError(f"synthetic {key} must be {kind.text}")
     if out["k"] > min(out["d"], MAX_SYNTH_CLASSES):
         raise ConfigError("synthetic spec needs k <= d (class means are sep * e_y) "
                           f"and k <= {MAX_SYNTH_CLASSES}")
-    if min(out["k"], out["d"], out["n_per_class"]) < 1 or not 0 < out["sigma"] < math.inf:
-        raise ConfigError("synthetic spec needs k, d and n_per_class >= 1 "
-                          "and a finite sigma > 0")
-    if not math.isfinite(out["sep"]):
-        raise ConfigError("synthetic spec needs a finite sep")
     return out
 
 
@@ -342,6 +320,28 @@ _SWEEPS = {
 
 EXPERIMENTS = (*_SWEEPS, "identity-checks")
 
+# experiment -> the settings it reads, a section's fields named
+# "section.field".  A config file or flag that sets any other is refused,
+# as a value that would change nothing; ``seed`` sets three seeds and
+# every experiment reads one of them.
+_EVERY_READS = ("out", "seed", "estimator.seed")
+_SWEEP_READS = (*_EVERY_READS, "images_path", "labels_path", "synthetic", "train_size",
+                "heldout_size", "data_seed", "depth_grid", "variance_grid",
+                "mlp_target_params", "estimator.n_weight_samples")
+_BOUND_READS = (*_SWEEP_READS, "estimator.loss_bound_slack")
+_READS = {
+    "naive-vs-lambda": (*_SWEEP_READS, "lambda_grid"),
+    "gradnorm-vs-variance": _SWEEP_READS,
+    "loss-vs-variance": _BOUND_READS,
+    "bound-vs-variance": _BOUND_READS,
+    "fit-subgamma": (*_BOUND_READS, "lambda_grid"),
+    "train-report": (*_BOUND_READS, "sigma_q", "train.learning_rate", "train.momentum",
+                     "train.epochs", "train.batch_size", "train.seed"),
+    "identity-checks": _EVERY_READS,
+}
+_SETTINGS = set().union(*_READS.values())
+_SEEDS = ("data_seed", "estimator.seed", "train.seed")  # what ``seed`` sets
+
 
 def _sweep(spec, train_set, heldout):
     """The depth x variance grid: one family per point, and one draw_stats
@@ -479,17 +479,17 @@ def run(spec: SweepSpec) -> int:
 
 
 def _read_config(path: str) -> dict:
-    """The JSON object in the config file; NaN and Infinity are refused.
+    """The JSON object in the config file.
 
-    A ``true`` or ``false`` reaches the dataclasses, which refuse it: every
-    setting is a count, a seed, a real, a string or a grid of these.
+    The merge (``_spec_from_sources``) refuses a ``null``, an unknown key
+    and a value the experiment does not read, and the dataclasses a value
+    not of its setting's kind (``settings``): every kind is finite, so a
+    ``NaN`` or ``Infinity`` (or 1e999) is refused, and none is boolean,
+    so a ``true`` or ``false`` is.
     """
-    def refuse(constant):
-        raise ConfigError(f"config file holds {constant}; numbers must be finite")
-
     try:
         with open(path) as f:
-            config = json.load(f, parse_constant=refuse)
+            config = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -502,38 +502,31 @@ def _read_config(path: str) -> dict:
 def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> SweepSpec:
     """Merge defaults < per-experiment defaults < config file < flags.
 
-    Within a source, ``seed`` is applied first, so a specific seed in the
-    same source wins over it whatever the key order.
+    A flag of None is not given.  A null, an unknown setting and a setting
+    that ``_READS`` does not list for the experiment are refused.  Within
+    a source, ``seed`` is applied first, so a specific seed in the same
+    source wins over it whatever the key order.
     """
-    merged: dict = dict(_DEFAULTS.get(experiment, {}))
-    est, tr = {}, {}
-    for src in (file_config, flags):
+    given = {"": dict(_DEFAULTS.get(experiment, {})), "estimator": {}, "train": {}}
+    for src in (file_config, {key: v for key, v in flags.items() if v is not None}):
         for key, value in sorted(src.items(), key=lambda kv: kv[0] != "seed"):
-            if value is None:
-                continue
             if key == "experiment":
                 raise ConfigError("the experiment is the command's first argument")
             if key in ("estimator", "train") and not isinstance(value, dict):
                 raise ConfigError(f"{key} must be a JSON object")
-            if key == "estimator":
-                est.update(value)
-            elif key == "train":
-                tr.update(value)
-            elif key == "seed":
-                est["seed"] = tr["seed"] = merged["data_seed"] = value
-            else:
-                merged[key] = value
-    for grid in ("lambda_grid", "variance_grid", "depth_grid"):
-        if grid in merged:
-            if not isinstance(merged[grid], (list, tuple)):
-                raise ConfigError(f"{grid} must be a list")
-            merged[grid] = tuple(merged[grid])
-    try:
-        return SweepSpec(experiment=experiment,
-                         estimator=bd.EstimatorConfig(**est),
-                         train=TrainConfig(**tr), **merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+            items = ([(f"{key}.{name}", v) for name, v in value.items()]
+                     if key in ("estimator", "train") else [(key, value)])
+            for name, v in items:
+                if name not in _READS.get(experiment, ()):
+                    raise ConfigError(f"{experiment} does not read {name}" if name in _SETTINGS
+                                      else f"unknown setting {name!r}")
+                if v is None:
+                    raise ConfigError(f"{name} is null; leave it out to take its default")
+                for target in _SEEDS if name == "seed" else (name,):
+                    section, _, field_name = target.rpartition(".")
+                    given[section][field_name] = tuple(v) if isinstance(v, list) else v
+    return SweepSpec(experiment=experiment, estimator=bd.EstimatorConfig(**given["estimator"]),
+                     train=TrainConfig(**given["train"]), **given[""])
 
 
 def _error_record(kind: str, message: str) -> None:
@@ -564,9 +557,7 @@ def main(argv=None) -> int:
                         help="inline synthetic source, e.g. k=2,d=16,n_per_class=2560")
     try:
         args = parser.parse_args(argv)
-        flags = {"seed": args.seed, "out": args.out,
-                 "images_path": args.images_path, "labels_path": args.labels_path,
-                 "synthetic": args.synthetic}
+        flags = {k: v for k, v in vars(args).items() if k not in ("experiment", "config")}
         file_config = _read_config(args.config) if args.config else {}
         spec = _spec_from_sources(args.experiment, file_config, flags)
         # Overflow is reported in the rows (overflowed, inf) or as an exit

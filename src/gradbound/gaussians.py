@@ -34,6 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .nets import MlpArchitecture, ParamVector
+from .settings import SEED
 
 RESERVED_STREAM_BASE = 1 << 48
 # The reserved streams.  Two are runs that count up from their base:
@@ -50,10 +51,6 @@ JITTER_STREAM = RESERVED_STREAM_BASE + 0xD1
 MAX_SYNTH_CLASSES = SUBSET_STREAM - SYNTH_STREAM - 1
 MAX_EPOCHS = CHECK_STREAM - SHUFFLE_STREAM
 
-# A seed keys Philox as one uint64; stream_rng refuses seeds outside
-# [0, SEED_LIMIT), which would alias seeds inside it (-1 and 2**64 - 1).
-SEED_LIMIT = 1 << 64
-
 _U52 = np.uint64(1) << np.uint64(52)
 # standard_normal maps its stream in consecutive pieces of this many values.
 _CHUNK = 1 << 16
@@ -61,16 +58,11 @@ _CHUNK = 1 << 16
 MAX_ABS_NORMAL = float(-ndtri(0.5 / float(_U52)))
 
 
-def is_seed(value) -> bool:
-    """A seed is an int (a bool is not one) in [0, SEED_LIMIT)."""
-    return type(value) is int and 0 <= value < SEED_LIMIT
-
-
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """The Philox generator keyed by (seed, stream); ValueError unless
-    :func:`is_seed` holds for ``seed``."""
-    if not is_seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    ``seed`` is of the ``settings.SEED`` kind."""
+    if not SEED.holds(seed):
+        raise ValueError(f"seed must be {SEED.text}, got {seed!r}")
     key = np.array([seed, stream & (2**64 - 1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

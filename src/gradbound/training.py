@@ -40,16 +40,15 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import LabeledDataset
-from .gaussians import (MAX_EPOCHS, SHUFFLE_STREAM, is_seed, prior_family, standard_normal,
-                        stream_rng)
+from .gaussians import MAX_EPOCHS, SHUFFLE_STREAM, prior_family, standard_normal, stream_rng
 from .nets import MlpArchitecture, ParamVector, batch_forward, logit_loss, loss_and_param_grads
+from .settings import COUNT, FRACTION, NONNEGATIVE, SEED, ConfigError, check_settings, setting
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,26 +62,17 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    epochs: int = 15
-    batch_size: int = 128
-    seed: int = 0
+    learning_rate: float = setting(NONNEGATIVE, 0.01)
+    momentum: float = setting(FRACTION, 0.9)
+    epochs: int = setting(COUNT, 15)
+    batch_size: int = setting(COUNT, 128)
+    seed: int = setting(SEED, 0)
 
     def __post_init__(self):
-        # A bool compares as 0 or 1, but it is not a real.
-        if isinstance(self.learning_rate, bool) or not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and nonnegative")
-        if isinstance(self.momentum, bool) or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        # type(), not isinstance(): a bool is an int, and not a count.
-        if not all(type(n) is int and n >= 1 for n in (self.epochs, self.batch_size)):
-            raise ValueError("epochs and batch_size must be integers >= 1")
+        check_settings(self)
         if self.epochs > MAX_EPOCHS:
-            raise ValueError(f"epochs must be <= {MAX_EPOCHS}, where the per-epoch "
-                             "shuffle streams reach the next reserved stream")
-        if not is_seed(self.seed):
-            raise ValueError("seed must be an integer in [0, 2**64)")
+            raise ConfigError(f"epochs must be <= {MAX_EPOCHS}, where the per-epoch "
+                              "shuffle streams reach the next reserved stream")
 
 
 def train(arch: MlpArchitecture, data: LabeledDataset, cfg: TrainConfig,

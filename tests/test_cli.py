@@ -15,7 +15,7 @@ import pytest
 import gradbound
 from gradbound import bounds as bd
 from gradbound import cli as cli_module
-from gradbound import gaussians, nets, training
+from gradbound import gaussians, nets, settings, training
 from gradbound.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -107,8 +107,8 @@ def test_spec_validation_errors():
     for infinite in ({"variance_grid": [math.inf]}, {"sigma_q": math.inf},
                      {"estimator": {"loss_bound_slack": math.inf}},
                      {"train": {"learning_rate": math.inf}}):
-        with pytest.raises(ConfigError):
-            _spec_from_sources("loss-vs-variance", infinite, {})
+        with pytest.raises(ConfigError, match="must be .*finite"):
+            _spec_from_sources("train-report", infinite, {})
     # a bool compares as 0 or 1, but it is not a real
     for flag in ({"variance_grid": (True,)}, {"lambda_grid": (True,)}, {"sigma_q": True}):
         with pytest.raises(ConfigError):
@@ -568,12 +568,18 @@ def test_main_missing_data_exit(tmp_path, capsys):
         assert sorted(os.listdir(tmp_path)) == ["labels", "no-pixels"]
 
 
+def _missing_data_flags(experiment, tmp_path):
+    # A sweep's data files are missing too: the output check comes first.
+    # identity-checks reads no data, and refuses data flags.
+    if experiment == "identity-checks":
+        return []
+    return ["--data-images", str(tmp_path / "x"), "--data-labels", str(tmp_path / "y")]
+
+
 @pytest.mark.parametrize("experiment", ["loss-vs-variance", "identity-checks"])
 def test_missing_output_directory_fails_before_any_work(experiment, passes, tmp_path,
                                                         capsys):
-    # the data files are missing too: the output check comes first
-    code = main([experiment, "--data-images", str(tmp_path / "x"),
-                 "--data-labels", str(tmp_path / "y"),
+    code = main([experiment, *_missing_data_flags(experiment, tmp_path),
                  "--out", str(tmp_path / "missing" / "o.csv")])
     assert code == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
@@ -587,8 +593,7 @@ def test_output_path_naming_a_directory_fails_before_any_work(experiment, passes
                                                              capsys):
     out = tmp_path / "o.csv"
     out.mkdir()
-    code = main([experiment, "--data-images", str(tmp_path / "x"),
-                 "--data-labels", str(tmp_path / "y"), "--out", str(out)])
+    code = main([experiment, *_missing_data_flags(experiment, tmp_path), "--out", str(out)])
     assert code == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and "output path is a directory" in err["message"]
@@ -663,6 +668,14 @@ BAD_CONFIGS = {
     # sigma * z overflows for the largest normals, |z| = 8.2095
     "variance whose draws overflow": ("loss-vs-variance", {"variance_grid": [1e308]}, None),
     "sigma_q whose draws overflow": ("train-report", {"sigma_q": 3e307}, None),
+    # a null does not stand for the default
+    "null variance_grid": ("loss-vs-variance", {"variance_grid": None}, None),
+    "null synthetic": ("loss-vs-variance", {"synthetic": None}, None),
+    "null sigma_q": ("train-report", {"sigma_q": None}, None),
+    "null seed": ("loss-vs-variance", {"seed": None}, None),
+    "null estimator": ("loss-vs-variance", {"estimator": None}, None),
+    "null estimator seed": ("loss-vs-variance", {"estimator": {"seed": None}}, None),
+    "null train epochs": ("train-report", {"train": {"epochs": None}}, None),
 }
 
 
@@ -680,7 +693,8 @@ def test_bad_config_fails_before_any_work(case, passes, tmp_path, capsys):
         argv += ["--synthetic", synthetic]
     assert main(argv) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
+    # refused for its own fault, not as a value the experiment does not read
+    assert err["error"] == "config" and "does not read" not in err["message"]
     assert passes == {}
     assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
     assert os.listdir(out_dir) == []
@@ -698,38 +712,116 @@ def test_synthetic_spec_whose_draws_overflow_is_a_config_error(passes, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
-# ------------------------------------------------------ every knob is read
+# ------------------------------------------------- the settings each reads
 
-_KNOB_BASE = {"synthetic": "k=2,d=4,n_per_class=64", "train_size": 64,
-              "heldout_size": 32, "variance_grid": [0.1],
-              "estimator": {"n_weight_samples": 2}, "train": {"epochs": 2, "batch_size": 32}}
-# (section, field) -> a value other than the base run's; a field missing
-# here fails the guard below until it is given one.
-_KNOB_VALUES = {
-    ("estimator", "n_weight_samples"): 3, ("estimator", "seed"): 1,
-    ("estimator", "loss_bound_slack"): 0.25,
-    ("train", "learning_rate"): 0.02, ("train", "momentum"): 0.5, ("train", "epochs"): 3,
-    ("train", "batch_size"): 16, ("train", "seed"): 1,
-}
+# A tiny run's settings (flat, a section's fields named "section.field"):
+# an experiment's base config is the part of _BASE that it reads.
+_BASE = {"synthetic": "k=2,d=4,n_per_class=64", "train_size": 64, "heldout_size": 32,
+         "depth_grid": [2], "variance_grid": [0.1], "lambda_grid": [1.0, 2.0],
+         "mlp_target_params": 40, "estimator.n_weight_samples": 2,
+         "train.epochs": 1, "train.batch_size": 32}
+# Another value of each setting, which must move the rows of every
+# experiment that reads it.  The seeds' base is their default, 0, so that
+# ``seed`` is not overridden by a specific seed of the base.
+_OTHER = {"lambda_grid": [1.0, 3.0], "variance_grid": [0.2], "depth_grid": [1],
+          "train_size": 48, "heldout_size": 24, "data_seed": 1, "sigma_q": 0.1,
+          "mlp_target_params": 80, "seed": 1, "estimator.n_weight_samples": 3,
+          "estimator.seed": 1, "estimator.loss_bound_slack": 0.25,
+          "train.learning_rate": 0.02, "train.momentum": 0.5, "train.epochs": 2,
+          "train.batch_size": 16, "train.seed": 1, "images_path": "x.idx",
+          "labels_path": "y.idx", "synthetic": "k=2,d=4,n_per_class=80"}
+# Settings whose value need not move the rows: the data paths and the output.
+_PATHS = {"images_path", "labels_path", "synthetic", "out"}
 
 
-def _train_report_lines(config, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out.csv"
-    assert main(["train-report", "--config", str(path), "--out", str(out)]) == 0
-    return [l for l in out.read_text().splitlines() if not l.startswith("#")]
+def _nested(flat):
+    config = {}
+    for name, value in flat.items():
+        section, _, key = name.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[key] = value
+    return config
 
 
-@pytest.mark.parametrize("section,name", [
-    (section, f.name)
-    for section, cls in (("estimator", bd.EstimatorConfig), ("train", TrainConfig))
-    for f in dataclasses.fields(cls)])
-def test_every_echoed_knob_is_read(section, name, tmp_path):
-    """Every output echoes each estimator and train field; each must move the rows."""
-    base = _train_report_lines(_KNOB_BASE, tmp_path)
-    changed = {**_KNOB_BASE[section], name: _KNOB_VALUES[section, name]}
-    assert _train_report_lines({**_KNOB_BASE, section: changed}, tmp_path) != base
+def _row_lines(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def rows_of(tmp_path_factory):
+    """(experiment, flat config) -> the output's lines but the comments;
+    each base run is made once."""
+    made = {}
+
+    def rows(experiment, flat):
+        key = (experiment, json.dumps(flat, sort_keys=True))
+        if key not in made:
+            work = tmp_path_factory.mktemp("settings")
+            (work / "config.json").write_text(json.dumps(_nested(flat)))
+            assert main([experiment, "--config", str(work / "config.json"),
+                         "--out", str(work / "o.csv")]) == 0
+            made[key] = _row_lines(work / "o.csv")
+        return made[key]
+
+    return rows
+
+
+def test_the_settings_table_names_every_field_and_each_has_a_kind():
+    names = {"seed"}
+    for prefix, cls in (("", SweepSpec), ("estimator.", bd.EstimatorConfig),
+                        ("train.", TrainConfig)):
+        for f in dataclasses.fields(cls):
+            if f.name not in ("experiment", "estimator", "train"):
+                assert isinstance(f.metadata.get("kind"), settings.Kind), f.name
+                names.add(prefix + f.name)
+    assert cli_module._SETTINGS == names and len(names) == 21
+    assert _OTHER.keys() == names - {"out"}
+
+
+def _base(experiment):
+    return {key: value for key, value in _BASE.items() if key in cli_module._READS[experiment]}
+
+
+@pytest.mark.parametrize("experiment,name", [
+    (experiment, name) for experiment, reads in cli_module._READS.items()
+    for name in sorted(cli_module._SETTINGS) if name not in reads or name not in _PATHS])
+def test_a_setting_moves_its_readers_rows_and_is_refused_by_the_rest(experiment, name, rows_of,
+                                                                    passes, tmp_path, capsys):
+    changed = {**_base(experiment), name: _OTHER[name]}
+    if name in cli_module._READS[experiment]:
+        assert rows_of(experiment, changed) != rows_of(experiment, _base(experiment))
+        return
+    (tmp_path / "config.json").write_text(json.dumps(_nested(changed)))
+    code = main([experiment, "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": f"{experiment} does not read {name}"}
+    assert passes == {}
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("experiment", cli_module._READS)
+def test_the_settings_an_experiment_does_not_read_move_none_of_its_rows(experiment, rows_of,
+                                                                        tmp_path):
+    # The table is right to refuse them: set in Python, past the merge, all
+    # of them at once leave the rows as they are.
+    spec = _spec_from_sources(experiment, _nested(_base(experiment)),
+                              {"out": str(tmp_path / "o.csv")})
+    unread = _nested({name: tuple(value) if isinstance(value, list) else value
+                      for name, value in _OTHER.items()
+                      if name not in cli_module._READS[experiment]})
+    for section in ("estimator", "train"):
+        if section in unread:
+            unread[section] = dataclasses.replace(getattr(spec, section), **unread[section])
+    assert run(dataclasses.replace(spec, **unread)) == 0
+    assert _row_lines(tmp_path / "o.csv") == rows_of(experiment, _base(experiment))
+
+
+def test_readme_settings_paragraph_names_every_setting():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as f:
+        paragraph = f.read().split("### Settings\n", 1)[1].split("\n#", 1)[0]
+    assert [name for name in sorted(cli_module._SETTINGS) if f"`{name}`" not in paragraph] == []
 
 
 def test_main_happy_path_with_config_file(tmp_path):
@@ -864,7 +956,8 @@ def test_usage_errors_exit_2_with_a_json_record(capsys):
         assert captured.out == ""
 
 
-_SMALL = {"train_size": 64, "heldout_size": 32, "train": {"epochs": 1}}
+_SMALL = {"train_size": 64, "heldout_size": 32}
+_SMALL_TRAIN = {**_SMALL, "train": {"epochs": 1}}
 # experiment, config, --synthetic spec, exit status, error kind (None: no error)
 NOISY_RUNS = {
     # logits overflow in the forward passes; the rows report it
@@ -872,7 +965,7 @@ NOISY_RUNS = {
         "loss-vs-variance", _SMALL, "k=2,d=4,n_per_class=64,sigma=1e306", 0, None),
     # the weights after the last update are finite, their logits are not
     "train-report whose last update overflows": (
-        "train-report", _SMALL, "k=2,d=4,n_per_class=64,sigma=1e200", 4, "diverged"),
+        "train-report", _SMALL_TRAIN, "k=2,d=4,n_per_class=64,sigma=1e200", 4, "diverged"),
     "train-report diverging in SGD": (
         "train-report", {**_SMALL, "depth_grid": [2],
                          "train": {"epochs": 3, "learning_rate": 1e200}},
