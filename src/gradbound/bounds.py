@@ -57,7 +57,7 @@ class EstimatorConfig:
     loss_bound_slack: float = setting(NONNEGATIVE, 0.5)
 
     def __post_init__(self):
-        check_settings(self)
+        check_settings(self, "estimator.")
 
 
 @dataclass(frozen=True)
@@ -86,26 +86,18 @@ class BoundEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) computed with the usual max-shift trick.
+def logmeanexp(a, axis=None):
+    """log(mean(exp(a))), as log(sum(exp(a - max))) + max - log(n).
 
-    Returns -inf for an all -inf input instead of producing NaN.
+    Exact 0.0 for an all-zeros input, and -inf for an all -inf input
+    instead of NaN.
     """
     a = np.asarray(a, dtype=np.float64)
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    if axis is None:
-        return float(out)
-    return out
-
-
-def logmeanexp(a, axis=None):
-    """log(mean(exp(a))); exact 0.0 for an all-zeros input."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.size if axis is None else a.shape[axis]
-    return logsumexp(a, axis=axis) - np.log(n)
+    return out - np.log(a.size if axis is None else a.shape[axis])
 
 
 def _std_error(x: np.ndarray) -> float:

@@ -33,7 +33,13 @@ families from the matrix (its docstring says which first-layer products
 the depths share), and each grid point's matrices go, in depth order, to
 the experiment's row builder, which applies the estimator reductions the
 experiment reports.  A sweep gathers only the data split it reads (see
-``_SWEEPS``); m is the train split's size whether or not it is gathered.
+``_SWEEPS``); m is ``train_size``, the train split's size whether or not
+it is gathered.
+
+``run`` is the one path of every experiment: it makes the rows, of
+identity-checks or of the sweep loop, writes them, and returns exit
+status 5 if and only if a row's ``passed`` is false (only identity-checks
+rows have one), else 0.
 
 Every output embeds the fully resolved configuration and seed.  Reruns
 with the same config are byte-identical apart from the timestamp line.
@@ -238,16 +244,17 @@ def _trained_posteriors(spec, archs, train_set, heldout):
         yield points
 
 
-def _bound_curve(spec, m, losses, sq_norms, lambdas):
-    """The loss bound b and the gradient-norm bound curve it prices."""
+def _bound_curve(spec, losses, sq_norms, lambdas):
+    """The loss bound b and the gradient-norm bound curve it prices, at
+    m = ``spec.train_size``."""
     b = bd.estimate_loss_bound(losses, spec.estimator.loss_bound_slack)
-    return b, bd.gradnorm_bound_curve(sq_norms, lambdas, m, b)
+    return b, bd.gradnorm_bound_curve(sq_norms, lambdas, spec.train_size, b)
 
 
-# Row builders: (spec, m, arch, point cells, losses, sq_norms) -> rows, each
+# Row builders: (spec, arch, point cells, losses, sq_norms) -> rows, each
 # row a dict whose keys are the output's columns, in order.
 
-def _naive_rows(spec, m, arch, point, losses, sq_norms):
+def _naive_rows(spec, arch, point, losses, sq_norms):
     ests = bd.naive_complexity_curve(losses, spec.lambda_grid)
     return [{**point, "lam": lam, **_bound_cells(est),
              "n_weight_samples": est.n_weight_samples,
@@ -255,7 +262,7 @@ def _naive_rows(spec, m, arch, point, losses, sq_norms):
             for lam, est in zip(spec.lambda_grid, ests)]
 
 
-def _gradnorm_rows(spec, m, arch, point, losses, sq_norms):
+def _gradnorm_rows(spec, arch, point, losses, sq_norms):
     mean, se = bd.expected_grad_norm_mc(sq_norms)
     sigma = point["sigma_p"]  # sigma**2 would raise OverflowError, not give inf
     worst = (LIPSCHITZ_BOUND**2 * (sigma * sigma) * arch.param_count()
@@ -264,23 +271,23 @@ def _gradnorm_rows(spec, m, arch, point, losses, sq_norms):
              "linear_worst_case": worst}]
 
 
-def _loss_rows(spec, m, arch, point, losses, sq_norms):
+def _loss_rows(spec, arch, point, losses, sq_norms):
     slack = spec.estimator.loss_bound_slack
     b = bd.estimate_loss_bound(losses, slack)
     return [{**point, "avg_prior_loss": b - slack, "loss_bound": b}]
 
 
-def _bound_rows(spec, m, arch, point, losses, sq_norms):
-    lam_points = [("sqrt_m", math.sqrt(m)), ("m", float(m))]
-    b, ests = _bound_curve(spec, m, losses, sq_norms, [lam for _, lam in lam_points])
+def _bound_rows(spec, arch, point, losses, sq_norms):
+    lam_points = [("sqrt_m", math.sqrt(spec.train_size)), ("m", float(spec.train_size))]
+    b, ests = _bound_curve(spec, losses, sq_norms, [lam for _, lam in lam_points])
     return [{**point, "lam_label": label, "lam": lam, **_bound_cells(est),
              "loss_bound": b}
             for (label, lam), est in zip(lam_points, ests)]
 
 
-def _fit_subgamma_rows(spec, m, arch, point, losses, sq_norms):
-    lambdas = spec.lambda_grid or tuple(np.geomspace(1.0, m, 12))
-    _, ests = _bound_curve(spec, m, losses, sq_norms, lambdas)
+def _fit_subgamma_rows(spec, arch, point, losses, sq_norms):
+    lambdas = spec.lambda_grid or tuple(np.geomspace(1.0, spec.train_size, 12))
+    _, ests = _bound_curve(spec, losses, sq_norms, lambdas)
     grid = [(lam, est.log_space_value) for lam, est in zip(lambdas, ests)
             if not est.overflowed]
     counts = {"n_finite_points": len(grid), "n_grid_points": len(lambdas)}
@@ -293,9 +300,9 @@ def _fit_subgamma_rows(spec, m, arch, point, losses, sq_norms):
              "dominates": subgamma_check(fitted, grid)}]
 
 
-def _train_report_rows(spec, m, arch, point, losses, sq_norms):
-    b, (sqrt_m, at_m) = _bound_curve(spec, m, losses, sq_norms,
-                                     [math.sqrt(m), float(m)])
+def _train_report_rows(spec, arch, point, losses, sq_norms):
+    m = spec.train_size
+    b, (sqrt_m, at_m) = _bound_curve(spec, losses, sq_norms, [math.sqrt(m), float(m)])
     row = {**point, "bound_sqrt_m": sqrt_m.value,
            "bound_sqrt_m_log": sqrt_m.log_space_value,
            "bound_m": at_m.value, "bound_m_log": at_m.log_space_value}
@@ -343,11 +350,12 @@ _SETTINGS = set().union(*_READS.values())
 _SEEDS = ("data_seed", "estimator.seed", "train.seed")  # what ``seed`` sets
 
 
-def _sweep(spec, train_set, heldout):
+def _sweep(spec):
     """The depth x variance grid: one family per point, and one draw_stats
-    call and one matrix of standard normals for every depth.  An unread
-    split is None, as ``resolve_dataset`` gives it."""
+    call and one matrix of standard normals for every depth.  It gathers
+    the splits its ``_SWEEPS`` row reads; an unread split is None."""
     families_at, reads, grads, scale, rows_at = _SWEEPS[spec.experiment]
+    train_set, heldout = resolve_dataset(spec, reads)
     data = heldout if reads[1] else train_set
     archs = [arch_for_depth(depth, data.dim, data.class_count, spec.mlp_target_params)
              for depth in spec.depth_grid]
@@ -360,8 +368,7 @@ def _sweep(spec, train_set, heldout):
                           scale)
     rows = []
     for (depth, arch, (_, cells)), (losses, sq_norms) in zip(points, stats):
-        rows += rows_at(spec, spec.train_size, arch, {"depth": depth, **cells}, losses,
-                        sq_norms)
+        rows += rows_at(spec, arch, {"depth": depth, **cells}, losses, sq_norms)
     return rows
 
 
@@ -459,23 +466,17 @@ def write_output(path: str, spec: SweepSpec, rows) -> None:
 
 
 def run(spec: SweepSpec) -> int:
-    """Execute one sweep; returns the process exit status."""
+    """Execute one experiment and write its output; returns the exit status:
+    5 if a row has ``passed`` false, else 0."""
     out = spec.out or f"{spec.experiment}.csv"
     out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
     if os.path.isdir(out):
         raise ConfigError(f"output path is a directory: {out}")
-    if spec.experiment == "identity-checks":
-        rows = _identity_check_rows(spec)
-        all_passed = all(row["passed"] for row in rows)
-    else:
-        train_set, heldout = resolve_dataset(spec, _SWEEPS[spec.experiment][1])
-        rows = _sweep(spec, train_set, heldout)
-        all_passed = True
-
+    rows = (_identity_check_rows if spec.experiment == "identity-checks" else _sweep)(spec)
     write_output(out, spec, rows)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED if any(not row.get("passed", True) for row in rows) else EXIT_OK
 
 
 def _read_config(path: str) -> dict:
@@ -505,7 +506,9 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
     A flag of None is not given.  A null, an unknown setting and a setting
     that ``_READS`` does not list for the experiment are refused.  Within
     a source, ``seed`` is applied first, so a specific seed in the same
-    source wins over it whatever the key order.
+    source wins over it whatever the key order.  A value not of its kind
+    is refused under the name the source gave it (``seed``,
+    ``estimator.seed``).
     """
     given = {"": dict(_DEFAULTS.get(experiment, {})), "estimator": {}, "train": {}}
     for src in (file_config, {key: v for key, v in flags.items() if v is not None}):
@@ -522,6 +525,8 @@ def _spec_from_sources(experiment: str, file_config: dict, flags: dict) -> Sweep
                                       else f"unknown setting {name!r}")
                 if v is None:
                     raise ConfigError(f"{name} is null; leave it out to take its default")
+                if name == "seed" and not SEED.holds(v):
+                    raise ConfigError(f"seed must be {SEED.text}")
                 for target in _SEEDS if name == "seed" else (name,):
                     section, _, field_name = target.rpartition(".")
                     given[section][field_name] = tuple(v) if isinstance(v, list) else v

@@ -209,10 +209,11 @@ def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.nd
     omitted); it is the pass's scratch, overwritten by the first ReLU.
     Each hidden ReLU is written into the pre-activation array the pass
     owns (its own GEMM's result, or ``z1``), so no layer allocates a
-    second (n, h) array; ``x_batch`` is never written.
+    second (n, h) array; ``x_batch`` is never written.  The batch is taken
+    as float64 here, for every pass.
     """
     acts = []
-    a = x_batch
+    a = np.asarray(x_batch, dtype=np.float64)
     for i, (w, b) in enumerate(_layers(layout, weights)):
         if i:
             a = np.maximum(z, 0.0, out=z)
@@ -227,7 +228,6 @@ def _forward_cached(layout: MlpArchitecture, weights: np.ndarray, x_batch: np.nd
 
 
 def batch_forward(params: ParamVector, x_batch: np.ndarray) -> np.ndarray:
-    x_batch = np.asarray(x_batch, dtype=np.float64)
     return _forward_cached(params.layout, params.values, x_batch)[1]
 
 
@@ -280,7 +280,6 @@ def logit_loss(logits: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
 def batch_losses(params: ParamVector, x_batch, y_batch,
                  z1: np.ndarray | None = None) -> np.ndarray:
     """Per-example losses; ``z1`` as in :func:`_forward_cached` (overwritten)."""
-    x_batch = np.asarray(x_batch, dtype=np.float64)
     logits = _forward_cached(params.layout, params.values, x_batch, z1)[1]
     return logit_loss(logits, y_batch)
 
@@ -304,12 +303,11 @@ def _backward(layout: MlpArchitecture, weights: np.ndarray, x_batch, y_batch,
     callers form it only when they need it.  ``z1`` as in :func:`_forward_cached`,
     whose cached activations give the weight gradients and ReLU masks.
     """
-    x_batch = np.asarray(x_batch, dtype=np.float64)
     layers = _layers(layout, weights)
     acts, logits = _forward_cached(layout, weights, x_batch, z1)
     losses, g = logit_loss_and_gradient(logits, y_batch)
 
-    n = x_batch.shape[0]
+    n = acts[0].shape[0]
     grads = np.empty_like(weights) if want_params else None
     grad_layers = _layers(layout, grads) if want_params else None
     for i in range(len(layers) - 1, -1, -1):

@@ -62,10 +62,12 @@ def setting(kind: Kind, default):
     return dataclasses.field(default=default, metadata={"kind": kind})
 
 
-def check_settings(config) -> None:
+def check_settings(config, section: str = "") -> None:
     """Raise ConfigError naming the first setting of the dataclass
-    ``config`` whose value is not of its kind."""
+    ``config`` whose value is not of its kind.  A section's class passes
+    its ``section`` ("estimator."), so the error names the field as the
+    CLI's table does (``estimator.seed``)."""
     for f in dataclasses.fields(config):
         kind = f.metadata.get("kind")
         if kind and not kind.holds(getattr(config, f.name)):
-            raise ConfigError(f"{f.name} must be {kind.text}")
+            raise ConfigError(f"{section}{f.name} must be {kind.text}")

@@ -69,9 +69,9 @@ class TrainConfig:
     seed: int = setting(SEED, 0)
 
     def __post_init__(self):
-        check_settings(self)
+        check_settings(self, "train.")
         if self.epochs > MAX_EPOCHS:
-            raise ConfigError(f"epochs must be <= {MAX_EPOCHS}, where the per-epoch "
+            raise ConfigError(f"train.epochs must be <= {MAX_EPOCHS}, where the per-epoch "
                               "shuffle streams reach the next reserved stream")
 
 

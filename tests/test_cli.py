@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import stat
 import subprocess
 import sys
@@ -239,6 +240,18 @@ def test_identity_checks_exit_status(tmp_path):
     assert header == ["check", "case", "lhs", "rhs", "gap", "passed"]
     assert len(rows) == 120
     assert all(r["passed"] == "true" for r in rows)
+
+
+def test_a_failed_identity_check_exits_5_and_still_writes_its_rows(monkeypatch, tmp_path):
+    # unequal sides: every mgf-decomposition case fails, and no other
+    monkeypatch.setattr(bd, "mgf_decomposition_check", lambda losses, lam, m: (1.0, 2.0))
+    out = tmp_path / "checks.csv"
+    assert main(["identity-checks", "--out", str(out)]) == 5
+    rows = read_rows(out)[2]
+    assert len(rows) == 120
+    assert [r["check"] for r in rows if r["passed"] == "false"] == ["mgf-decomposition"] * 50
+    # a sweep's rows have no passed column, so a sweep still exits 0
+    assert run(small_spec("loss-vs-variance", tmp_path, depth_grid=(1,))) == 0
 
 
 def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):
@@ -700,6 +713,30 @@ def test_bad_config_fails_before_any_work(case, passes, tmp_path, capsys):
     assert os.listdir(out_dir) == []
 
 
+def _setting_named(config):
+    """The setting a BAD_CONFIGS config sets, named as ``_READS`` names it,
+    if that is ``seed`` or one field of a section; else None."""
+    if not isinstance(config, dict) or len(config) != 1:
+        return None
+    [(key, value)] = config.items()
+    if key in ("estimator", "train") and isinstance(value, dict):
+        [name] = value
+        return f"{key}.{name}"
+    return key if key == "seed" else None
+
+
+@pytest.mark.parametrize("case", [case for case, (_, config, _) in BAD_CONFIGS.items()
+                                  if _setting_named(config)])
+def test_a_refused_seed_or_section_field_is_named_as_the_source_gave_it(case, tmp_path,
+                                                                        capsys):
+    experiment, config, _ = BAD_CONFIGS[case]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main([experiment, "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+    message = json.loads(capsys.readouterr().err)["message"]
+    # not "seed must be" for estimator.seed, nor "estimator.seed" for seed
+    assert re.match(rf"(unknown setting ')?{re.escape(_setting_named(config))}\b", message)
+
+
 def test_synthetic_spec_whose_draws_overflow_is_a_config_error(passes, tmp_path, capsys):
     # sigma is finite, but sigma * z overflows, so the dataset is refused
     out = tmp_path / "o.csv"
@@ -822,6 +859,28 @@ def test_readme_settings_paragraph_names_every_setting():
     with open(readme) as f:
         paragraph = f.read().split("### Settings\n", 1)[1].split("\n#", 1)[0]
     assert [name for name in sorted(cli_module._SETTINGS) if f"`{name}`" not in paragraph] == []
+
+
+def test_readme_defaults_match_the_code():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as f:
+        section = f.read().split("| setting | default |", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for line in section.splitlines()[2:]:
+        name, default, own = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = (json.loads(default.split("`")[1]),
+                                  {exp: json.loads(v) for exp, v in
+                                   re.findall(r"`([a-z-]+)`: `([^`]*)`", own)})
+    code = {}
+    spec = SweepSpec(experiment="loss-vs-variance")
+    for prefix, config in (("", spec), ("estimator.", spec.estimator), ("train.", spec.train)):
+        for f in dataclasses.fields(config):
+            if f.name not in ("experiment", "estimator", "train"):
+                value = getattr(config, f.name)
+                own = {exp: list(grids[f.name]) for exp, grids in cli_module._DEFAULTS.items()
+                       if f.name in grids}
+                code[prefix + f.name] = (list(value) if isinstance(value, tuple) else value, own)
+    assert table == code
 
 
 def test_main_happy_path_with_config_file(tmp_path):
